@@ -14,7 +14,6 @@ from .ingest import (
     CountryBoundary,
     GeoEvent,
     Trajectory,
-    assign_country,
     build_trajectories,
     load_boundaries,
     parse_events,
@@ -68,7 +67,6 @@ __all__ = [
     "SynthWorld",
     "Trajectory",
     "UserProfile",
-    "assign_country",
     "assign_residence",
     "build_flow_network",
     "build_mobility_profiles",

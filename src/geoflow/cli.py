@@ -1,8 +1,11 @@
 """Command-line pipeline over file artifacts.
 
-Each stage subcommand reads its predecessor's emitted files from the
-configured work directory and writes its own; `run` executes every stage
-in order. All randomness flows from the single `seed` config key, and no
+Each stage subcommand reads its predecessor's artifacts from the configured
+work directory and writes its own; `run` executes every stage in order. A
+single-stage command reads the events and user profiles it needs back from
+the artifacts, while `run` hands them from stage to stage in memory, so it
+parses the event file once and builds the profiles once; both write the
+same bytes. All randomness flows from the single `seed` config key, and no
 artifact embeds timestamps or machine state, so identical configs produce
 byte-identical outputs.
 
@@ -14,9 +17,10 @@ absent), 6 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from typing import Any
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import clean as clean_mod
 from . import community as community_mod
@@ -36,24 +40,100 @@ EXIT_MISSING_INPUT = 4
 EXIT_STAGE_ORDER = 5
 EXIT_DATA = 6
 
-STAGES = ["ingest", "clean", "profile", "metrics", "network", "communities", "fit-gravity", "fit-powerlaw"]
-
 
 class StageOrderError(RuntimeError):
     """A stage ran before the stage that produces its input artifact."""
 
 
-def _workdir(config: dict[str, Any]) -> str:
-    path = config["paths"]["workdir"]
-    os.makedirs(path, exist_ok=True)
-    return path
+class Artifact(NamedTuple):
+    stage: str  # the command that writes it
+    header: Sequence[str] = ()  # CSV header; empty for JSON and text files
 
 
-def _artifact(config: dict[str, Any], name: str, producer: str) -> str:
-    path = os.path.join(config["paths"]["workdir"], name)
-    if not os.path.exists(path):
-        raise StageOrderError(f"missing artifact {path}; run the {producer!r} stage first")
-    return path
+_DAILY_HEADER = ["code", "day", "count", "normalized"]
+_KM_HEADER = ["user_id", "km"]
+
+# Every file the commands write into paths.workdir. communities.csv appends
+# one column per partition level to its header.
+ARTIFACTS: dict[str, Artifact] = {
+    "events_labeled.csv": Artifact("ingest", tables.EVENT_HEADER),
+    "ingest_report.json": Artifact("ingest"),
+    "events_clean.csv": Artifact("clean", tables.EVENT_HEADER),
+    "cleaning_report.csv": Artifact("clean", ["country", "source", "mass", "retained"]),
+    "cleaning_stats.json": Artifact("clean"),
+    "profiles.csv": Artifact("profile", ["user_id", "residence", "total_events", "distinct_countries"]),
+    "country_stats.csv": Artifact(
+        "profile", ["code", "residents", "population", "penetration", "included", "reason"]
+    ),
+    "mobility_profiles.csv": Artifact(
+        "metrics", ["code", "n_residents", "mobility_rate", "mean_radius_km", "countries_visited"]
+    ),
+    "daily_outbound.csv": Artifact("metrics", _DAILY_HEADER),
+    "daily_inbound.csv": Artifact("metrics", _DAILY_HEADER),
+    "displacements.csv": Artifact("metrics", _KM_HEADER),
+    "gyration.csv": Artifact("metrics", _KM_HEADER),
+    "edges_raw.csv": Artifact("network", ["origin", "destination", "raw_weight"]),
+    "edges.csv": Artifact("network", ["origin", "destination", "raw_weight", "est_weight"]),
+    "balances.csv": Artifact("network", ["code", "inflow", "outflow", "balance"]),
+    "top_flows.csv": Artifact("network", ["rank", "origin", "destination", "raw_weight", "est_weight"]),
+    "communities.csv": Artifact("communities", ["country"]),
+    "communities_report.json": Artifact("communities"),
+    "gravity_fit.json": Artifact("fit-gravity"),
+    "powerlaw_fit.json": Artifact("fit-powerlaw"),
+    "validate.json": Artifact("validate"),
+    "report.txt": Artifact("report"),
+}
+
+
+class Workspace:
+    """One invocation's work directory, and the values its stages hand on.
+
+    Artifacts are read and written through ARTIFACTS. Event lists and user
+    profiles that an earlier stage of this process produced are held here
+    and returned by `load`; without one, `load` reads the artifact.
+    """
+
+    def __init__(self, config: dict[str, Any]):
+        self.config = config
+        self._held: dict[str, Any] = {}
+
+    def path(self, name: str) -> str:
+        """Where artifact `name` is written; creates the work directory."""
+        workdir = self.config["paths"]["workdir"]
+        os.makedirs(workdir, exist_ok=True)
+        return os.path.join(workdir, name)
+
+    def artifact(self, name: str) -> str:
+        """Path of an artifact an earlier stage must have written."""
+        path = os.path.join(self.config["paths"]["workdir"], name)
+        if not os.path.exists(path):
+            raise StageOrderError(f"missing artifact {path}; run the {ARTIFACTS[name].stage!r} stage first")
+        return path
+
+    def read_rows(self, name: str) -> list[list[str]]:
+        return tables.read_rows(self.artifact(name), ARTIFACTS[name].header)
+
+    def write_rows(self, name: str, rows: Any) -> None:
+        tables.write_rows(self.path(name), ARTIFACTS[name].header, rows)
+
+    def write_events(self, name: str, events: list[ingest_mod.GeoEvent]) -> None:
+        tables.write_events(self.path(name), events)
+        self._held[name] = events
+
+    def load(self, name: str) -> Any:
+        """An event artifact, or "profiles" built from events_clean.csv."""
+        if name not in self._held:
+            if name == "profiles":
+                self._held[name] = residence_mod.build_profiles(self.load("events_clean.csv"))
+            else:
+                self._held[name] = tables.read_events(self.artifact(name))
+        return self._held[name]
+
+    def take(self, name: str) -> Any:
+        """`load`, and stop holding the value: no later stage of `run` needs it."""
+        value = self.load(name)
+        del self._held[name]
+        return value
 
 
 def _external(config: dict[str, Any], key: str, required: bool) -> str | None:
@@ -72,19 +152,17 @@ def _external(config: dict[str, Any], key: str, required: bool) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def stage_ingest(config: dict[str, Any]) -> None:
-    workdir = _workdir(config)
-    events_path = _external(config, "events", required=True)
-    with open(events_path, encoding="utf-8") as fh:
+def stage_ingest(ws: Workspace) -> None:
+    with open(_external(ws.config, "events", required=True), "rb") as fh:
         report = ingest_mod.parse_events(fh)
-    boundaries_path = _external(config, "boundaries", required=False)
+    boundaries_path = _external(ws.config, "boundaries", required=False)
     index = None
     if boundaries_path:
         index = ingest_mod.BoundaryIndex(ingest_mod.load_boundaries(boundaries_path))
     labeled, dropped = ingest_mod.label_events(report.events, index)
-    tables.write_events(os.path.join(workdir, "events_labeled.csv"), labeled)
+    ws.write_events("events_labeled.csv", labeled)
     tables.write_json(
-        os.path.join(workdir, "ingest_report.json"),
+        ws.path("ingest_report.json"),
         {
             "n_lines": report.n_lines,
             "n_events": len(report.events),
@@ -97,34 +175,27 @@ def stage_ingest(config: dict[str, Any]) -> None:
     )
 
 
-def stage_clean(config: dict[str, Any]) -> None:
-    workdir = _workdir(config)
-    events = tables.read_events(_artifact(config, "events_labeled.csv", "ingest"))
-    trajectories = ingest_mod.build_trajectories(events)
+def stage_clean(ws: Workspace) -> None:
+    settings = ws.config["clean"]
+    trajectories = ingest_mod.build_trajectories(ws.take("events_labeled.csv"))
     speed_kept: list[ingest_mod.GeoEvent] = []
     speed_removed = 0
     for user_id in sorted(trajectories):
-        filtered, removed = clean_mod.speed_filter(
-            trajectories[user_id], config["clean"]["max_speed_kmh"]
-        )
+        filtered, removed = clean_mod.speed_filter(trajectories[user_id], settings["max_speed_kmh"])
         speed_removed += removed
         speed_kept.extend(filtered.events)
     retained, cleaned, stats = clean_mod.source_popularity_filter(
-        speed_kept, config["clean"]["coverage"], config["clean"]["weight_mode"]
+        speed_kept, settings["coverage"], settings["weight_mode"]
     )
-    tables.write_events(os.path.join(workdir, "events_clean.csv"), cleaned)
+    ws.write_events("events_clean.csv", cleaned)
     rows = []
     for country in sorted(stats.rankings):
         keep = retained.get(country, set())
         for source, mass in stats.rankings[country]:
             rows.append([country, source, mass, source in keep])
-    tables.write_rows(
-        os.path.join(workdir, "cleaning_report.csv"),
-        ["country", "source", "mass", "retained"],
-        rows,
-    )
+    ws.write_rows("cleaning_report.csv", rows)
     tables.write_json(
-        os.path.join(workdir, "cleaning_stats.json"),
+        ws.path("cleaning_stats.json"),
         {
             "speed_removed": speed_removed,
             "users_before": stats.users_before,
@@ -137,15 +208,9 @@ def stage_clean(config: dict[str, Any]) -> None:
     )
 
 
-def _load_profiles(config: dict[str, Any]) -> tuple[list[ingest_mod.GeoEvent], dict[str, residence_mod.UserProfile]]:
-    events = tables.read_events(_artifact(config, "events_clean.csv", "clean"))
-    return events, residence_mod.build_profiles(events)
-
-
-def stage_profile(config: dict[str, Any]) -> None:
-    workdir = _workdir(config)
-    _, profiles = _load_profiles(config)
-    census_path = _external(config, "census", required=False)
+def stage_profile(ws: Workspace) -> None:
+    profiles = ws.load("profiles")
+    census_path = _external(ws.config, "census", required=False)
     census: dict[str, int] = {}
     gdp: dict[str, float] = {}
     if census_path:
@@ -154,20 +219,18 @@ def stage_profile(config: dict[str, Any]) -> None:
         profiles,
         census,
         gdp,
-        min_penetration=config["residence"]["min_penetration"],
-        min_residents=config["residence"]["min_residents"],
+        min_penetration=ws.config["residence"]["min_penetration"],
+        min_residents=ws.config["residence"]["min_residents"],
     )
-    tables.write_rows(
-        os.path.join(workdir, "profiles.csv"),
-        ["user_id", "residence", "total_events", "distinct_countries"],
+    ws.write_rows(
+        "profiles.csv",
         (
             [p.user_id, p.residence, p.total_events, p.distinct_countries]
             for p in (profiles[u] for u in sorted(profiles))
         ),
     )
-    tables.write_rows(
-        os.path.join(workdir, "country_stats.csv"),
-        ["code", "residents", "population", "penetration", "included", "reason"],
+    ws.write_rows(
+        "country_stats.csv",
         (
             [s.code, s.residents, s.population, s.penetration, s.included, s.reason.replace(",", ";")]
             for s in (stats[c] for c in sorted(stats))
@@ -175,13 +238,9 @@ def stage_profile(config: dict[str, Any]) -> None:
     )
 
 
-def _load_country_stats(config: dict[str, Any]) -> dict[str, residence_mod.CountryStats]:
-    rows = tables.read_rows(
-        _artifact(config, "country_stats.csv", "profile"),
-        ["code", "residents", "population", "penetration", "included", "reason"],
-    )
+def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
     out: dict[str, residence_mod.CountryStats] = {}
-    for code, residents, population, penetration, included, reason in rows:
+    for code, residents, population, penetration, included, reason in ws.read_rows("country_stats.csv"):
         out[code] = residence_mod.CountryStats(
             code=code,
             residents=int(residents),
@@ -193,124 +252,96 @@ def _load_country_stats(config: dict[str, Any]) -> dict[str, residence_mod.Count
     return out
 
 
-def stage_metrics(config: dict[str, Any]) -> None:
-    workdir = _workdir(config)
-    events, profiles = _load_profiles(config)
+def stage_metrics(ws: Workspace) -> None:
+    profiles = ws.load("profiles")  # first: without held profiles, this loads the events taken below
+    events = ws.take("events_clean.csv")
     mobility = metrics_mod.build_mobility_profiles(
-        profiles, events, gyration_over=config["metrics"]["gyration_over"]
+        profiles, events, gyration_over=ws.config["metrics"]["gyration_over"]
     )
-    tables.write_rows(
-        os.path.join(workdir, "mobility_profiles.csv"),
-        ["code", "n_residents", "mobility_rate", "mean_radius_km", "countries_visited"],
+    ws.write_rows(
+        "mobility_profiles.csv",
         (
             [m.code, m.n_residents, m.mobility_rate, m.mean_radius_km, m.countries_visited]
             for m in (mobility[c] for c in sorted(mobility))
         ),
     )
-    year = config["year"]
     for direction in ("outbound", "inbound"):
-        series = metrics_mod.daily_abroad_series(profiles, events, direction, year=year)
+        series = metrics_mod.daily_abroad_series(profiles, events, direction, year=ws.config["year"])
         rows = []
         for code in sorted(series):
             s = series[code]
             for day, (value, norm) in enumerate(zip(s.values, s.normalized)):
                 rows.append([code, day, value, norm])
-        tables.write_rows(
-            os.path.join(workdir, f"daily_{direction}.csv"),
-            ["code", "day", "count", "normalized"],
-            rows,
-        )
+        ws.write_rows(f"daily_{direction}.csv", rows)
     trajectories = ingest_mod.build_trajectories(events)
     disp_rows = []
     for user_id in sorted(trajectories):
         for d in metrics_mod.displacements(trajectories[user_id]):
             disp_rows.append([user_id, d])
-    tables.write_rows(os.path.join(workdir, "displacements.csv"), ["user_id", "km"], disp_rows)
+    ws.write_rows("displacements.csv", disp_rows)
     radii = metrics_mod.user_gyration_radii(events)
-    tables.write_rows(
-        os.path.join(workdir, "gyration.csv"),
-        ["user_id", "km"],
-        ([u, radii[u]] for u in sorted(radii)),
-    )
+    ws.write_rows("gyration.csv", ([u, radii[u]] for u in sorted(radii)))
 
 
-def stage_network(config: dict[str, Any]) -> None:
-    workdir = _workdir(config)
-    _, profiles = _load_profiles(config)
-    stats = _load_country_stats(config)
-    raw_net = network_mod.build_flow_network(profiles)
-    tables.write_rows(
-        os.path.join(workdir, "edges_raw.csv"),
-        ["origin", "destination", "raw_weight"],
+def stage_network(ws: Workspace) -> None:
+    raw_net = network_mod.build_flow_network(ws.take("profiles"))
+    stats = _country_stats(ws)
+    ws.write_rows(
+        "edges_raw.csv",
         ([e.origin, e.destination, e.raw_weight] for _, e in sorted(raw_net.edges.items())),
     )
     net = network_mod.normalize_and_filter(
         raw_net,
         stats,
-        min_outgoing=config["network"]["min_outgoing"],
-        min_penetration=config["network"]["min_penetration"],
+        min_outgoing=ws.config["network"]["min_outgoing"],
+        min_penetration=ws.config["network"]["min_penetration"],
     )
-    tables.write_rows(
-        os.path.join(workdir, "edges.csv"),
-        ["origin", "destination", "raw_weight", "est_weight"],
-        (
-            [e.origin, e.destination, e.raw_weight, e.est_weight]
-            for _, e in sorted(net.edges.items())
-        ),
+    ws.write_rows(
+        "edges.csv",
+        ([e.origin, e.destination, e.raw_weight, e.est_weight] for _, e in sorted(net.edges.items())),
     )
     balances = network_mod.inflow_outflow_balance(net)
-    tables.write_rows(
-        os.path.join(workdir, "balances.csv"),
-        ["code", "inflow", "outflow", "balance"],
-        (
-            [b.code, b.inflow, b.outflow, b.balance]
-            for b in (balances[c] for c in sorted(balances))
-        ),
+    ws.write_rows(
+        "balances.csv",
+        ([b.code, b.inflow, b.outflow, b.balance] for b in (balances[c] for c in sorted(balances))),
     )
-    top = network_mod.top_k_flows(net, k=config["network"]["top_k"], weight="est")
-    tables.write_rows(
-        os.path.join(workdir, "top_flows.csv"),
-        ["rank", "origin", "destination", "raw_weight", "est_weight"],
+    top = network_mod.top_k_flows(net, k=ws.config["network"]["top_k"], weight="est")
+    ws.write_rows(
+        "top_flows.csv",
         ([i + 1, e.origin, e.destination, e.raw_weight, e.est_weight] for i, e in enumerate(top)),
     )
 
 
-def _load_flow_edges(config: dict[str, Any], weights: str) -> tuple[dict[tuple[str, str], float], list[str]]:
-    edge_rows = tables.read_rows(
-        _artifact(config, "edges.csv", "network"),
-        ["origin", "destination", "raw_weight", "est_weight"],
-    )
-    balance_rows = tables.read_rows(
-        _artifact(config, "balances.csv", "network"),
-        ["code", "inflow", "outflow", "balance"],
-    )
-    nodes = [row[0] for row in balance_rows]
-    edges = {
-        (o, d): float(raw) if weights == "raw" else float(est)
-        for o, d, raw, est in edge_rows
+def _flow_edges(ws: Workspace) -> tuple[dict[str, dict[tuple[str, str], float]], list[str]]:
+    """Edge weights by kind ("raw" or "est") from edges.csv, and the nodes from balances.csv."""
+    rows = ws.read_rows("edges.csv")
+    weights = {
+        "raw": {(o, d): float(raw) for o, d, raw, _ in rows},
+        "est": {(o, d): float(est) for o, d, _, est in rows},
     }
-    return edges, nodes
+    return weights, [row[0] for row in ws.read_rows("balances.csv")]
 
 
-def stage_communities(config: dict[str, Any]) -> None:
-    workdir = _workdir(config)
-    weights = config["communities"]["weights"]
-    edges, nodes = _load_flow_edges(config, weights)
-    max_levels = config["communities"]["max_levels"]
+def stage_communities(ws: Workspace) -> None:
+    settings = ws.config["communities"]
+    weights, nodes = _flow_edges(ws)
     if not nodes:
         raise ValueError("empty network: nothing to partition")
     hierarchy = community_mod.hierarchical_partition(
-        edges,
-        max_levels=max_levels,
-        seed=config["seed"],
-        restarts=config["communities"]["restarts"],
+        weights[settings["weights"]],
+        max_levels=settings["max_levels"],
+        seed=ws.config["seed"],
+        restarts=settings["restarts"],
         nodes=nodes,
     )
-    header = ["country"] + [f"level{k}" for k in range(1, max_levels + 1)]
-    rows = [[code] + [level.assignment[code] for level in hierarchy.levels] for code in sorted(nodes)]
-    tables.write_rows(os.path.join(workdir, "communities.csv"), header, rows)
+    levels = [f"level{k}" for k in range(1, settings["max_levels"] + 1)]
+    tables.write_rows(
+        ws.path("communities.csv"),
+        [*ARTIFACTS["communities.csv"].header, *levels],
+        ([code] + [level.assignment[code] for level in hierarchy.levels] for code in sorted(nodes)),
+    )
     tables.write_json(
-        os.path.join(workdir, "communities_report.json"),
+        ws.path("communities_report.json"),
         {
             "q_per_level": [level.q for level in hierarchy.levels],
             "communities_per_level": [level.n_communities for level in hierarchy.levels],
@@ -322,53 +353,37 @@ def stage_communities(config: dict[str, Any]) -> None:
     )
 
 
-def stage_fit_gravity(config: dict[str, Any]) -> None:
-    workdir = _workdir(config)
-    stats = _load_country_stats(config)
-    capitals_path = _external(config, "capitals", required=True)
-    distances = models_mod.capital_distances(tables.read_capitals(capitals_path))
-    min_distance = config["fit"]["min_distance_km"]
-    est_edges, _ = _load_flow_edges(config, "est")
-    raw_edges, _ = _load_flow_edges(config, "raw")
+def stage_fit_gravity(ws: Workspace) -> None:
+    stats = _country_stats(ws)
+    distances = models_mod.capital_distances(
+        tables.read_capitals(_external(ws.config, "capitals", required=True))
+    )
+    weights, _ = _flow_edges(ws)
     census_pops = {
         c: float(s.population) for c, s in stats.items() if s.population and s.population > 0
     }
     platform_pops = {c: float(s.residents) for c, s in stats.items() if s.residents > 0}
     report: dict[str, Any] = {}
     for name, flows, pops in (
-        ("est_census", est_edges, census_pops),
-        ("raw_platform", raw_edges, platform_pops),
+        ("est_census", weights["est"], census_pops),
+        ("raw_platform", weights["raw"], platform_pops),
     ):
         # A leg can be unfittable on a small corpus (e.g. identical resident
         # counts make ln p collinear with the intercept); record why and keep
         # the other leg rather than aborting the run.
         try:
-            fit = models_mod.fit_gravity(flows, pops, distances, min_distance_km=min_distance)
+            fit = models_mod.fit_gravity(
+                flows, pops, distances, min_distance_km=ws.config["fit"]["min_distance_km"]
+            )
         except ValueError as exc:
             report[name] = {"error": str(exc)}
             continue
-        report[name] = {
-            "logA": fit.logA,
-            "alpha": fit.alpha,
-            "beta": fit.beta,
-            "gamma": fit.gamma,
-            "r2": fit.r2,
-            "n_pairs": fit.n_pairs,
-            "n_zero_excluded": fit.n_zero_excluded,
-            "n_short_excluded": fit.n_short_excluded,
-            "n_missing_distance": fit.n_missing_distance,
-        }
-    tables.write_json(os.path.join(workdir, "gravity_fit.json"), report)
+        report[name] = dataclasses.asdict(fit)
+    tables.write_json(ws.path("gravity_fit.json"), report)
 
 
 def _powerlaw_report(samples: list[float], xmin: float) -> dict[str, Any]:
-    fit = models_mod.fit_power_law(samples, xmin)
-    out: dict[str, Any] = {
-        "exponent": fit.exponent,
-        "xmin": fit.xmin,
-        "n_tail": fit.n_tail,
-        "stderr": fit.stderr,
-    }
+    out = dataclasses.asdict(models_mod.fit_power_law(samples, xmin))
     try:
         b_beta, b_intercept, b_r2 = models_mod.binned_powerlaw_check([x for x in samples if x >= xmin])
         out["binned_check"] = {"exponent": b_beta, "intercept": b_intercept, "r2": b_r2}
@@ -377,28 +392,20 @@ def _powerlaw_report(samples: list[float], xmin: float) -> dict[str, Any]:
     return out
 
 
-def stage_fit_powerlaw(config: dict[str, Any]) -> None:
-    workdir = _workdir(config)
-    xmin = config["fit"]["powerlaw_xmin_km"]
+def stage_fit_powerlaw(ws: Workspace) -> None:
     report: dict[str, Any] = {}
     for name, artifact in (("displacements", "displacements.csv"), ("gyration", "gyration.csv")):
-        rows = tables.read_rows(_artifact(config, artifact, "metrics"), ["user_id", "km"])
-        samples = [float(km) for _, km in rows]
+        samples = [float(km) for _, km in ws.read_rows(artifact)]
         try:
-            report[name] = _powerlaw_report(samples, xmin)
+            report[name] = _powerlaw_report(samples, ws.config["fit"]["powerlaw_xmin_km"])
         except ValueError as exc:
             report[name] = {"error": str(exc)}
-    tables.write_json(os.path.join(workdir, "powerlaw_fit.json"), report)
+    tables.write_json(ws.path("powerlaw_fit.json"), report)
 
 
-def cmd_validate(config: dict[str, Any]) -> None:
-    workdir = _workdir(config)
-    reference_path = _external(config, "reference", required=True)
-    balance_rows = tables.read_rows(
-        _artifact(config, "balances.csv", "network"),
-        ["code", "inflow", "outflow", "balance"],
-    )
-    inflows = {row[0]: float(row[1]) for row in balance_rows}
+def cmd_validate(ws: Workspace) -> None:
+    reference_path = _external(ws.config, "reference", required=True)
+    inflows = {row[0]: float(row[1]) for row in ws.read_rows("balances.csv")}
     report: dict[str, Any] = {}
     for name, column in (("arrivals", 1), ("receipts", 2)):
         try:
@@ -407,7 +414,7 @@ def cmd_validate(config: dict[str, Any]) -> None:
             report[name] = {"r2": r2, "matched_countries": matched}
         except ValueError as exc:
             report[name] = {"error": str(exc)}
-    tables.write_json(os.path.join(workdir, "validate.json"), report)
+    tables.write_json(ws.path("validate.json"), report)
 
 
 def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
@@ -433,7 +440,7 @@ def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
         year=config["year"],
     )
     events_path = os.path.join(out_dir, "events.csv")
-    with open(events_path, "w", encoding="utf-8", newline="\n") as fh:
+    with tables.replacing(events_path) as fh:
         for line in synth_mod.event_lines(events):
             fh.write(line + "\n")
     boundaries = synth_mod.world_boundaries(world)
@@ -474,24 +481,7 @@ def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
             "realized_edges": {f"{o}:{d}": n for (o, d), n in truth.realized_edges.items()},
             "n_users": truth.n_users,
             "n_humans": truth.n_humans,
-            "world": {
-                "seed": world.seed,
-                "A": world.A,
-                "alpha": world.alpha,
-                "beta": world.beta,
-                "gamma": world.gamma,
-                "block_boost": world.block_boost,
-                "countries": [
-                    {
-                        "code": c.code,
-                        "population": c.population,
-                        "capital": list(c.capital),
-                        "penetration": c.penetration,
-                        "block": c.block,
-                    }
-                    for c in world.countries
-                ],
-            },
+            "world": dataclasses.asdict(world),
         },
     )
     pipeline_config = {
@@ -523,85 +513,52 @@ def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
     tables.write_json(os.path.join(out_dir, "config.json"), pipeline_config)
 
 
-def cmd_run(config: dict[str, Any]) -> None:
-    stage_ingest(config)
-    stage_clean(config)
-    stage_profile(config)
-    stage_metrics(config)
-    stage_network(config)
-    stage_communities(config)
-    stage_fit_gravity(config)
-    stage_fit_powerlaw(config)
+def cmd_run(ws: Workspace, args: argparse.Namespace) -> None:
+    for command in COMMANDS.values():
+        if command.stage:
+            command.handler(ws, args)
 
 
-def cmd_report(config: dict[str, Any]) -> str:
-    workdir = config["paths"]["workdir"]
-    lines: list[str] = []
-
-    def add(line: str) -> None:
-        lines.append(line)
-
-    ingest_report = tables.read_json(_artifact(config, "ingest_report.json", "ingest"))
-    add("PIPELINE REPORT")
-    add("")
+def cmd_report(ws: Workspace) -> str:
+    lines = ["PIPELINE REPORT", ""]
+    add = lines.append
+    ingest_report = tables.read_json(ws.artifact("ingest_report.json"))
     add(f"[ingest_report.json] lines={ingest_report['n_lines']} events={ingest_report['n_events']} "
         f"malformed={ingest_report['n_malformed']} unlocatable={ingest_report['n_unlocatable_dropped']}")
-    cleaning = tables.read_json(_artifact(config, "cleaning_stats.json", "clean"))
+    cleaning = tables.read_json(ws.artifact("cleaning_stats.json"))
     add(f"[cleaning_stats.json] speed_removed={cleaning['speed_removed']} "
         f"user_survival={cleaning['user_fraction']:.6g} event_survival={cleaning['event_fraction']:.6g}")
-    stats = _load_country_stats(config)
+    stats = _country_stats(ws)
     included = sorted(c for c, s in stats.items() if s.included)
     add(f"[country_stats.csv] countries={len(stats)} included={len(included)}")
-    mob_rows = tables.read_rows(
-        _artifact(config, "mobility_profiles.csv", "metrics"),
-        ["code", "n_residents", "mobility_rate", "mean_radius_km", "countries_visited"],
-    )
+    mob_rows = ws.read_rows("mobility_profiles.csv")
     rates = [float(r[2]) for r in mob_rows]
     mean_rate = sum(rates) / len(rates) if rates else 0.0
     add(f"[mobility_profiles.csv] countries={len(mob_rows)} mean_mobility_rate={mean_rate:.6g}")
-    edge_rows = tables.read_rows(
-        _artifact(config, "edges.csv", "network"),
-        ["origin", "destination", "raw_weight", "est_weight"],
-    )
-    add(f"[edges.csv] edges={len(edge_rows)}")
-    top_rows = tables.read_rows(
-        _artifact(config, "top_flows.csv", "network"),
-        ["rank", "origin", "destination", "raw_weight", "est_weight"],
-    )
+    add(f"[edges.csv] edges={len(ws.read_rows('edges.csv'))}")
+    top_rows = ws.read_rows("top_flows.csv")
     if top_rows:
         first = top_rows[0]
         add(f"[top_flows.csv] top flow {first[1]}->{first[2]} est={float(first[4]):.6g}")
-    communities = tables.read_json(_artifact(config, "communities_report.json", "communities"))
+    communities = tables.read_json(ws.artifact("communities_report.json"))
     qs = " ".join(f"{q:.6g}" for q in communities["q_per_level"])
     ns = " ".join(str(n) for n in communities["communities_per_level"])
     add(f"[communities_report.json] q_per_level=[{qs}] communities_per_level=[{ns}]")
-    gravity = tables.read_json(_artifact(config, "gravity_fit.json", "fit-gravity"))
-    for mode in sorted(gravity):
-        g = gravity[mode]
-        if "error" in g:
-            add(f"[gravity_fit.json:{mode}] error={g['error']}")
-        else:
-            add(f"[gravity_fit.json:{mode}] alpha={g['alpha']:.6g} beta={g['beta']:.6g} "
-                f"gamma={g['gamma']:.6g} r2={g['r2']:.6g} n_pairs={g['n_pairs']}")
-    powerlaw = tables.read_json(_artifact(config, "powerlaw_fit.json", "fit-powerlaw"))
-    for name in sorted(powerlaw):
-        p = powerlaw[name]
-        if "error" in p:
-            add(f"[powerlaw_fit.json:{name}] error={p['error']}")
-        else:
-            add(f"[powerlaw_fit.json:{name}] exponent={p['exponent']:.6g} "
-                f"stderr={p['stderr']:.6g} n_tail={p['n_tail']}")
-    validate_path = os.path.join(workdir, "validate.json")
-    if os.path.exists(validate_path):
-        validation = tables.read_json(validate_path)
-        for name in sorted(validation):
-            v = validation[name]
-            if "error" in v:
-                add(f"[validate.json:{name}] error={v['error']}")
-            else:
-                add(f"[validate.json:{name}] r2={v['r2']:.6g} matched={v['matched_countries']}")
+    # Fit and validation reports hold one entry per leg, each a result or an error.
+    entries = [
+        ("gravity_fit.json", "alpha={alpha:.6g} beta={beta:.6g} gamma={gamma:.6g} r2={r2:.6g} n_pairs={n_pairs}"),
+        ("powerlaw_fit.json", "exponent={exponent:.6g} stderr={stderr:.6g} n_tail={n_tail}"),
+    ]
+    if os.path.exists(os.path.join(ws.config["paths"]["workdir"], "validate.json")):
+        entries.append(("validate.json", "r2={r2:.6g} matched={matched_countries}"))
+    for name, template in entries:
+        report = tables.read_json(ws.artifact(name))
+        for key in sorted(report):
+            entry = report[key]
+            detail = f"error={entry['error']}" if "error" in entry else template.format_map(entry)
+            add(f"[{name}:{key}] {detail}")
     text = "\n".join(lines) + "\n"
-    with open(os.path.join(workdir, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
+    with tables.replacing(ws.path("report.txt")) as fh:
         fh.write(text)
     return text
 
@@ -609,6 +566,41 @@ def cmd_report(config: dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[Workspace, argparse.Namespace], object]
+    stage: bool = False  # `run` executes the stages in table order
+
+
+# The handlers name the functions they call, so the lookup happens at call
+# time and a wrapper installed on a module attribute such as `stage_ingest`
+# sees every call.
+COMMANDS: dict[str, Command] = {
+    "ingest": Command("parse events and label them with countries", lambda ws, _: stage_ingest(ws), True),
+    "clean": Command("apply the speed filter and the source-popularity filter", lambda ws, _: stage_clean(ws), True),
+    "profile": Command("assign residences and compute country statistics", lambda ws, _: stage_profile(ws), True),
+    "metrics": Command(
+        "mobility rates, gyration radii, displacement and daily series", lambda ws, _: stage_metrics(ws), True
+    ),
+    "network": Command(
+        "build, filter, and normalize the country flow network", lambda ws, _: stage_network(ws), True
+    ),
+    "communities": Command(
+        "hierarchical modularity partitioning of the flow network", lambda ws, _: stage_communities(ws), True
+    ),
+    "fit-gravity": Command("fit the gravity model to the flow network", lambda ws, _: stage_fit_gravity(ws), True),
+    "fit-powerlaw": Command(
+        "fit power laws to displacements and gyration radii", lambda ws, _: stage_fit_powerlaw(ws), True
+    ),
+    "validate": Command("correlate estimated inflows against a reference table", lambda ws, _: cmd_validate(ws)),
+    "synth": Command(
+        "generate a synthetic world with ground truth", lambda ws, args: cmd_synth(ws.config, args.out)
+    ),
+    "run": Command("run every pipeline stage in order", lambda ws, args: cmd_run(ws, args)),
+    "report": Command("print an aggregate summary of all artifacts", lambda ws, _: print(cmd_report(ws), end="")),
+}
 
 _EPILOG = """exit codes:
   0  success
@@ -631,22 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "ingest": "parse events and label them with countries",
-        "clean": "apply the speed filter and the source-popularity filter",
-        "profile": "assign residences and compute country statistics",
-        "metrics": "mobility rates, gyration radii, displacement and daily series",
-        "network": "build, filter, and normalize the country flow network",
-        "communities": "hierarchical modularity partitioning of the flow network",
-        "fit-gravity": "fit the gravity model to the flow network",
-        "fit-powerlaw": "fit power laws to displacements and gyration radii",
-        "validate": "correlate estimated inflows against a reference table",
-        "synth": "generate a synthetic world with ground truth",
-        "run": "run every pipeline stage in order",
-        "report": "print an aggregate summary of all artifacts",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", "-c", default=None, help="JSON config file")
         if name == "synth":
             p.add_argument("--out", default="synthetic", help="output directory for the synthetic world")
@@ -664,29 +642,15 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"geoflow: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    handlers = {
-        "ingest": lambda: stage_ingest(config),
-        "clean": lambda: stage_clean(config),
-        "profile": lambda: stage_profile(config),
-        "metrics": lambda: stage_metrics(config),
-        "network": lambda: stage_network(config),
-        "communities": lambda: stage_communities(config),
-        "fit-gravity": lambda: stage_fit_gravity(config),
-        "fit-powerlaw": lambda: stage_fit_powerlaw(config),
-        "validate": lambda: cmd_validate(config),
-        "synth": lambda: cmd_synth(config, args.out),
-        "run": lambda: cmd_run(config),
-        "report": lambda: print(cmd_report(config), end=""),
-    }
     try:
-        handlers[args.command]()
+        COMMANDS[args.command].handler(Workspace(config), args)
     except StageOrderError as exc:
         print(f"geoflow: stage order: {exc}", file=sys.stderr)
         return EXIT_STAGE_ORDER
     except FileNotFoundError as exc:
         print(f"geoflow: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (ValueError, KeyError, AssertionError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"geoflow: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -23,7 +23,6 @@ class ConfigError(ValueError):
 
 DEFAULTS: dict[str, Any] = {
     "seed": 0,
-    "workers": 1,
     "year": 2012,
     "paths": {
         "workdir": "artifacts",
@@ -78,10 +77,6 @@ def default_config() -> dict[str, Any]:
 
 def _check_type(section: str, key: str, value: Any, template: Any) -> Any:
     label = f"{section}.{key}" if section else key
-    if isinstance(template, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{label}: expected boolean, got {value!r}")
-        return value
     if isinstance(template, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{label}: expected integer, got {value!r}")
@@ -147,7 +142,6 @@ def _apply_env(config: dict[str, Any], env: Mapping[str, str]) -> None:
 def _validate_ranges(config: dict[str, Any]) -> None:
     checks = [
         (config["seed"] >= 0, "seed must be nonnegative"),
-        (config["workers"] >= 1, "workers must be >= 1"),
         (config["clean"]["max_speed_kmh"] > 0, "clean.max_speed_kmh must be positive"),
         (0 < config["clean"]["coverage"] <= 1, "clean.coverage must be in (0, 1]"),
         (config["clean"]["weight_mode"] in ("users", "events"), "clean.weight_mode must be 'users' or 'events'"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import Iterable
 
 from .sphere import normalize_lon
 
@@ -102,16 +102,24 @@ def _looks_like_header(parts: list[str]) -> bool:
     return False
 
 
-def parse_events(stream: Iterable[str] | IO[str], fmt: EventFormat = EventFormat()) -> ParseReport:
+def parse_events(stream: Iterable[str] | Iterable[bytes], fmt: EventFormat = EventFormat()) -> ParseReport:
     """Parse a line-delimited event stream.
 
     Every well-formed line yields exactly one GeoEvent. Malformed lines are
     recorded with their 1-based line number and skipped, never silently
-    dropped: len(events) + len(errors) + header == total lines.
+    dropped: len(events) + len(errors) + header == total lines. Lines given
+    as bytes are decoded as UTF-8 one by one, so an undecodable line is one
+    malformed line.
     """
     report = ParseReport(events=[], errors=[])
     for lineno, line in enumerate(stream, start=1):
         report.n_lines = lineno
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                report.errors.append((lineno, "invalid UTF-8"))
+                continue
         line = line.rstrip("\r\n")
         if not line.strip():
             report.errors.append((lineno, "blank line"))
@@ -225,13 +233,6 @@ class BoundaryIndex:
             if _polygon_contains(lon, lat, polygon):
                 hit = code
         return hit
-
-
-def assign_country(event: GeoEvent, index: BoundaryIndex) -> str | None:
-    """Country label for an event: pre-existing label wins, else polygon lookup."""
-    if event.country is not None:
-        return event.country
-    return index.locate(event.lon, event.lat)
 
 
 def label_events(events: list[GeoEvent], index: BoundaryIndex | None) -> tuple[list[GeoEvent], int]:

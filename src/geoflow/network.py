@@ -86,34 +86,40 @@ def normalize_and_filter(
     A country survives when its outgoing population (distinct mobile
     residents) reaches min_outgoing and its penetration reaches
     min_penetration; failing either removes the node with all incident
-    edges. Surviving edges get est_weight = raw_weight / penetration(origin).
+    edges. A country whose penetration is zero or unknown never survives,
+    since its flows cannot be scaled to people. Surviving edges get
+    est_weight = raw_weight / penetration(origin).
     """
-    surviving: list[str] = []
+    penetration: dict[str, float] = {}
     for code in network.nodes:
         st = stats.get(code)
-        penetration = st.penetration if st is not None else 0.0
-        if penetration >= min_penetration and network.mobile_residents.get(code, 0) >= min_outgoing:
-            surviving.append(code)
-    keep = set(surviving)
+        p = st.penetration if st is not None else 0.0
+        if p > 0.0 and p >= min_penetration and network.mobile_residents.get(code, 0) >= min_outgoing:
+            penetration[code] = p
+    surviving = list(penetration)
     edges: dict[tuple[str, str], FlowEdge] = {}
     for (origin, destination), edge in sorted(network.edges.items()):
-        if origin not in keep or destination not in keep:
+        if origin not in penetration or destination not in penetration:
             continue
-        penetration = stats[origin].penetration
-        assert penetration > 0.0, f"zero penetration on surviving node {origin}"
         edges[(origin, destination)] = FlowEdge(
             origin=origin,
             destination=destination,
             raw_weight=edge.raw_weight,
-            est_weight=edge.raw_weight / penetration,
+            est_weight=edge.raw_weight / penetration[origin],
         )
     return FlowNetwork(
         nodes=surviving,
         edges=edges,
         mobile_residents={c: network.mobile_residents.get(c, 0) for c in surviving},
-        stats={c: stats[c] for c in surviving if c in stats},
+        stats={c: stats[c] for c in surviving},
         normalized=True,
     )
+
+
+def _est_weight(edge: FlowEdge) -> float:
+    if edge.est_weight is None:
+        raise ValueError(f"edge {edge.origin}->{edge.destination} has no est weight; normalize first")
+    return edge.est_weight
 
 
 @dataclass(slots=True)
@@ -131,9 +137,9 @@ def inflow_outflow_balance(network: FlowNetwork) -> dict[str, BalanceEntry]:
     inflows: dict[str, list[float]] = {c: [] for c in network.nodes}
     outflows: dict[str, list[float]] = {c: [] for c in network.nodes}
     for (origin, destination), edge in sorted(network.edges.items()):
-        assert edge.est_weight is not None
-        outflows[origin].append(edge.est_weight)
-        inflows[destination].append(edge.est_weight)
+        weight = _est_weight(edge)
+        outflows[origin].append(weight)
+        inflows[destination].append(weight)
     out: dict[str, BalanceEntry] = {}
     for code in network.nodes:
         inflow = math.fsum(inflows[code])
@@ -153,9 +159,9 @@ def global_balance(network: FlowNetwork) -> float:
         raise ValueError("balance requires a normalized network")
     terms: list[float] = []
     for _, edge in sorted(network.edges.items()):
-        assert edge.est_weight is not None
-        terms.append(edge.est_weight)
-        terms.append(-edge.est_weight)
+        weight = _est_weight(edge)
+        terms.append(weight)
+        terms.append(-weight)
     return math.fsum(terms)
 
 
@@ -167,8 +173,7 @@ def top_k_flows(network: FlowNetwork, k: int = 30, weight: str = "est") -> list[
         raise ValueError("est ranking requires a normalized network")
 
     def sort_key(edge: FlowEdge) -> tuple[float, str, str]:
-        w = edge.est_weight if weight == "est" else float(edge.raw_weight)
-        assert w is not None
+        w = _est_weight(edge) if weight == "est" else float(edge.raw_weight)
         return (-w, edge.origin, edge.destination)
 
     ranked = sorted(network.edges.values(), key=sort_key)

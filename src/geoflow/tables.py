@@ -8,7 +8,9 @@ byte-identical files. Nothing here stamps timestamps or machine state.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Sequence
+import os
+from contextlib import contextmanager, suppress
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 from .ingest import GeoEvent
 
@@ -24,8 +26,26 @@ def fmt(value: Any) -> str:
     return str(value)
 
 
+@contextmanager
+def replacing(path: str) -> Iterator[IO[str]]:
+    """Open a sibling temp file for writing, then move it over `path`.
+
+    A reader never sees a half-written file: if the write fails, the temp
+    file is removed and any previous `path` is left as it was.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(cell) for cell in row) + "\n")
@@ -44,7 +64,7 @@ def read_rows(path: str, expected_header: Sequence[str] | None = None) -> list[l
 
 
 def write_json(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -63,7 +83,7 @@ EVENT_HEADER = ["user_id", "timestamp", "lat", "lon", "source", "country"]
 
 def write_events(path: str, events: Sequence[GeoEvent], with_country: bool = True) -> None:
     header = EVENT_HEADER if with_country else EVENT_HEADER[:5]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for e in events:
             row = f"{e.user_id},{e.timestamp},{e.lat!r},{e.lon!r},{e.source}"

@@ -5,9 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import geoflow
+from geoflow import ingest, residence, tables
 from geoflow.cli import main
 from geoflow.tables import read_json
 
@@ -264,3 +268,58 @@ def test_data_errors_exit_six(pipeline, tmp_path, capsys):
     config.write_text(json.dumps(settings))
     assert cli("clean", "--config", str(config)) == 6
     assert "data error" in capsys.readouterr().err
+
+
+def test_workers_key_exits_three(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"workers": 1}))
+    assert cli("ingest", "--config", str(config)) == 3
+    assert "workers" in capsys.readouterr().err
+
+
+def test_invalid_utf8_byte_is_one_malformed_line(tmp_path):
+    world = build_world(tmp_path, "world")
+    events = world / "events.csv"
+    lines = events.read_bytes().split(b"\n")
+    lines[5] = lines[5][:2] + b"\xff" + lines[5][2:]
+    events.write_bytes(b"\n".join(lines))
+    assert cli("ingest", "--config", str(world / "config.json")) == 0
+    report = read_json(str(world / "artifacts" / "ingest_report.json"))
+    assert report["n_malformed"] == 1
+    assert report["errors_first_10"] == [[6, "invalid UTF-8"]]
+    assert report["n_events"] + report["n_malformed"] + 1 == report["n_lines"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_country_missing_from_census_leaves_the_network(tmp_path, flags):
+    world = build_world(tmp_path, "world")
+    census = (world / "census.csv").read_text().splitlines()
+    dropped = census[1].split(",")[0]
+    (world / "census.csv").write_text("\n".join([census[0]] + census[2:]) + "\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GEOFLOW_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(geoflow.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "geoflow", "run", "--config", str(world / "config.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (world / "artifacts" / "balances.csv").read_text().splitlines()[1:]
+    codes = [row.split(",")[0] for row in rows]
+    assert codes and dropped not in codes
+
+
+def test_run_parses_events_once_and_builds_profiles_once(tmp_path, monkeypatch):
+    world = build_world(tmp_path, "world")
+    calls = Counter()
+    for module, name in ((ingest, "parse_events"), (tables, "read_events"), (residence, "build_profiles")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli("run", "--config", str(world / "config.json")) == 0
+    assert (calls["parse_events"], calls["read_events"], calls["build_profiles"]) == (1, 0, 1)

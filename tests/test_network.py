@@ -269,3 +269,29 @@ def test_top_k_est_mode_requires_normalization():
     network = build_flow_network(profiles)
     with pytest.raises(ValueError):
         top_k_flows(network, k=1, weight="est")
+
+
+def test_country_without_penetration_never_survives():
+    profiles = profiles_from(
+        {"u%d" % i: ["AA", "AA", "BB"] for i in range(5)}
+        | {"v%d" % i: ["BB", "BB", "AA"] for i in range(5)}
+    )
+    stats = compute_country_stats(profiles, {"BB": 1_000}, min_penetration=0.0, min_residents=1)
+    network = build_flow_network(profiles)
+    normalized = normalize_and_filter(network, stats, min_outgoing=1, min_penetration=0.0)
+    assert normalized.nodes == ["BB"]  # AA has no census row, so penetration 0
+    assert normalized.edges == {}
+    del stats["BB"]
+    assert normalize_and_filter(network, stats, min_outgoing=1, min_penetration=0.0).nodes == []
+
+
+def test_missing_est_weight_is_a_value_error():
+    profiles = profiles_from({"u1": ["AA", "AA", "BB"]})
+    network = build_flow_network(profiles)
+    network.normalized = True  # claims normalization but carries no est weights
+    with pytest.raises(ValueError, match="no est weight"):
+        inflow_outflow_balance(network)
+    with pytest.raises(ValueError, match="no est weight"):
+        global_balance(network)
+    with pytest.raises(ValueError, match="no est weight"):
+        top_k_flows(network, weight="est")

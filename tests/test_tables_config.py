@@ -241,3 +241,18 @@ def test_int_accepted_where_float_expected(tmp_path):
     config = load_config(str(path), env={})
     assert config["clean"]["max_speed_kmh"] == 900.0
     assert isinstance(config["clean"]["max_speed_kmh"], float)
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_rows(str(path), ["a"], [[1]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [2]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_rows(str(path), ["a"], rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
