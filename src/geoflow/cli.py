@@ -142,8 +142,8 @@ def _external(config: dict[str, Any], key: str, required: bool) -> str | None:
         if required:
             raise FileNotFoundError(f"config paths.{key} is not set but this stage needs it")
         return None
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file not found: {path} (config paths.{key})")
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"input file not found or not a regular file: {path} (config paths.{key})")
     return path
 
 

@@ -7,17 +7,25 @@ with graph aggregation, then a refinement loop applying the single best
 relocation or community merge per pass. Multi-restart with the trivial
 one-community partition (Q = 0) always in the candidate set keeps the
 result deterministic and nonnegative.
+
+The graph is held as one dense n x n weight matrix in canonical (sorted)
+node order, so memory grows as 8 n^2 bytes: this is meant for country-scale
+networks. Exactness rule: every sum that feeds a decision adds its terms in
+one fixed order, the edge list sorted by (origin, destination), with each
+node's self-loop ahead of its out-edges when communities are aggregated.
+np.cumsum and weighted np.bincount add sequentially and keep that order;
+BLAS products, np.sum and np.add.reduceat add pairwise or blocked, so they
+are not used for these sums. Scores use math.fsum, which is exact in any
+order. An edge of weight zero still makes its endpoints neighbours.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
-
-from .network import FlowNetwork
 
 Node = Hashable
 EdgeMap = Mapping[tuple[Node, Node], float]
@@ -56,89 +64,65 @@ class PartitionHierarchy:
     parents: list[dict[int, int | None]]  # per level: community id -> parent id
 
 
-def _coerce(
-    graph: FlowNetwork | EdgeMap, weights: str, nodes: Iterable[Node] | None
-) -> tuple[list[Node], dict[tuple[Node, Node], float]]:
-    if isinstance(graph, FlowNetwork):
-        edge_map: dict[tuple[Node, Node], float] = {}
-        for key, edge in graph.edges.items():
-            if weights == "est":
-                if edge.est_weight is None:
-                    raise ValueError("est weights not set; normalize first or use weights='raw'")
-                edge_map[key] = edge.est_weight
-            else:
-                edge_map[key] = float(edge.raw_weight)
-        node_list: list[Node] = list(graph.nodes)
-    else:
-        edge_map = {k: float(w) for k, w in graph.items()}
-        endpoints = {u for u, _ in edge_map} | {v for _, v in edge_map}
-        node_list = list(nodes) if nodes is not None else sorted(endpoints)
-        missing = endpoints - set(node_list)
-        if missing:
-            raise ValueError(f"edges reference nodes outside the node set: {sorted(missing)}")
+class _Graph:
+    """Dense weights w[i, j] of edge i -> j and the neighbour mask of distinct linked nodes."""
+
+    __slots__ = ("n", "w", "off", "near", "s_out", "s_in", "total")
+
+    def __init__(self, w: np.ndarray, linked: np.ndarray):
+        self.n = len(w)
+        self.w = w
+        self.off = w.copy()  # self-loops never link a node to a community
+        np.fill_diagonal(self.off, 0.0)
+        self.near = linked | linked.T
+        np.fill_diagonal(self.near, False)
+        # A cumsum's last column (row) is the sequential row (column) sum; [-1:] keeps n = 0 valid.
+        self.s_out = np.cumsum(w, axis=1)[:, -1:].ravel()
+        self.s_in = np.cumsum(w, axis=0)[-1:].ravel()
+        self.total = math.fsum(w.ravel())
+
+
+def _graph(edges: EdgeMap, nodes: Iterable[Node] | None) -> tuple[list[Node], _Graph]:
+    """Validate an edge mapping and lay it out over the sorted node list."""
+    edge_map = {k: float(w) for k, w in edges.items()}
+    endpoints = {u for u, _ in edge_map} | {v for _, v in edge_map}
+    node_list = list(nodes) if nodes is not None else sorted(endpoints)
+    missing = endpoints - set(node_list)
+    if missing:
+        raise ValueError(f"edges reference nodes outside the node set: {sorted(missing)}")
     for key, w in edge_map.items():
         if not math.isfinite(w) or w < 0.0:
             raise ValueError(f"edge {key} has invalid weight {w}")
-    return node_list, edge_map
-
-
-class _Graph:
-    """Index-based adjacency over a canonical (sorted) node order."""
-
-    __slots__ = ("n", "out_nbrs", "in_nbrs", "self_w", "s_out", "s_in", "total")
-
-    def __init__(self, n: int, edges: Mapping[tuple[int, int], float]):
-        self.n = n
-        self.out_nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self.in_nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self.self_w = [0.0] * n
-        self.s_out = [0.0] * n
-        self.s_in = [0.0] * n
-        for (i, j), w in sorted(edges.items()):
-            self.s_out[i] += w
-            self.s_in[j] += w
-            if i == j:
-                self.self_w[i] += w
-            else:
-                self.out_nbrs[i].append((j, w))
-                self.in_nbrs[j].append((i, w))
-        self.total = math.fsum(w for _, w in sorted(edges.items()))
-
-
-def _build_graph(node_list: Sequence[Node], edge_map: EdgeMap) -> tuple[list[Node], _Graph]:
     canonical = sorted(node_list)
     index = {node: i for i, node in enumerate(canonical)}
-    edges = {(index[u], index[v]): w for (u, v), w in edge_map.items()}
-    return canonical, _Graph(len(canonical), edges)
+    rows = [index[u] for u, _ in edge_map]
+    cols = [index[v] for _, v in edge_map]
+    w = np.zeros((len(canonical), len(canonical)))
+    w[rows, cols] = list(edge_map.values())
+    linked = np.zeros(w.shape, dtype=bool)
+    linked[rows, cols] = True
+    return canonical, _Graph(w, linked)
 
 
-def _q_of(graph: _Graph, comm: Sequence[int]) -> float:
-    """Modularity of an index-based assignment, compensated summation."""
-    internal: dict[int, list[float]] = {}
-    s_out_c: dict[int, list[float]] = {}
-    s_in_c: dict[int, list[float]] = {}
-    for i in range(graph.n):
-        c = comm[i]
-        s_out_c.setdefault(c, []).append(graph.s_out[i])
-        s_in_c.setdefault(c, []).append(graph.s_in[i])
-        if graph.self_w[i]:
-            internal.setdefault(c, []).append(graph.self_w[i])
-        for j, w in graph.out_nbrs[i]:
-            if comm[j] == c:
-                internal.setdefault(c, []).append(w)
-    total = graph.total
+def _renumber(comm: Iterable[Hashable]) -> np.ndarray:
+    """Dense ids ordered by each community's smallest member index."""
+    ids: dict[Hashable, int] = {}
+    return np.array([ids.setdefault(c, len(ids)) for c in comm], dtype=np.intp)
+
+
+def _q_of(g: _Graph, comm: np.ndarray) -> float:
+    """Modularity of a dense assignment, compensated summation."""
     terms = []
-    for c in sorted(s_out_c):
-        w_in = math.fsum(internal.get(c, ()))
-        null = math.fsum(s_out_c[c]) * math.fsum(s_in_c[c]) / total
-        terms.append(w_in - null)
-    return math.fsum(terms) / total
+    for c in range(int(comm.max()) + 1):
+        members = np.flatnonzero(comm == c)
+        inner = math.fsum(g.w[np.ix_(members, members)].ravel())
+        terms.append(inner - math.fsum(g.s_out[members]) * math.fsum(g.s_in[members]) / g.total)
+    return math.fsum(terms) / g.total
 
 
 def modularity(
-    graph: FlowNetwork | EdgeMap,
+    graph: EdgeMap,
     partition: Mapping[Node, int],
-    weights: str = "est",
     nodes: Iterable[Node] | None = None,
 ) -> float:
     """Q = (1/W) sum_ij [w_ij - s_out_i * s_in_j / W] * delta(c_i, c_j).
@@ -148,91 +132,69 @@ def modularity(
     The one-community partition scores exactly zero by construction;
     W must be positive.
     """
-    node_list, edge_map = _coerce(graph, weights, nodes)
-    unassigned = [n for n in node_list if n not in partition]
+    canonical, g = _graph(graph, nodes)
+    unassigned = [n for n in canonical if n not in partition]
     if unassigned:
         raise ValueError(f"partition misses nodes: {unassigned[:5]}")
-    canonical, g = _build_graph(node_list, edge_map)
     if g.total <= 0.0:
         raise ValueError("modularity undefined: total edge weight is zero")
-    comm = [partition[n] for n in canonical]
-    return _q_of(g, comm)
+    return _q_of(g, _renumber(partition[n] for n in canonical))
 
 
-def _renumber(comm: list[int]) -> list[int]:
-    """Dense ids ordered by each community's smallest member index."""
-    mapping: dict[int, int] = {}
-    for c in comm:
-        if c not in mapping:
-            mapping[c] = len(mapping)
-    return [mapping[c] for c in comm]
+def _gains(g: _Graph, i, a, dlink: np.ndarray, s_out_c: np.ndarray, s_in_c: np.ndarray) -> np.ndarray:
+    """Modularity change of moving node i from community a into each community (the last axis).
+
+    dlink[..., c] is i's weight to and from c minus that to and from a, self-loop
+    excluded; i and a are scalars (dlink 1-D) or columns (dlink 2-D, a row per node).
+    """
+    s_oa = s_out_c[a] - g.s_out[i]
+    s_ia = s_in_c[a] - g.s_in[i]
+    return (dlink - (g.s_out[i] * (s_in_c - s_ia) + g.s_in[i] * (s_out_c - s_oa)) / g.total) / g.total
 
 
-def _sweep(graph: _Graph, comm: list[int], s_out_c: list[float], s_in_c: list[float], order: np.ndarray) -> bool:
+def _sweep(g: _Graph, comm: np.ndarray, s_out_c: np.ndarray, s_in_c: np.ndarray, order: np.ndarray) -> bool:
     """One greedy pass of best-gain single-node moves; True if any node moved."""
-    total = graph.total
     moved = False
-    for raw_i in order:
-        i = int(raw_i)
+    for i in order:
         a = comm[i]
-        k_out: dict[int, float] = {}
-        for j, w in graph.out_nbrs[i]:
-            c = comm[j]
-            k_out[c] = k_out.get(c, 0.0) + w
-        k_in: dict[int, float] = {}
-        for j, w in graph.in_nbrs[i]:
-            c = comm[j]
-            k_in[c] = k_in.get(c, 0.0) + w
-        s_oa = s_out_c[a] - graph.s_out[i]
-        s_ia = s_in_c[a] - graph.s_in[i]
-        link_a = k_out.get(a, 0.0) + k_in.get(a, 0.0)
-        best_gain = GAIN_EPS
-        best_c = a
-        for c in sorted(set(k_out) | set(k_in)):  # ascending: ties keep lowest id
-            if c == a:
-                continue
-            link_c = k_out.get(c, 0.0) + k_in.get(c, 0.0)
-            gain = (
-                (link_c - link_a)
-                - (graph.s_out[i] * (s_in_c[c] - s_ia) + graph.s_in[i] * (s_out_c[c] - s_oa)) / total
-            ) / total
-            if gain > best_gain:
-                best_gain = gain
-                best_c = c
-        if best_c != a:
-            comm[i] = best_c
-            s_out_c[a] -= graph.s_out[i]
-            s_in_c[a] -= graph.s_in[i]
-            s_out_c[best_c] += graph.s_out[i]
-            s_in_c[best_c] += graph.s_in[i]
+        link = np.bincount(comm, g.off[i], g.n) + np.bincount(comm, g.off[:, i], g.n)
+        gain = _gains(g, i, a, link - link[a], s_out_c, s_in_c)
+        gain[np.bincount(comm, g.near[i], g.n) == 0] = -np.inf  # only neighbours' communities are targets
+        gain[a] = -np.inf
+        best = int(np.argmax(gain))  # first maximum: ties keep the lowest id
+        if gain[best] > GAIN_EPS:
+            comm[i] = best
+            s_out_c[a] -= g.s_out[i]
+            s_in_c[a] -= g.s_in[i]
+            s_out_c[best] += g.s_out[i]
+            s_in_c[best] += g.s_in[i]
             moved = True
     return moved
 
 
-def _aggregate(graph: _Graph, comm: list[int]) -> tuple[_Graph, list[int]]:
+def _sums(keys: np.ndarray, weights: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """rows x cols matrix of the weights summed per key, each key's terms added in C order."""
+    return np.bincount(keys.ravel(), weights.ravel(), rows * cols).reshape(rows, cols)
+
+
+def _aggregate(g: _Graph, comm: np.ndarray) -> tuple[_Graph, np.ndarray]:
     """Collapse communities into super-nodes; returns (new graph, dense comm)."""
-    dense = _renumber(comm)
-    n_super = max(dense) + 1
-    edges: dict[tuple[int, int], float] = {}
-    for i in range(graph.n):
-        ci = dense[i]
-        if graph.self_w[i]:
-            key = (ci, ci)
-            edges[key] = edges.get(key, 0.0) + graph.self_w[i]
-        for j, w in graph.out_nbrs[i]:
-            key = (ci, dense[j])
-            edges[key] = edges.get(key, 0.0) + w
-    return _Graph(n_super, edges), dense
+    dense = _renumber(comm.tolist())
+    k = int(dense.max()) + 1
+    # Row i visits its self-loop, then its out-edges by destination: i, 0, .., i - 1, i + 1, ..
+    ids = np.arange(g.n)
+    cols = ids - (ids <= ids[:, None])
+    cols[:, 0] = ids
+    w = _sums(dense[:, None] * k + dense[cols], g.w[ids[:, None], cols], k, k)
+    return _Graph(w, _sums(dense[:, None] * k + dense, g.near, k, k) > 0), dense
 
 
-def _one_restart(graph: _Graph, rng: np.random.Generator) -> list[int]:
-    """Greedy sweeps with aggregation until no move improves modularity."""
-    membership = list(range(graph.n))  # original node -> current super-node
-    g = graph
+def _one_restart(g: _Graph, rng: np.random.Generator) -> np.ndarray:
+    """Greedy sweeps with aggregation until no move improves modularity; returns dense ids."""
+    membership = np.arange(g.n)  # original node -> current super-node
     while True:
-        comm = list(range(g.n))
-        s_out_c = list(g.s_out)
-        s_in_c = list(g.s_in)
+        comm = np.arange(g.n)
+        s_out_c, s_in_c = g.s_out.copy(), g.s_in.copy()
         any_move = False
         while _sweep(g, comm, s_out_c, s_in_c, rng.permutation(g.n)):
             any_move = True
@@ -241,99 +203,51 @@ def _one_restart(graph: _Graph, rng: np.random.Generator) -> list[int]:
         prev_n = g.n
         g, dense = _aggregate(g, comm)
         # dense[s] is the super-node s's new id, so chain it through membership
-        membership = [dense[m] for m in membership]
+        membership = dense[membership]
         if g.n == prev_n:
             break
-    return _renumber(membership)
+    return _renumber(membership.tolist())
 
 
-def _refine(graph: _Graph, comm: list[int]) -> list[int]:
+def _refine(g: _Graph, comm: np.ndarray) -> np.ndarray:
     """Apply the single best relocation or merge per pass until none helps.
 
     Relocation targets include every existing community and one empty
     community (splitting a node off); merges join two whole communities.
-    Scan order is fixed, so equal gains resolve to the first candidate:
+    Equal gains resolve to the first candidate in a fixed scan order:
     node-ascending then target-id-ascending, relocations before merges.
+    Takes dense ids; the array passed in may be modified.
     """
-    total = graph.total
-    comm = _renumber(comm)
+    nodes = np.arange(g.n)
     while True:
-        n_comm = max(comm) + 1
-        s_out_c = [0.0] * n_comm
-        s_in_c = [0.0] * n_comm
-        size = [0] * n_comm
-        for i in range(graph.n):
-            c = comm[i]
-            s_out_c[c] += graph.s_out[i]
-            s_in_c[c] += graph.s_in[i]
-            size[c] += 1
-        cross: dict[tuple[int, int], float] = {}
-        for i in range(graph.n):
-            ci = comm[i]
-            for j, w in graph.out_nbrs[i]:
-                cj = comm[j]
-                if ci != cj:
-                    key = (ci, cj)
-                    cross[key] = cross.get(key, 0.0) + w
-        best_gain = GAIN_EPS
-        best_move: tuple[int, int] | None = None
-        best_merge: tuple[int, int] | None = None
-        for i in range(graph.n):
-            a = comm[i]
-            k_out: dict[int, float] = {}
-            for j, w in graph.out_nbrs[i]:
-                c = comm[j]
-                k_out[c] = k_out.get(c, 0.0) + w
-            k_in: dict[int, float] = {}
-            for j, w in graph.in_nbrs[i]:
-                c = comm[j]
-                k_in[c] = k_in.get(c, 0.0) + w
-            s_oa = s_out_c[a] - graph.s_out[i]
-            s_ia = s_in_c[a] - graph.s_in[i]
-            link_a = k_out.get(a, 0.0) + k_in.get(a, 0.0)
-            targets = list(range(n_comm))
-            if size[a] > 1:
-                targets.append(n_comm)  # fresh empty community, considered last
-            for c in targets:
-                if c == a:
-                    continue
-                if c < n_comm:
-                    link_c = k_out.get(c, 0.0) + k_in.get(c, 0.0)
-                    s_oc, s_ic = s_out_c[c], s_in_c[c]
-                else:
-                    link_c, s_oc, s_ic = 0.0, 0.0, 0.0
-                gain = (
-                    (link_c - link_a)
-                    - (graph.s_out[i] * (s_ic - s_ia) + graph.s_in[i] * (s_oc - s_oa)) / total
-                ) / total
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = (i, c)
-                    best_merge = None
-        for c in range(n_comm):
-            for d in range(c + 1, n_comm):
-                joint = cross.get((c, d), 0.0) + cross.get((d, c), 0.0)
-                gain = (joint - (s_out_c[c] * s_in_c[d] + s_out_c[d] * s_in_c[c]) / total) / total
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = None
-                    best_merge = (c, d)
-        if best_move is not None:
-            i, c = best_move
-            comm[i] = c
-            comm = _renumber(comm)
-        elif best_merge is not None:
-            c, d = best_merge
-            comm = _renumber([c if x == d else x for x in comm])
+        k = int(comm.max()) + 1
+        m = k + 1  # targets: the k communities, then a fresh empty one
+        s_out_c = np.bincount(comm, g.s_out, m)
+        s_in_c = np.bincount(comm, g.s_in, m)
+        keys = nodes[:, None] * m + comm
+        link = _sums(keys, g.off, g.n, m) + _sums(keys, g.off.T, g.n, m)
+        moves = _gains(g, nodes[:, None], comm[:, None], link - link[nodes, comm][:, None], s_out_c, s_in_c)
+        moves[nodes, comm] = -np.inf
+        moves[np.bincount(comm)[comm] == 1, k] = -np.inf  # a singleton gains nothing by splitting off
+        cross = _sums(comm[:, None] * k + comm, g.off, k, k)
+        null = np.outer(s_out_c[:k], s_in_c[:k])
+        merges = ((cross + cross.T) - (null + null.T) / g.total) / g.total
+        merges[np.tril_indices(k)] = -np.inf
+        move = int(np.argmax(moves))
+        merge = int(np.argmax(merges))
+        if moves.flat[move] > GAIN_EPS and moves.flat[move] >= merges.flat[merge]:
+            comm[move // m] = move % m
+        elif merges.flat[merge] > GAIN_EPS:
+            comm[comm == merge % k] = merge // k
         else:
             return comm
+        comm = _renumber(comm.tolist())
 
 
 def optimize_partition(
-    graph: FlowNetwork | EdgeMap,
+    graph: EdgeMap,
     seed: int = 0,
     restarts: int = 20,
-    weights: str = "est",
     nodes: Iterable[Node] | None = None,
 ) -> Partition:
     """Best partition found over seeded restarts; never below Q = 0.
@@ -348,27 +262,24 @@ def optimize_partition(
         raise ValueError("seed must be nonnegative")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    node_list, edge_map = _coerce(graph, weights, nodes)
-    if not node_list:
+    canonical, g = _graph(graph, nodes)
+    if not canonical:
         raise ValueError("empty node set")
-    canonical, g = _build_graph(node_list, edge_map)
     flat = {node: 0 for node in canonical}
     if g.total <= 0.0:
         return Partition(assignment=flat, q=0.0)
     best_q = 0.0
-    best_comm: list[int] | None = None
+    best_comm: np.ndarray | None = None
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        comm = _one_restart(g, rng)
-        comm = _refine(g, comm)
+        comm = _refine(g, _one_restart(g, rng))
         q = _q_of(g, comm)
         if q > best_q:
             best_q = q
             best_comm = comm
     if best_comm is None:
         return Partition(assignment=flat, q=0.0)
-    dense = _renumber(best_comm)
-    return Partition(assignment={canonical[i]: dense[i] for i in range(g.n)}, q=best_q)
+    return Partition(assignment=dict(zip(canonical, best_comm.tolist())), q=best_q)
 
 
 def _sub_seed(seed: int, level: int, parent: int) -> int:
@@ -376,11 +287,10 @@ def _sub_seed(seed: int, level: int, parent: int) -> int:
 
 
 def hierarchical_partition(
-    graph: FlowNetwork | EdgeMap,
+    graph: EdgeMap,
     max_levels: int = 3,
     seed: int = 0,
     restarts: int = 20,
-    weights: str = "est",
     nodes: Iterable[Node] | None = None,
     min_split_size: int = 3,
 ) -> PartitionHierarchy:
@@ -394,8 +304,8 @@ def hierarchical_partition(
     """
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    node_list, edge_map = _coerce(graph, weights, nodes)
-    top = optimize_partition(edge_map, seed=seed, restarts=restarts, nodes=node_list)
+    node_list = None if nodes is None else list(nodes)
+    top = optimize_partition(graph, seed=seed, restarts=restarts, nodes=node_list)
     levels = [top]
     parents: list[dict[int, int | None]] = [{cid: None for cid in sorted(set(top.assignment.values()))}]
     for level in range(2, max_levels + 1):
@@ -411,10 +321,8 @@ def hierarchical_partition(
             groups: list[list[Node]] = [members]
             if len(members) >= min_split_size:
                 inside = set(members)
-                sub_edges = {
-                    (u, v): w for (u, v), w in edge_map.items() if u in inside and v in inside
-                }
-                if sub_edges and math.fsum(sub_edges.values()) > 0.0:
+                sub_edges = {(u, v): w for (u, v), w in graph.items() if u in inside and v in inside}
+                if math.fsum(sub_edges.values()) > 0.0:
                     sub = optimize_partition(
                         sub_edges,
                         seed=_sub_seed(seed, level, cid),
@@ -428,7 +336,7 @@ def hierarchical_partition(
                     new_assignment[node] = next_id
                 parent_of[next_id] = cid
                 next_id += 1
-        q = modularity(edge_map, new_assignment, nodes=node_list)
+        q = modularity(graph, new_assignment, nodes=node_list)
         levels.append(Partition(assignment=new_assignment, q=q))
         parents.append(parent_of)
     return PartitionHierarchy(levels=levels, parents=parents)

@@ -13,7 +13,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import FlowNetwork
 from .sphere import haversine_km
 
 
@@ -81,33 +80,20 @@ def _r2(y: np.ndarray, y_hat: np.ndarray, degenerate: float) -> float:
 
 
 def fit_gravity(
-    flows: FlowNetwork | Mapping[tuple[str, str], float],
+    flows: Mapping[tuple[str, str], float],
     populations: Mapping[str, float],
     distances_km: Mapping[tuple[str, str], float],
     min_distance_km: float = 100.0,
-    weight: str = "est",
 ) -> GravityFit:
     """OLS fit of ln F = lnA + alpha ln p_i + beta ln p_j - gamma ln r.
 
     Uses ordered pairs with positive flow and distance at or above
     min_distance_km; zero flows and close pairs are excluded and counted,
-    as are pairs with no known distance. Both weight modes of a flow
-    network are supported ("raw" with platform-resident populations,
-    "est" with census populations); a plain flow mapping is taken as is.
+    as are pairs with no known distance. The flows map (origin,
+    destination) to a weight, raw or estimated; pair them with
+    platform-resident or census populations to match.
     """
-    if isinstance(flows, FlowNetwork):
-        if weight not in ("est", "raw"):
-            raise ValueError(f"weight must be 'est' or 'raw', got {weight!r}")
-        pair_flows = {
-            (e.origin, e.destination): (
-                float(e.raw_weight) if weight == "raw" else e.est_weight
-            )
-            for e in flows.edges.values()
-        }
-        if any(v is None for v in pair_flows.values()):
-            raise ValueError("est weights not set; normalize first or use weight='raw'")
-    else:
-        pair_flows = {k: float(v) for k, v in flows.items()}
+    pair_flows = {k: float(v) for k, v in flows.items()}
     rows: list[tuple[float, float, float, float]] = []
     n_zero = n_short = n_nodist = 0
     for (origin, destination), flow in sorted(pair_flows.items()):

@@ -243,6 +243,18 @@ def test_missing_inputs_exit_four(tmp_path, capsys):
     assert "not set" in capsys.readouterr().err
 
 
+def test_input_path_that_is_not_a_regular_file_exits_four(tmp_path, capsys):
+    world = build_world(tmp_path, "world")
+    config = str(world / "config.json")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert cli("ingest", "--config", config, env={"GEOFLOW_PATHS_EVENTS": str(folder)}) == 4
+    assert cli("ingest", "--config", config) == 0
+    assert cli("clean", "--config", config) == 0
+    assert cli("profile", "--config", config, env={"GEOFLOW_PATHS_CENSUS": str(folder)}) == 4
+    assert capsys.readouterr().err.count("not a regular file") == 2
+
+
 def test_stage_order_violations_exit_five(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"paths": {"workdir": str(tmp_path / "artifacts")}}))

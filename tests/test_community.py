@@ -1,11 +1,13 @@
 """Directed modularity and its optimizer, checked against exhaustive oracles."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from geoflow.community import hierarchical_partition, modularity, optimize_partition
+from geoflow.synth import expected_flows, make_world
 from helpers import (
     brute_best_q,
     groups_of,
@@ -274,3 +276,79 @@ def test_small_communities_are_carried_down():
     hierarchy = hierarchical_partition(edges, max_levels=2, seed=0)
     assert groups_of(hierarchy.levels[0].assignment) == [["a", "b"], ["c", "d"]]
     assert groups_of(hierarchy.levels[1].assignment) == [["a", "b"], ["c", "d"]]
+
+
+# ---------------------------------------------------------------- pinned partitions
+
+
+def pinned_digraph(case: int) -> dict[tuple[str, str], float]:
+    """Seeded float-weighted digraph on 3..40 nodes; every fourth has self-loops.
+
+    Weights cycle uniform, unit (exact gain ties, so the tie-breaking order
+    shows) and lognormal; case 5 also holds zero-weight edges, one of them
+    an otherwise isolated node's only link.
+    """
+    rng = np.random.default_rng([7, case])
+    names = [f"v{i:02d}" for i in range(3 + case * 37 // 23)]
+    density = float(rng.uniform(0.15, 0.7))
+    edges = {}
+    for u in names:
+        for v in names:
+            if (u != v or case % 4 == 0) and rng.random() < density:
+                if case % 3 == 0:
+                    edges[(u, v)] = float(rng.uniform(0.01, 10.0))
+                elif case % 3 == 1:
+                    edges[(u, v)] = 1.0
+                else:
+                    edges[(u, v)] = float(rng.lognormal(0.0, 1.5))
+    if case == 5:
+        edges[(names[0], names[1])] = 0.0
+        edges[("zz", names[2])] = 0.0
+    return edges
+
+
+def pinned_digests() -> dict[str, str]:
+    """sha256 of (sorted assignment, repr(q)) for the optimizer and each hierarchy level."""
+    graphs = {f"random{case:02d}": pinned_digraph(case) for case in range(24)}
+    graphs["world60"] = expected_flows(make_world(60, seed=2, n_blocks=4, block_boost=4.0))
+    digests = {}
+    for name, edges in graphs.items():
+        best = optimize_partition(edges, seed=3, restarts=5)
+        hierarchy = hierarchical_partition(edges, max_levels=3, seed=5, restarts=4)
+        record = [(sorted(p.assignment.items()), repr(p.q)) for p in (best, *hierarchy.levels)]
+        digests[name] = hashlib.sha256(repr(record).encode()).hexdigest()
+    return digests
+
+
+PINNED_DIGESTS = {
+    "random00": "8f9294c8bd90c63e95cb5c1e4c63236fee47e733ceb371385dc137526740685e",
+    "random01": "ae0b6345e0d5c3aa376d547520ef78a6af1c99401661a6904615575922c8b449",
+    "random02": "e0ffa01cff507a8a7997dc6a10d101cd0d20f148671f16ae306e889a3817f0c7",
+    "random03": "e1a6c398fcc6e994fb6259c74b015b597bba25990b830d341fd9e4d67fa3153e",
+    "random04": "6f97666268b69838ee80aca6ac5695801eef71c9ca3491ed8c48e16ffeb3af5b",
+    "random05": "7b201702a6625eecfc285ae53828409a5654c4c5b3a67c6ebee61fe26bdf09aa",
+    "random06": "6e4ddd739cf6ece871f57aa3d3c25b9d8a98f50bcc40d07c99e7594b9ddbafc6",
+    "random07": "02be16efcac092a4f8eab11b40c0c716068f7d4b1d7783ba78ca943f65a89daf",
+    "random08": "b0a8b1bf6a27a5c5f0875b3401e49be83fa55d330675ac685730816fb1012f66",
+    "random09": "979ed25017af17beeefc49eef3c59d439d4a9e35d7d7262e43d70766d64b5423",
+    "random10": "54deb1acf5731920a427c19d7dc78cc1ee8df4d062969b63b8945c3f134d0ba6",
+    "random11": "5b62d3bafec0493375713e203a5ed3dc4151526f9301a969e9c622231aabc0ad",
+    "random12": "999390fdf6485d79227ba7311a1f68563a2ecf4bd34aad056bf54add4a4e2392",
+    "random13": "a97fb1737551056feba34c83632f2caa83c2a210df523e8b1a6744908de109d0",
+    "random14": "3160d5b5eb139d76481d2599cfda170e4f159787b301231652db19f85ddf9b8b",
+    "random15": "e6e8f049c54299e1a450853d90ec5be0594e9bb89ac67fafc186c28068e543ee",
+    "random16": "1014d123c8468d0ad591a02e972366d4365faf41fe31937cdbee5c28b0ff70c3",
+    "random17": "2e47a69f095803188b39a980bac583cc51cbc55fb9d6b6db10d83ac106ca0460",
+    "random18": "32451fa514a3472e1fff345e92926ccdcb99853a1d552584c0229ff176dea0e5",
+    "random19": "7433fc5f952ca07ea9fde5fd61dd4b93c509e059122e796edc8f381814c12162",
+    "random20": "3c5066b8dd8b157daa5db39a6a6bd3e63728e7144dc0f4c4d47dd036019d306d",
+    "random21": "25bb8777109fdf2ff8ded66b0f513ee6a9d45d385e5ba9fae68669a85cd49bd4",
+    "random22": "244a8cb9ebf6303bfea47f7ac0d5997579a20a3798ab6dcd936047668dfd2a1d",
+    "random23": "8c39aed13376d7cd0180247cb82e465d312ae9d612b793d97702873404756567",
+    "world60": "209a49305e4fa58b66d415a1d28814713974d3ffd6b035fec661288688a6408e",
+}
+
+
+def test_partitions_and_scores_are_pinned_bit_for_bit():
+    """Exact assignments and q reprs, so a change in float tie-breaking or summation order shows."""
+    assert pinned_digests() == PINNED_DIGESTS
