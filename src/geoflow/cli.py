@@ -63,7 +63,7 @@ ARTIFACTS: dict[str, Artifact] = {
     "cleaning_stats.json": Artifact("clean"),
     "profiles.csv": Artifact("profile", ["user_id", "residence", "total_events", "distinct_countries"]),
     "country_stats.csv": Artifact(
-        "profile", ["code", "residents", "population", "penetration", "included", "reason"]
+        "profile", ["code", "residents", "population", "penetration", "included", "gdp_per_capita", "reason"]
     ),
     "mobility_profiles.csv": Artifact(
         "metrics", ["code", "n_residents", "mobility_rate", "mean_radius_km", "countries_visited"]
@@ -170,7 +170,7 @@ def stage_ingest(ws: Workspace) -> None:
             "header_skipped": report.header_skipped,
             "n_unlocatable_dropped": dropped,
             "n_labeled": len(labeled),
-            "errors_first_10": [[lineno, reason] for lineno, reason in report.errors[:10]],
+            "errors_first_10": [[lineno, reason] for lineno, reason in report.errors],
         },
     )
 
@@ -232,7 +232,7 @@ def stage_profile(ws: Workspace) -> None:
     ws.write_rows(
         "country_stats.csv",
         (
-            [s.code, s.residents, s.population, s.penetration, s.included, s.reason.replace(",", ";")]
+            [s.code, s.residents, s.population, s.penetration, s.included, s.gdp_per_capita, s.reason.replace(",", ";")]
             for s in (stats[c] for c in sorted(stats))
         ),
     )
@@ -240,13 +240,14 @@ def stage_profile(ws: Workspace) -> None:
 
 def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
     out: dict[str, residence_mod.CountryStats] = {}
-    for code, residents, population, penetration, included, reason in ws.read_rows("country_stats.csv"):
+    for code, residents, population, penetration, included, gdp, reason in ws.read_rows("country_stats.csv"):
         out[code] = residence_mod.CountryStats(
             code=code,
             residents=int(residents),
             population=int(population) if population else None,
             penetration=float(penetration),
             included=included == "true",
+            gdp_per_capita=float(gdp) if gdp else None,
             reason=reason,
         )
     return out
@@ -255,9 +256,8 @@ def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
 def stage_metrics(ws: Workspace) -> None:
     profiles = ws.load("profiles")  # first: without held profiles, this loads the events taken below
     events = ws.take("events_clean.csv")
-    mobility = metrics_mod.build_mobility_profiles(
-        profiles, events, gyration_over=ws.config["metrics"]["gyration_over"]
-    )
+    radii = metrics_mod.user_gyration_radii(events)
+    mobility = metrics_mod._mobility_profiles(profiles, radii, ws.config["metrics"]["gyration_over"])
     ws.write_rows(
         "mobility_profiles.csv",
         (
@@ -279,7 +279,6 @@ def stage_metrics(ws: Workspace) -> None:
         for d in metrics_mod.displacements(trajectories[user_id]):
             disp_rows.append([user_id, d])
     ws.write_rows("displacements.csv", disp_rows)
-    radii = metrics_mod.user_gyration_radii(events)
     ws.write_rows("gyration.csv", ([u, radii[u]] for u in sorted(radii)))
 
 

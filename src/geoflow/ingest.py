@@ -9,8 +9,10 @@ arrive pre-labeled keep their label and skip the geometry entirely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .sphere import normalize_lon
 
@@ -40,16 +42,18 @@ class Trajectory:
     events: list[GeoEvent]
 
 
+# Malformed lines a ParseReport keeps with their reason; later ones are
+# only counted, so a hostile file cannot fill memory with error records.
+MAX_ERRORS = 10
+
+
 @dataclass(slots=True)
 class ParseReport:
     events: list[GeoEvent]
-    errors: list[tuple[int, str]]  # (1-based line number, reason)
+    errors: list[tuple[int, str]]  # the first MAX_ERRORS (1-based line number, reason)
     n_lines: int = 0
     header_skipped: bool = False
-
-    @property
-    def n_malformed(self) -> int:
-        return len(self.errors)
+    n_malformed: int = 0  # every malformed line, kept in errors or not
 
 
 @dataclass(frozen=True)
@@ -106,32 +110,28 @@ def parse_events(stream: Iterable[str] | Iterable[bytes], fmt: EventFormat = Eve
     """Parse a line-delimited event stream.
 
     Every well-formed line yields exactly one GeoEvent. Malformed lines are
-    recorded with their 1-based line number and skipped, never silently
-    dropped: len(events) + len(errors) + header == total lines. Lines given
+    counted and skipped, never silently dropped, and the first MAX_ERRORS
+    keep their 1-based line number and reason:
+    len(events) + n_malformed + header == total lines. Lines given
     as bytes are decoded as UTF-8 one by one, so an undecodable line is one
     malformed line.
     """
     report = ParseReport(events=[], errors=[])
     for lineno, line in enumerate(stream, start=1):
         report.n_lines = lineno
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                report.errors.append((lineno, "invalid UTF-8"))
-                continue
-        line = line.rstrip("\r\n")
-        if not line.strip():
-            report.errors.append((lineno, "blank line"))
-            continue
-        parts = line.split(fmt.delimiter)
-        if lineno == 1 and _looks_like_header(parts):
-            report.header_skipped = True
-            continue
         try:
+            line = (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
+            if not line.strip():
+                raise ValueError("blank line")
+            parts = line.split(fmt.delimiter)
+            if lineno == 1 and _looks_like_header(parts):
+                report.header_skipped = True
+                continue
             report.events.append(_parse_line(parts))
         except ValueError as exc:
-            report.errors.append((lineno, str(exc)))
+            report.n_malformed += 1
+            if len(report.errors) < MAX_ERRORS:
+                report.errors.append((lineno, "invalid UTF-8" if isinstance(exc, UnicodeDecodeError) else str(exc)))
     return report
 
 
@@ -165,38 +165,27 @@ def _validate_ring(ring: Ring, code: str) -> None:
             raise ValueError(f"{code}: latitude {lat} out of range")
 
 
-def _point_on_segment(x: float, y: float, x1: float, y1: float, x2: float, y2: float) -> bool:
-    """Exact test: (x, y) lies on the closed segment (x1,y1)-(x2,y2)."""
+# Points x edges pairs per block of the labeling kernel: bounds its
+# temporaries to a few MiB whatever the event count or outline detail.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _contains(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Closed even-odd containment of (m, 2) lon/lat points in a polygon's (n, 4) edge rows.
+
+    Each float expression keeps the operand order of the scalar
+    crossing-number test (Haines, Graphics Gems IV, 1994), and numpy
+    evaluates it elementwise without fused multiply-add, so every decision
+    is the scalar one. (x2, y2) is the later vertex of each edge.
+    """
+    x1, y1, x2, y2 = edges.T
+    x, y = points[:, :1], points[:, 1:]
     cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-    if cross != 0.0:
-        return False
-    return min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2)
-
-
-def _ray_cast(x: float, y: float, rings: list[Ring]) -> bool:
-    """Even-odd rule over all rings of one polygon (holes included)."""
-    inside = False
-    for ring in rings:
-        n = len(ring)
-        j = n - 1
-        for i in range(n):
-            xi, yi = ring[i]
-            xj, yj = ring[j]
-            if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
-                inside = not inside
-            j = i
-    return inside
-
-
-def _polygon_contains(x: float, y: float, rings: list[Ring]) -> bool:
-    """Closed containment: interior by even-odd rule, or exactly on any edge."""
-    for ring in rings:
-        for i in range(len(ring) - 1):
-            x1, y1 = ring[i]
-            x2, y2 = ring[i + 1]
-            if _point_on_segment(x, y, x1, y1, x2, y2):
-                return True
-    return _ray_cast(x, y, rings)
+    on_edge = (cross == 0.0) & (np.minimum(x1, x2) <= x) & (x <= np.maximum(x1, x2))
+    on_edge &= (np.minimum(y1, y2) <= y) & (y <= np.maximum(y1, y2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # y1 == y2 only where the straddle test fails
+        crosses = ((y2 > y) != (y1 > y)) & (x < (x1 - x2) * (y - y2) / (y1 - y2) + x2)
+    return on_edge.any(axis=1) | (np.count_nonzero(crosses, axis=1) % 2 == 1)
 
 
 class BoundaryIndex:
@@ -208,31 +197,40 @@ class BoundaryIndex:
     """
 
     def __init__(self, boundaries: list[CountryBoundary]):
-        seen: set[str] = set()
-        self._entries: list[tuple[str, Polygon, tuple[float, float, float, float]]] = []
+        self._codes: list[str] = []
+        # Per polygon, in code order: code position, bbox corners and the
+        # (n, 4) float64 edge rows x1, y1, x2, y2 of all its rings.
+        self._entries: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         for boundary in sorted(boundaries, key=lambda b: b.code):
-            if boundary.code in seen:
+            if boundary.code in self._codes:
                 raise ValueError(f"duplicate country code {boundary.code!r}")
-            seen.add(boundary.code)
+            self._codes.append(boundary.code)
             for polygon in boundary.polygons:
                 for ring in polygon:
                     _validate_ring(ring, boundary.code)
-                xs = [v[0] for ring in polygon for v in ring]
-                ys = [v[1] for ring in polygon for v in ring]
-                bbox = (min(xs), min(ys), max(xs), max(ys))
-                self._entries.append((boundary.code, polygon, bbox))
+                edges = np.array([(*a, *b) for ring in polygon for a, b in zip(ring, ring[1:])], dtype=np.float64)
+                vertices = edges.reshape(-1, 2)
+                self._entries.append((len(self._codes) - 1, vertices.min(axis=0), vertices.max(axis=0), edges))
+
+    def locate_many(self, lons: Sequence[float], lats: Sequence[float]) -> list[str | None]:
+        """Country code containing each (lon, lat) point, or None (open ocean).
+
+        Each polygon, in code order, tests the points still unlabeled inside
+        its bounding box, in blocks of about _BLOCK_PAIRS point-edge pairs.
+        """
+        points = np.column_stack((lons, lats)).astype(np.float64, copy=False)
+        label = np.full(len(points), -1)
+        for k, lo, hi, edges in self._entries:
+            todo = np.flatnonzero((label < 0) & np.all((lo <= points) & (points <= hi), axis=1))
+            step = max(1, _BLOCK_PAIRS // len(edges))
+            for start in range(0, len(todo), step):
+                block = todo[start : start + step]
+                label[block[_contains(edges, points[block])]] = k
+        return [self._codes[k] if k >= 0 else None for k in label.tolist()]
 
     def locate(self, lon: float, lat: float) -> str | None:
         """Country code containing (lon, lat), or None (open ocean)."""
-        hit: str | None = None
-        for code, polygon, (x0, y0, x1, y1) in self._entries:
-            if hit is not None and code >= hit:
-                continue  # entries are code-sorted; min code wins
-            if not (x0 <= lon <= x1 and y0 <= lat <= y1):
-                continue
-            if _polygon_contains(lon, lat, polygon):
-                hit = code
-        return hit
+        return self.locate_many([lon], [lat])[0]
 
 
 def label_events(events: list[GeoEvent], index: BoundaryIndex | None) -> tuple[list[GeoEvent], int]:
@@ -242,16 +240,12 @@ def label_events(events: list[GeoEvent], index: BoundaryIndex | None) -> tuple[l
     no boundary set) are dropped and counted — downstream stages require a
     country on every event.
     """
-    labeled: list[GeoEvent] = []
-    dropped = 0
-    for event in events:
-        if event.country is None and index is not None:
-            event.country = index.locate(event.lon, event.lat)
-        if event.country is None:
-            dropped += 1
-        else:
-            labeled.append(event)
-    return labeled, dropped
+    if index is not None:
+        todo = [event for event in events if event.country is None]
+        for event, code in zip(todo, index.locate_many([e.lon for e in todo], [e.lat for e in todo])):
+            event.country = code
+    labeled = [event for event in events if event.country is not None]
+    return labeled, len(events) - len(labeled)
 
 
 def load_boundaries(path: str) -> list[CountryBoundary]:

@@ -114,9 +114,15 @@ def build_mobility_profiles(
     over mobile residents only when gyration_over="mobile" (0 when the
     selected set is empty).
     """
+    return _mobility_profiles(profiles, user_gyration_radii(events), gyration_over)
+
+
+def _mobility_profiles(
+    profiles: Mapping[str, UserProfile], radii: Mapping[str, float], gyration_over: str
+) -> dict[str, MobilityProfile]:
+    """build_mobility_profiles from the per-user gyration radii."""
     if gyration_over not in ("all", "mobile"):
         raise ValueError(f"gyration_over must be 'all' or 'mobile', got {gyration_over!r}")
-    radii = user_gyration_radii(events)
     by_country: dict[str, list[UserProfile]] = {}
     for profile in profiles.values():
         by_country.setdefault(profile.residence, []).append(profile)

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from geoflow.ingest import GeoEvent, Trajectory
+from geoflow.ingest import CountryBoundary, GeoEvent, Trajectory
 
 Edges = Mapping[tuple[str, str], float]
 
@@ -68,6 +68,70 @@ def point_in_rings_crossing(x: float, y: float, rings: Iterable[Sequence[tuple[f
                 if x < x1 + t * (x2 - x1):
                     inside = not inside
     return inside
+
+
+def _point_on_segment(x: float, y: float, x1: float, y1: float, x2: float, y2: float) -> bool:
+    """Exact test: (x, y) lies on the closed segment (x1,y1)-(x2,y2)."""
+    cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+    if cross != 0.0:
+        return False
+    return min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2)
+
+
+def _ray_cast(x: float, y: float, rings: Sequence[Sequence[tuple[float, float]]]) -> bool:
+    """Even-odd rule over all rings of one polygon (holes included)."""
+    inside = False
+    for ring in rings:
+        n = len(ring)
+        j = n - 1
+        for i in range(n):
+            xi, yi = ring[i]
+            xj, yj = ring[j]
+            if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
+                inside = not inside
+            j = i
+    return inside
+
+
+def _polygon_contains(x: float, y: float, rings: Sequence[Sequence[tuple[float, float]]]) -> bool:
+    """Closed containment: interior by even-odd rule, or exactly on any edge."""
+    for ring in rings:
+        for i in range(len(ring) - 1):
+            x1, y1 = ring[i]
+            x2, y2 = ring[i + 1]
+            if _point_on_segment(x, y, x1, y1, x2, y2):
+                return True
+    return _ray_cast(x, y, rings)
+
+
+class ScalarBoundaryIndex:
+    """Reference point-in-polygon lookup: one point, one edge at a time.
+
+    The closed boundary counts as inside, holes follow the even-odd rule,
+    and the smallest code wins among countries that contain the point.
+    Boundaries are assumed valid (BoundaryIndex checks them). Unlike the
+    other oracles here it uses the package's own formulas, evaluated one
+    scalar pair at a time, so BoundaryIndex must agree with it exactly.
+    """
+
+    def __init__(self, boundaries: Sequence[CountryBoundary]):
+        self._entries = []
+        for boundary in sorted(boundaries, key=lambda b: b.code):
+            for polygon in boundary.polygons:
+                xs = [v[0] for ring in polygon for v in ring]
+                ys = [v[1] for ring in polygon for v in ring]
+                self._entries.append((boundary.code, polygon, (min(xs), min(ys), max(xs), max(ys))))
+
+    def locate(self, lon: float, lat: float) -> str | None:
+        hit: str | None = None
+        for code, polygon, (x0, y0, x1, y1) in self._entries:
+            if hit is not None and code >= hit:
+                continue  # entries are code-sorted; min code wins
+            if not (x0 <= lon <= x1 and y0 <= lat <= y1):
+                continue
+            if _polygon_contains(lon, lat, polygon):
+                hit = code
+        return hit
 
 
 def set_partitions(items: Sequence) -> Iterator[list[list]]:

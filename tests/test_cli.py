@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import geoflow
-from geoflow import ingest, residence, tables
+from geoflow import cli as cli_mod
+from geoflow import ingest, metrics, residence, tables
 from geoflow.cli import main
+from geoflow.config import load_config
 from geoflow.tables import read_json
 
 SYNTH_SETTINGS = {
@@ -335,3 +337,31 @@ def test_run_parses_events_once_and_builds_profiles_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert cli("run", "--config", str(world / "config.json")) == 0
     assert (calls["parse_events"], calls["read_events"], calls["build_profiles"]) == (1, 0, 1)
+
+
+def test_run_computes_gyration_radii_once(tmp_path, monkeypatch):
+    world = build_world(tmp_path, "world")
+    calls = Counter()
+    original = metrics.user_gyration_radii
+
+    def counted(*args, **kwargs):
+        calls["user_gyration_radii"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "user_gyration_radii", counted)
+    assert cli("run", "--config", str(world / "config.json")) == 0
+    assert calls["user_gyration_radii"] == 1
+
+
+def test_country_stats_keep_gdp_per_capita(tmp_path):
+    world = build_world(tmp_path, "world")
+    census = (world / "census.csv").read_text().splitlines()
+    rich = census[1].split(",")[0]
+    rows = [census[0] + ",gdp_per_capita", census[1] + ",41500.5"] + [row + "," for row in census[2:]]
+    (world / "census.csv").write_text("\n".join(rows) + "\n")
+    config = str(world / "config.json")
+    for stage in ("ingest", "clean", "profile"):
+        assert cli(stage, "--config", config) == 0
+    stats = cli_mod._country_stats(cli_mod.Workspace(load_config(config, env={})))
+    assert stats[rich].gdp_per_capita == 41500.5
+    assert [c for c, s in stats.items() if s.gdp_per_capita is not None] == [rich]

@@ -1,11 +1,14 @@
 """Event parsing, boundary validation, and country lookup."""
 
 import json
+import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoflow import ingest
 from geoflow.ingest import (
     BoundaryIndex,
     CountryBoundary,
@@ -17,7 +20,7 @@ from geoflow.ingest import (
     load_boundaries,
     parse_events,
 )
-from helpers import ev, point_in_rings_crossing
+from helpers import ScalarBoundaryIndex, ev, point_in_rings_crossing
 
 SQUARE = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (0.0, 0.0)]
 
@@ -94,6 +97,14 @@ def test_parse_accepts_boundary_coordinates():
     assert report.n_malformed == 0
     # -180 is canonicalized onto the +180 side of the seam
     assert report.events[0].lon == 180.0
+
+
+def test_parse_keeps_the_first_errors_and_counts_every_one():
+    lines = ["u1,100,1.0,2.0,web"] + [f"bad line {i}" for i in range(25)]
+    report = parse_events(lines)
+    assert report.n_malformed == 25
+    assert [lineno for lineno, _ in report.errors] == list(range(2, 12))
+    assert len(report.events) + report.n_malformed == report.n_lines
 
 
 def test_parse_custom_delimiter():
@@ -242,6 +253,78 @@ def test_load_boundaries_geojson(tmp_path):
     assert index.locate(5.0, 5.0) == "AA"
     assert index.locate(21.0, 1.0) == "BB"
     assert index.locate(31.0, 1.0) == "BB"
+
+
+GRID = 1 / 64  # vertices on a dyadic grid, so edge midpoints lie exactly on their edges
+
+
+def _snap(x, y):
+    return (round(x / GRID) * GRID, round(y / GRID) * GRID)
+
+
+def _box(x0, y0, x1, y1):
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    spikes=st.integers(30, 60),
+    r_out=st.floats(3.0, 6.0),
+    r_in=st.floats(0.3, 0.8),
+    phase=st.floats(0.0, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_locate_many_matches_scalar_oracle(spikes, r_out, r_in, phase, seed):
+    """Array labeling makes the scalar crossing-number test's every decision."""
+    star = [
+        _snap(r * math.cos(t), r * math.sin(t))
+        for k in range(2 * spikes)
+        for r, t in [((r_out if k % 2 == 0 else r_out * r_in), phase + math.pi * k / spikes)]
+    ]
+    star.append(star[0])
+    h = _snap(r_out * r_in / 2, 0.0)[0]
+    boundaries = [
+        CountryBoundary("CC", [[_box(8.0, -3.0, 12.0, 3.0)]]),  # shares x=8 with BB
+        CountryBoundary("AA", [[star, _box(-h, -h, h, h)]]),  # star with a square hole
+        CountryBoundary("BB", [[_box(2.0, -3.0, 8.0, 3.0)], [_box(20.0, 0.0, 24.0, 4.0)]]),
+        # Notches that edge extensions cross: a U open at the top, a C open to the right.
+        CountryBoundary("DD", [[ring((14, -3), (18, -3), (18, 3), (17, 3), (17, -1), (15, -1), (15, 3), (14, 3),
+                                     (14, -3))]]),
+        CountryBoundary("EE", [[ring((26, -3), (30, -3), (30, -2), (28, -2), (28, 2), (30, 2), (30, 3), (26, 3),
+                                     (26, -3))]]),
+    ]
+    rings = [r for b in boundaries for poly in b.polygons for r in poly]
+    rng = np.random.default_rng(seed)
+    points = [v for r in rings for v in r]
+    points += [((x1 + x2) / 2, (y1 + y2) / 2) for r in rings for (x1, y1), (x2, y2) in zip(r, r[1:])]
+    for (x1, y1), (x2, y2) in zip(star, star[1:]):  # a third of the way along, and one ulp to each side
+        x, y = x1 + (x2 - x1) / 3, y1 + (y2 - y1) / 3
+        points += [(x, y), (math.nextafter(x, -math.inf), y), (math.nextafter(x, math.inf), y)]
+    points += [(x, y) for x in np.arange(13.0, 31.5, 0.5) for y in np.arange(-4.0, 4.5, 0.5)]
+    points += [(8.0, y) for y in np.linspace(-4.0, 4.0, 33)]
+    points += [(100.0, 50.0), (-150.0, -80.0), (16.0, 2.0), (22.0, 10.0)]
+    points += [tuple(p) for p in rng.uniform(-r_out, r_out, size=(1200, 2))]
+    points += [tuple(p) for p in rng.uniform((-7.0, -7.0), (25.0, 7.0), size=(300, 2))]
+    lons = [float(x) for x, _ in points]
+    lats = [float(y) for _, y in points]
+    xs, ys = zip(*star)
+    in_star_box = sum(1 for x, y in points if min(xs) <= x <= max(xs) and min(ys) <= y <= max(ys))
+    assert in_star_box > ingest._BLOCK_PAIRS // (len(star) + 4)  # more than one block
+
+    oracle = ScalarBoundaryIndex(boundaries)
+    want = [oracle.locate(x, y) for x, y in zip(lons, lats)]
+    index = BoundaryIndex(boundaries)
+    assert index.locate_many(lons, lats) == want
+    assert index.locate_many([], []) == []
+    for i in range(0, len(points), 40):
+        assert index.locate(lons[i], lats[i]) == want[i]
+    events = [ev(f"u{i}", i, lat=y, lon=x) for i, (x, y) in enumerate(zip(lons, lats))]
+    for i in range(0, len(events), 7):
+        events[i] = ev(f"u{i}", i, country="ZZ")  # pre-labeled: keeps its label
+    expect = [e.country or w for e, w in zip(events, want)]
+    labeled, dropped = label_events(events, index)
+    assert [e.country for e in labeled] == [c for c in expect if c is not None]
+    assert dropped == expect.count(None)
 
 
 # ---------------------------------------------------------------- trajectories
