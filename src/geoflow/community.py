@@ -244,6 +244,18 @@ def _refine(g: _Graph, comm: np.ndarray) -> np.ndarray:
         comm = _renumber(comm.tolist())
 
 
+def _best(g: _Graph, seed: int, restarts: int) -> tuple[np.ndarray, float]:
+    """Best dense assignment over seeded restarts and its Q; all zeros and 0.0 unless one scores above 0."""
+    best_comm, best_q = np.zeros(g.n, dtype=np.intp), 0.0
+    if g.total > 0.0:
+        for restart in range(restarts):
+            comm = _refine(g, _one_restart(g, np.random.default_rng([seed, restart])))
+            q = _q_of(g, comm)
+            if q > best_q:
+                best_comm, best_q = comm, q
+    return best_comm, best_q
+
+
 def optimize_partition(
     graph: EdgeMap,
     seed: int = 0,
@@ -258,28 +270,7 @@ def optimize_partition(
     irrelevant. Equal scores resolve to the earliest restart, with the
     one-community partition acting as restart number minus one.
     """
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    canonical, g = _graph(graph, nodes)
-    if not canonical:
-        raise ValueError("empty node set")
-    flat = {node: 0 for node in canonical}
-    if g.total <= 0.0:
-        return Partition(assignment=flat, q=0.0)
-    best_q = 0.0
-    best_comm: np.ndarray | None = None
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, restart])
-        comm = _refine(g, _one_restart(g, rng))
-        q = _q_of(g, comm)
-        if q > best_q:
-            best_q = q
-            best_comm = comm
-    if best_comm is None:
-        return Partition(assignment=flat, q=0.0)
-    return Partition(assignment=dict(zip(canonical, best_comm.tolist())), q=best_q)
+    return hierarchical_partition(graph, max_levels=1, seed=seed, restarts=restarts, nodes=nodes).levels[0]
 
 
 def _sub_seed(seed: int, level: int, parent: int) -> int:
@@ -297,46 +288,40 @@ def hierarchical_partition(
     """Iteratively re-partition inside each community, up to max_levels.
 
     Each community of the current level with at least min_split_size nodes
-    is re-optimized on its induced sub-network (internal edges only); the
-    split is adopted only when the sub-network partition scores clearly
-    above zero. Unsplit communities carry down unchanged, so every level
-    refines the previous one. Every level's q is scored on the full network.
+    is re-optimized on its induced sub-network (internal edges only, a slice
+    of the one dense matrix); the split is adopted only when the sub-network
+    partition scores clearly above zero. Unsplit communities carry down
+    unchanged, so every level refines the previous one. Split groups take
+    the next ids in order of their parent, then of their smallest member.
+    Every level's q is scored on the full network; with no edge weight at
+    all, every level is the one-community partition with q = 0.
     """
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    node_list = None if nodes is None else list(nodes)
-    top = optimize_partition(graph, seed=seed, restarts=restarts, nodes=node_list)
-    levels = [top]
-    parents: list[dict[int, int | None]] = [{cid: None for cid in sorted(set(top.assignment.values()))}]
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    canonical, g = _graph(graph, nodes)
+    if not canonical:
+        raise ValueError("empty node set")
+    comm, q = _best(g, seed, restarts)
+    comms, qs = [comm], [q]
     for level in range(2, max_levels + 1):
-        current = levels[-1].assignment
-        members_of: dict[int, list[Node]] = {}
-        for node, cid in current.items():
-            members_of.setdefault(cid, []).append(node)
-        new_assignment: dict[Node, int] = {}
-        parent_of: dict[int, int | None] = {}
-        next_id = 0
-        for cid in sorted(members_of):
-            members = sorted(members_of[cid])
-            groups: list[list[Node]] = [members]
-            if len(members) >= min_split_size:
-                inside = set(members)
-                sub_edges = {(u, v): w for (u, v), w in graph.items() if u in inside and v in inside}
-                if math.fsum(sub_edges.values()) > 0.0:
-                    sub = optimize_partition(
-                        sub_edges,
-                        seed=_sub_seed(seed, level, cid),
-                        restarts=restarts,
-                        nodes=members,
-                    )
-                    if sub.n_communities > 1 and sub.q > SPLIT_EPS:
-                        groups = sub.communities()
-            for group in groups:
-                for node in group:
-                    new_assignment[node] = next_id
-                parent_of[next_id] = cid
-                next_id += 1
-        q = modularity(graph, new_assignment, nodes=node_list)
-        levels.append(Partition(assignment=new_assignment, q=q))
-        parents.append(parent_of)
-    return PartitionHierarchy(levels=levels, parents=parents)
+        parent, comm, next_id = comm, np.empty_like(comm), 0
+        for cid in range(int(parent.max()) + 1):
+            m = np.flatnonzero(parent == cid)
+            comm[m] = next_id
+            if len(m) >= min_split_size:
+                sub = _Graph(g.w[np.ix_(m, m)], g.near[np.ix_(m, m)])
+                split, sub_q = _best(sub, _sub_seed(seed, level, cid), restarts)
+                if sub_q > SPLIT_EPS:
+                    comm[m] += split
+            next_id = int(comm[m].max()) + 1
+        comms.append(comm)
+        qs.append(_q_of(g, comm) if g.total > 0.0 else 0.0)
+    return PartitionHierarchy(
+        levels=[Partition(assignment=dict(zip(canonical, c.tolist())), q=q) for c, q in zip(comms, qs)],
+        parents=[dict.fromkeys(range(int(comms[0].max()) + 1))]
+        + [dict(sorted(zip(c.tolist(), p.tolist()))) for p, c in zip(comms, comms[1:])],
+    )

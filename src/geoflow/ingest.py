@@ -257,26 +257,28 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
-        raise ValueError("boundary file must be a GeoJSON FeatureCollection")
+    features = doc.get("features", []) if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
+        raise ValueError("boundary file must be a GeoJSON FeatureCollection with a list of features")
     out: list[CountryBoundary] = []
-    for feature in doc.get("features", []):
-        props = feature.get("properties") or {}
-        code = props.get("code")
-        if not code:
-            raise ValueError("boundary feature missing 'code' property")
-        geom = feature.get("geometry") or {}
-        gtype = geom.get("type")
-        coords = geom.get("coordinates", [])
-        if gtype == "Polygon":
-            multi = [coords]
-        elif gtype == "MultiPolygon":
-            multi = coords
-        else:
-            raise ValueError(f"{code}: unsupported geometry type {gtype!r}")
-        polygons: list[Polygon] = []
-        for poly in multi:
-            polygons.append([[(float(v[0]), float(v[1])) for v in ring] for ring in poly])
+    for number, feature in enumerate(features):
+        try:
+            props = feature.get("properties") or {}
+            code = props.get("code")
+            if not code:
+                raise ValueError("missing 'code' property")
+            geom = feature.get("geometry") or {}
+            gtype = geom.get("type")
+            coords = geom.get("coordinates", [])
+            if gtype == "Polygon":
+                multi = [coords]
+            elif gtype == "MultiPolygon":
+                multi = coords
+            else:
+                raise ValueError(f"{code}: unsupported geometry type {gtype!r}")
+            polygons = [[[(float(v[0]), float(v[1])) for v in ring] for ring in poly] for poly in multi]
+        except (AttributeError, TypeError, IndexError, ValueError) as exc:
+            raise ValueError(f"boundary feature {number}: {exc}") from exc
         out.append(CountryBoundary(code=str(code).upper(), polygons=polygons))
     return out
 

@@ -137,7 +137,7 @@ def _mobility_profiles(
             n_residents=len(residents),
             mobility_rate=len(mobile) / len(residents),
             mean_radius_km=sum(sample) / len(sample) if sample else 0.0,
-            countries_visited=destination_diversity(code, profiles),
+            countries_visited=destination_diversity(code, dict(enumerate(residents))),
         )
     return out
 

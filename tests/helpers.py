@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from geoflow.community import SPLIT_EPS, Partition, PartitionHierarchy, modularity, optimize_partition
 from geoflow.ingest import CountryBoundary, GeoEvent, Trajectory
 
 Edges = Mapping[tuple[str, str], float]
@@ -246,3 +247,51 @@ def groups_of(assignment: Mapping[str, int]) -> list[list[str]]:
     for node, comm in assignment.items():
         by_comm.setdefault(comm, []).append(node)
     return sorted(sorted(g) for g in by_comm.values())
+
+
+def reference_hierarchical_partition(
+    graph: Edges,
+    max_levels: int = 3,
+    seed: int = 0,
+    restarts: int = 20,
+    nodes: Iterable[str] | None = None,
+    min_split_size: int = 3,
+) -> PartitionHierarchy:
+    """Hierarchy rebuilt from the public optimizer on explicit edge dicts.
+
+    Each community's induced sub-network is scanned out of the whole edge
+    mapping and optimized on its own, each level is scored with
+    `modularity`, and the bookkeeping runs on node -> id dicts. The
+    package slices one dense matrix instead; both must agree exactly.
+    """
+    node_list = None if nodes is None else list(nodes)
+    top = optimize_partition(graph, seed=seed, restarts=restarts, nodes=node_list)
+    levels = [top]
+    parents: list[dict[int, int | None]] = [{cid: None for cid in sorted(set(top.assignment.values()))}]
+    for level in range(2, max_levels + 1):
+        members_of: dict[int, list[str]] = {}
+        for node, cid in levels[-1].assignment.items():
+            members_of.setdefault(cid, []).append(node)
+        new_assignment: dict[str, int] = {}
+        parent_of: dict[int, int | None] = {}
+        next_id = 0
+        for cid in sorted(members_of):
+            members = sorted(members_of[cid])
+            groups = [members]
+            if len(members) >= min_split_size:
+                inside = set(members)
+                sub_edges = {(u, v): w for (u, v), w in graph.items() if u in inside and v in inside}
+                if math.fsum(sub_edges.values()) > 0.0:
+                    sub_seed = int(np.random.SeedSequence([seed, level, cid]).generate_state(1)[0])
+                    sub = optimize_partition(sub_edges, seed=sub_seed, restarts=restarts, nodes=members)
+                    if sub.n_communities > 1 and sub.q > SPLIT_EPS:
+                        groups = sub.communities()
+            for group in groups:
+                for node in group:
+                    new_assignment[node] = next_id
+                parent_of[next_id] = cid
+                next_id += 1
+        q = modularity(graph, new_assignment, nodes=node_list)
+        levels.append(Partition(assignment=new_assignment, q=q))
+        parents.append(parent_of)
+    return PartitionHierarchy(levels=levels, parents=parents)

@@ -365,3 +365,72 @@ def test_country_stats_keep_gdp_per_capita(tmp_path):
     stats = cli_mod._country_stats(cli_mod.Workspace(load_config(config, env={})))
     assert stats[rich].gdp_per_capita == 41500.5
     assert [c for c, s in stats.items() if s.gdp_per_capita is not None] == [rich]
+
+
+def test_edgeless_network_gives_flat_levels(tmp_path):
+    config_path = tmp_path / "synth.json"
+    config_path.write_text(json.dumps(SYNTH_SETTINGS))
+    world = tmp_path / "world"
+    assert cli("synth", "--config", str(config_path), "--out", str(world), env={"GEOFLOW_SYNTH_TRIP_RATE": "0"}) == 0
+    config = str(world / "config.json")
+    for levels in ("1", "3"):
+        env = {"GEOFLOW_NETWORK_MIN_OUTGOING": "0", "GEOFLOW_COMMUNITIES_MAX_LEVELS": levels}
+        assert cli("run", "--config", config, env=env) == 0
+        report = read_json(str(world / "artifacts" / "communities_report.json"))
+        assert report["q_per_level"] == [0.0] * int(levels)
+        assert report["communities_per_level"] == [1] * int(levels)
+
+
+POLYGON = {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}
+MALFORMED_BOUNDARIES = {
+    "not_an_object": [1, 2],
+    "features_not_a_list": {"type": "FeatureCollection", "features": 5},
+    "properties_a_string": {
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": "AA", "geometry": POLYGON}],
+    },
+    "coordinates_flat": {
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"code": "AA"}, "geometry": {"type": "Polygon", "coordinates": [1, 2]}}],
+    },
+    "vertex_one_number": {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "properties": {"code": "AA"},
+                "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1], [0, 0]]]},
+            }
+        ],
+    },
+    "vertex_a_string": {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "properties": {"code": "AA"},
+                "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], ["1", "x"], [0, 0]]]},
+            }
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_BOUNDARIES.values(), ids=MALFORMED_BOUNDARIES.keys())
+def test_malformed_boundaries_exit_six(pipeline, tmp_path, doc):
+    world, _ = pipeline
+    boundaries = tmp_path / "boundaries.geojson"
+    boundaries.write_text(json.dumps(doc))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GEOFLOW_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(geoflow.__file__).parents[1]), env.get("PYTHONPATH")]))
+    env["GEOFLOW_PATHS_BOUNDARIES"] = str(boundaries)
+    env["GEOFLOW_PATHS_WORKDIR"] = str(tmp_path / "artifacts")
+    proc = subprocess.run(
+        [sys.executable, "-m", "geoflow", "ingest", "--config", str(world / "config.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 6, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "boundary feature 0" in proc.stderr or "FeatureCollection" in proc.stderr

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from geoflow import community
 from geoflow.community import hierarchical_partition, modularity, optimize_partition
 from geoflow.synth import expected_flows, make_world
 from helpers import (
@@ -14,6 +17,7 @@ from helpers import (
     nested_fixture,
     pairwise_q,
     random_digraph,
+    reference_hierarchical_partition,
     set_partitions,
     strength_q,
 )
@@ -352,3 +356,73 @@ PINNED_DIGESTS = {
 def test_partitions_and_scores_are_pinned_bit_for_bit():
     """Exact assignments and q reprs, so a change in float tie-breaking or summation order shows."""
     assert pinned_digests() == PINNED_DIGESTS
+
+
+# ---------------------------------------------------------------- hierarchy on one dense graph
+
+
+@st.composite
+def nested_digraphs(draw):
+    """Seeded digraphs on 3..14 nodes, denser inside planted blocks and densest inside sub-blocks.
+
+    Weights are unit (exact gain ties) or uniform, scaled by 10 inside a
+    sub-block and 3 inside a block; self-loops occur, about one edge in
+    six has weight zero, and so has every edge of about one node in eight.
+    """
+    n = draw(st.integers(3, 14))
+    sub_block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    unit = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dead = rng.random(n) < 1 / 8
+    edges = {}
+    for i in range(n):
+        for j in range(n):
+            inside = 2 if sub_block[i] == sub_block[j] else 1 if sub_block[i] // 2 == sub_block[j] // 2 else 0
+            if rng.random() < (0.2, 0.4, 0.8)[inside]:
+                w = 1.0 if unit else float(rng.uniform(0.01, 1.0))
+                zero = dead[i] or dead[j] or rng.random() < 1 / 6
+                edges[(f"v{i:02d}", f"v{j:02d}")] = 0.0 if zero else w * (1.0, 3.0, 10.0)[inside]
+    return edges
+
+
+@given(
+    edges=nested_digraphs(),
+    isolated=st.lists(st.sampled_from(["x0", "x1", "x2"]), unique=True),
+    pass_nodes=st.booleans(),
+    min_split_size=st.integers(2, 4),
+    seed=st.integers(0, 2**16),
+    restarts=st.integers(1, 3),
+)
+def test_hierarchy_matches_dict_reference(edges, isolated, pass_nodes, min_split_size, seed, restarts):
+    """Self-loops, zero-weight edges and isolated nodes give the dict-based hierarchy exactly."""
+    assume(math.fsum(edges.values()) > 0.0)
+    nodes = sorted({u for e in edges for u in e} | set(isolated)) if pass_nodes or isolated else None
+    kwargs = dict(max_levels=3, seed=seed, restarts=restarts, nodes=nodes, min_split_size=min_split_size)
+    got = hierarchical_partition(edges, **kwargs)
+    want = reference_hierarchical_partition(edges, **kwargs)
+    assert [p.assignment for p in got.levels] == [p.assignment for p in want.levels]
+    assert [repr(p.q) for p in got.levels] == [repr(p.q) for p in want.levels]
+    assert got.parents == want.parents
+
+
+def test_hierarchy_lays_the_graph_out_once(monkeypatch):
+    calls = []
+    original = community._graph
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(community, "_graph", counted)
+    hierarchy = hierarchical_partition(nested_fixture()[0], max_levels=3, seed=0, restarts=5)
+    assert [level.n_communities for level in hierarchy.levels] == [2, 4, 4]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("max_levels", [1, 2, 3])
+def test_edgeless_network_is_flat_at_every_depth(max_levels):
+    edges = {("a", "b"): 0.0, ("b", "c"): 0.0, ("c", "c"): 0.0}
+    hierarchy = hierarchical_partition(edges, max_levels=max_levels, nodes=["a", "b", "c", "d"])
+    assert [level.assignment for level in hierarchy.levels] == [{"a": 0, "b": 0, "c": 0, "d": 0}] * max_levels
+    assert [level.q for level in hierarchy.levels] == [0.0] * max_levels
+    assert hierarchy.parents == [{0: None}] + [{0: 0}] * (max_levels - 1)

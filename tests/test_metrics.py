@@ -1,6 +1,7 @@
 """Mobility measures: gyration radii, displacements, daily abroad series."""
 
 import math
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given
@@ -174,6 +175,39 @@ def test_build_mobility_profiles_mobile_only_mean():
 def test_build_mobility_profiles_rejects_unknown_mode():
     with pytest.raises(ValueError):
         build_mobility_profiles({}, [], gyration_over="everyone")
+
+
+class CountingProfiles(Mapping):
+    """Read-only profile mapping that counts full scans (keys, values or items)."""
+
+    def __init__(self, data):
+        self.data = data
+        self.scans = 0
+
+    def __getitem__(self, key):
+        return self.data[key]
+
+    def __iter__(self):
+        self.scans += 1
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+
+@pytest.mark.parametrize("n_countries", [1, 6])
+def test_mobility_profiles_scan_the_profiles_once(n_countries):
+    events = []
+    for c in range(n_countries):
+        home, away = f"C{c}", f"C{(c + 1) % n_countries}"
+        for u in range(3):
+            user = f"{home}-{u}"
+            events += [ev(user, 1, country=home), ev(user, 2, country=home), ev(user, 3 + u, country=away)]
+    profiles = make_profiles(events)
+    want = build_mobility_profiles(profiles, events)
+    counting = CountingProfiles(profiles)
+    assert build_mobility_profiles(counting, events) == want
+    assert counting.scans == 1
 
 
 # ---------------------------------------------------------------- daily series
