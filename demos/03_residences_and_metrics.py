@@ -28,7 +28,8 @@ for code in sorted(stats):
     s = stats[code]
     print(f"  {code}  residents={s.residents:>3}  penetration={s.penetration:.5f}  included={s.included}")
 
-mobility = build_mobility_profiles(profiles, labeled)
+radii = user_gyration_radii(labeled)
+mobility = build_mobility_profiles(profiles, radii)
 print("\nmobility by residence country:")
 for code in sorted(mobility):
     m = mobility[code]
@@ -37,7 +38,6 @@ for code in sorted(mobility):
         f"  mean_r_g={m.mean_radius_km:,.0f} km  destinations={m.countries_visited}"
     )
 
-radii = user_gyration_radii(labeled)
 stay_home = sum(1 for r in radii.values() if r < 100.0)
 print(f"\nradius of gyration: median {statistics.median(radii.values()):,.1f} km; "
       f"{stay_home}/{len(radii)} users stay within 100 km")

@@ -15,7 +15,6 @@ from .ingest import GeoEvent, Trajectory
 from .sphere import haversine_km
 
 __all__ = [
-    "haversine_km",
     "speed_filter",
     "rank_sources",
     "source_popularity_filter",

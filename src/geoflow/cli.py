@@ -20,7 +20,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import clean as clean_mod
 from . import community as community_mod
@@ -54,7 +54,8 @@ _DAILY_HEADER = ["code", "day", "count", "normalized"]
 _KM_HEADER = ["user_id", "km"]
 
 # Every file the commands write into paths.workdir. communities.csv appends
-# one column per partition level to its header.
+# one column per partition level to its header. An artifact written with
+# Workspace.write_records names one attribute of its records per column.
 ARTIFACTS: dict[str, Artifact] = {
     "events_labeled.csv": Artifact("ingest", tables.EVENT_HEADER),
     "ingest_report.json": Artifact("ingest"),
@@ -115,6 +116,11 @@ class Workspace:
 
     def write_rows(self, name: str, rows: Any) -> None:
         tables.write_rows(self.path(name), ARTIFACTS[name].header, rows)
+
+    def write_records(self, name: str, records: Iterable[Any]) -> None:
+        """One row per record: under each header column, the record's attribute of that name."""
+        header = ARTIFACTS[name].header
+        self.write_rows(name, ([getattr(record, column) for column in header] for record in records))
 
     def write_events(self, name: str, events: list[ingest_mod.GeoEvent]) -> None:
         tables.write_events(self.path(name), events)
@@ -222,20 +228,8 @@ def stage_profile(ws: Workspace) -> None:
         min_penetration=ws.config["residence"]["min_penetration"],
         min_residents=ws.config["residence"]["min_residents"],
     )
-    ws.write_rows(
-        "profiles.csv",
-        (
-            [p.user_id, p.residence, p.total_events, p.distinct_countries]
-            for p in (profiles[u] for u in sorted(profiles))
-        ),
-    )
-    ws.write_rows(
-        "country_stats.csv",
-        (
-            [s.code, s.residents, s.population, s.penetration, s.included, s.gdp_per_capita, s.reason.replace(",", ";")]
-            for s in (stats[c] for c in sorted(stats))
-        ),
-    )
+    ws.write_records("profiles.csv", (profiles[u] for u in sorted(profiles)))
+    ws.write_records("country_stats.csv", (stats[c] for c in sorted(stats)))
 
 
 def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
@@ -257,14 +251,8 @@ def stage_metrics(ws: Workspace) -> None:
     profiles = ws.load("profiles")  # first: without held profiles, this loads the events taken below
     events = ws.take("events_clean.csv")
     radii = metrics_mod.user_gyration_radii(events)
-    mobility = metrics_mod._mobility_profiles(profiles, radii, ws.config["metrics"]["gyration_over"])
-    ws.write_rows(
-        "mobility_profiles.csv",
-        (
-            [m.code, m.n_residents, m.mobility_rate, m.mean_radius_km, m.countries_visited]
-            for m in (mobility[c] for c in sorted(mobility))
-        ),
-    )
+    mobility = metrics_mod.build_mobility_profiles(profiles, radii, ws.config["metrics"]["gyration_over"])
+    ws.write_records("mobility_profiles.csv", (mobility[c] for c in sorted(mobility)))
     for direction in ("outbound", "inbound"):
         series = metrics_mod.daily_abroad_series(profiles, events, direction, year=ws.config["year"])
         rows = []
@@ -285,25 +273,16 @@ def stage_metrics(ws: Workspace) -> None:
 def stage_network(ws: Workspace) -> None:
     raw_net = network_mod.build_flow_network(ws.take("profiles"))
     stats = _country_stats(ws)
-    ws.write_rows(
-        "edges_raw.csv",
-        ([e.origin, e.destination, e.raw_weight] for _, e in sorted(raw_net.edges.items())),
-    )
+    ws.write_records("edges_raw.csv", (raw_net.edges[k] for k in sorted(raw_net.edges)))
     net = network_mod.normalize_and_filter(
         raw_net,
         stats,
         min_outgoing=ws.config["network"]["min_outgoing"],
         min_penetration=ws.config["network"]["min_penetration"],
     )
-    ws.write_rows(
-        "edges.csv",
-        ([e.origin, e.destination, e.raw_weight, e.est_weight] for _, e in sorted(net.edges.items())),
-    )
+    ws.write_records("edges.csv", (net.edges[k] for k in sorted(net.edges)))
     balances = network_mod.inflow_outflow_balance(net)
-    ws.write_rows(
-        "balances.csv",
-        ([b.code, b.inflow, b.outflow, b.balance] for b in (balances[c] for c in sorted(balances))),
-    )
+    ws.write_records("balances.csv", (balances[c] for c in sorted(balances)))
     top = network_mod.top_k_flows(net, k=ws.config["network"]["top_k"], weight="est")
     ws.write_rows(
         "top_flows.csv",

@@ -56,13 +56,6 @@ class ParseReport:
     n_malformed: int = 0  # every malformed line, kept in errors or not
 
 
-@dataclass(frozen=True)
-class EventFormat:
-    """Descriptor for the line-delimited event format."""
-
-    delimiter: str = ","
-
-
 def _parse_line(parts: list[str]) -> GeoEvent:
     """Build a GeoEvent from split fields; raises ValueError on any violation."""
     if len(parts) < 5 or len(parts) > 6:
@@ -106,7 +99,7 @@ def _looks_like_header(parts: list[str]) -> bool:
     return False
 
 
-def parse_events(stream: Iterable[str] | Iterable[bytes], fmt: EventFormat = EventFormat()) -> ParseReport:
+def parse_events(stream: Iterable[str] | Iterable[bytes]) -> ParseReport:
     """Parse a line-delimited event stream.
 
     Every well-formed line yields exactly one GeoEvent. Malformed lines are
@@ -123,7 +116,7 @@ def parse_events(stream: Iterable[str] | Iterable[bytes], fmt: EventFormat = Eve
             line = (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
             if not line.strip():
                 raise ValueError("blank line")
-            parts = line.split(fmt.delimiter)
+            parts = line.split(",")
             if lineno == 1 and _looks_like_header(parts):
                 report.header_skipped = True
                 continue
@@ -277,6 +270,8 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
             else:
                 raise ValueError(f"{code}: unsupported geometry type {gtype!r}")
             polygons = [[[(float(v[0]), float(v[1])) for v in ring] for ring in poly] for poly in multi]
+            if not all(polygons):
+                raise ValueError(f"{code}: polygon has no rings")
         except (AttributeError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"boundary feature {number}: {exc}") from exc
         out.append(CountryBoundary(code=str(code).upper(), polygons=polygons))

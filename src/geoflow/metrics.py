@@ -17,7 +17,6 @@ from .residence import UserProfile
 from .sphere import DegenerateCenterError, center_of_mass, haversine_km
 
 __all__ = [
-    "center_of_mass",
     "is_mobile",
     "mobility_rate",
     "radius_of_gyration",
@@ -105,22 +104,15 @@ class MobilityProfile:
 
 def build_mobility_profiles(
     profiles: Mapping[str, UserProfile],
-    events: list[GeoEvent],
+    radii: Mapping[str, float],
     gyration_over: str = "all",
 ) -> dict[str, MobilityProfile]:
     """One MobilityProfile per residence country.
 
-    mean_radius_km averages per-user gyration radii over all residents, or
-    over mobile residents only when gyration_over="mobile" (0 when the
-    selected set is empty).
+    mean_radius_km averages the per-user gyration radii (as from
+    user_gyration_radii) over all residents, or over mobile residents only
+    when gyration_over="mobile" (0 when the selected set is empty).
     """
-    return _mobility_profiles(profiles, user_gyration_radii(events), gyration_over)
-
-
-def _mobility_profiles(
-    profiles: Mapping[str, UserProfile], radii: Mapping[str, float], gyration_over: str
-) -> dict[str, MobilityProfile]:
-    """build_mobility_profiles from the per-user gyration radii."""
     if gyration_over not in ("all", "mobile"):
         raise ValueError(f"gyration_over must be 'all' or 'mobile', got {gyration_over!r}")
     by_country: dict[str, list[UserProfile]] = {}

@@ -203,26 +203,28 @@ def validate_external(
     return r2, len(matched)
 
 
-def log_binned_density(samples, base: float = 2.0) -> tuple[list[float], list[float]]:
+# Ratio between consecutive bin edges of log_binned_density.
+_LOG_BIN_BASE = 2.0
+
+
+def log_binned_density(samples) -> tuple[list[float], list[float]]:
     """Geometric-bin density estimate of a positive sample distribution.
 
-    Bin edges are powers of `base` spanning the sample range; returns bin
-    centers (geometric mean of edges) and densities (count / n / width) for
-    nonempty bins. Used as an independent cross-check on power-law fits.
+    Bin edges are powers of _LOG_BIN_BASE spanning the sample range; returns
+    bin centers (geometric mean of edges) and densities (count / n / width)
+    for nonempty bins. Used as an independent cross-check on power-law fits.
     """
-    if base <= 1.0:
-        raise ValueError(f"base must be > 1, got {base}")
     xs = sorted(float(x) for x in samples if x > 0)
     if len(xs) < 2:
         raise ValueError(f"need >= 2 positive samples, got {len(xs)}")
     lo, hi = xs[0], xs[-1]
     if lo == hi:
         raise ValueError("all samples identical: no bins")
-    k_lo = math.floor(math.log(lo, base))
-    k_hi = math.ceil(math.log(hi, base))
-    edges = [base**k for k in range(k_lo, k_hi + 1)]
+    k_lo = math.floor(math.log(lo, _LOG_BIN_BASE))
+    k_hi = math.ceil(math.log(hi, _LOG_BIN_BASE))
+    edges = [_LOG_BIN_BASE**k for k in range(k_lo, k_hi + 1)]
     if edges[-1] <= hi:  # guard against log rounding at the top edge
-        edges.append(edges[-1] * base)
+        edges.append(edges[-1] * _LOG_BIN_BASE)
     counts = [0] * (len(edges) - 1)
     b = 0
     for x in xs:
@@ -241,14 +243,14 @@ def log_binned_density(samples, base: float = 2.0) -> tuple[list[float], list[fl
     return centers, densities
 
 
-def binned_powerlaw_check(samples, base: float = 2.0) -> tuple[float, float, float]:
+def binned_powerlaw_check(samples) -> tuple[float, float, float]:
     """Log-binned OLS estimate of a power-law exponent: returns (beta, intercept, r2).
 
     The density of a power law with exponent beta falls as x^-beta, so the
     fitted slope negated estimates beta. Coarser than the MLE; meant as a
     sanity cross-check, not the primary estimator.
     """
-    centers, densities = log_binned_density(samples, base=base)
+    centers, densities = log_binned_density(samples)
     if len(centers) < 3:
         raise ValueError(f"need >= 3 nonempty bins, got {len(centers)}")
     slope, intercept, r2 = loglog_regression(centers, densities)

@@ -9,7 +9,7 @@ population or penetration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .metrics import is_mobile
@@ -31,7 +31,6 @@ class FlowNetwork:
     nodes: list[str]  # sorted codes
     edges: dict[tuple[str, str], FlowEdge]
     mobile_residents: dict[str, int]  # outgoing population per node
-    stats: dict[str, CountryStats] = field(default_factory=dict)
     normalized: bool = False
 
     def weight(self, origin: str, destination: str, kind: str = "raw") -> float:
@@ -111,7 +110,6 @@ def normalize_and_filter(
         nodes=surviving,
         edges=edges,
         mobile_residents={c: network.mobile_residents.get(c, 0) for c in surviving},
-        stats={c: stats[c] for c in surviving},
         normalized=True,
     )
 

@@ -28,6 +28,8 @@ MAX_EXTRA_GAP = 432_000  # up to five slack days between events
 HUMAN_SOURCES = ("app_web", "app_mobile", "app_tablet")
 # Round-robin pattern over 20 users: 60% web, 25% mobile, 15% tablet.
 _SOURCE_PATTERN = (0,) * 12 + (1,) * 5 + (2,) * 3
+# Most events a mobile user posts abroad (also capped below half their events).
+_MAX_FOREIGN_EVENTS = 5
 KM_PER_DEG_LAT = 110.574
 KM_PER_DEG_LON_EQ = 111.320
 
@@ -179,7 +181,6 @@ def generate_events(
     trip_rate: float,
     bot_fraction: float = 0.05,
     year: int = 2012,
-    max_foreign_events: int = 5,
 ) -> tuple[list[GeoEvent], SynthTruth]:
     """Seeded event stream with planted residences, sources, and flows.
 
@@ -209,7 +210,7 @@ def generate_events(
         c: math.fsum(flows.get((c, d), 0.0) for d in codes if d != c) for c in codes
     }
     max_row = max(row_mass.values()) if row_mass else 0.0
-    max_foreign = max(0, min(max_foreign_events, (events_per_user - 1) // 2))
+    max_foreign = max(0, min(_MAX_FOREIGN_EVENTS, (events_per_user - 1) // 2))
     n_bots = int(bot_fraction * users_per_country)
     planted_mobility: dict[str, float] = {}
     for c in codes:

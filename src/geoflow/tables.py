@@ -81,15 +81,11 @@ def read_json(path: str) -> Any:
 EVENT_HEADER = ["user_id", "timestamp", "lat", "lon", "source", "country"]
 
 
-def write_events(path: str, events: Sequence[GeoEvent], with_country: bool = True) -> None:
-    header = EVENT_HEADER if with_country else EVENT_HEADER[:5]
+def write_events(path: str, events: Sequence[GeoEvent]) -> None:
     with replacing(path) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(EVENT_HEADER) + "\n")
         for e in events:
-            row = f"{e.user_id},{e.timestamp},{e.lat!r},{e.lon!r},{e.source}"
-            if with_country:
-                row += f",{e.country or ''}"
-            fh.write(row + "\n")
+            fh.write(f"{e.user_id},{e.timestamp},{e.lat!r},{e.lon!r},{e.source},{e.country or ''}\n")
 
 
 def read_events(path: str) -> list[GeoEvent]:

@@ -342,15 +342,16 @@ def test_run_parses_events_once_and_builds_profiles_once(tmp_path, monkeypatch):
 def test_run_computes_gyration_radii_once(tmp_path, monkeypatch):
     world = build_world(tmp_path, "world")
     calls = Counter()
-    original = metrics.user_gyration_radii
+    for name in ("user_gyration_radii", "build_mobility_profiles"):
 
-    def counted(*args, **kwargs):
-        calls["user_gyration_radii"] += 1
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=getattr(metrics, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(metrics, "user_gyration_radii", counted)
+        monkeypatch.setattr(metrics, name, counted)
     assert cli("run", "--config", str(world / "config.json")) == 0
     assert calls["user_gyration_radii"] == 1
+    assert calls["build_mobility_profiles"] == 1
 
 
 def test_country_stats_keep_gdp_per_capita(tmp_path):
@@ -412,6 +413,14 @@ MALFORMED_BOUNDARIES = {
                 "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], ["1", "x"], [0, 0]]]},
             }
         ],
+    },
+    "polygon_without_rings": {
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"code": "AA"}, "geometry": {"type": "Polygon", "coordinates": []}}],
+    },
+    "multipolygon_part_without_rings": {
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"code": "AA"}, "geometry": {"type": "MultiPolygon", "coordinates": [[]]}}],
     },
 }
 

@@ -12,7 +12,6 @@ from geoflow import ingest
 from geoflow.ingest import (
     BoundaryIndex,
     CountryBoundary,
-    EventFormat,
     GeoEvent,
     Trajectory,
     build_trajectories,
@@ -105,11 +104,6 @@ def test_parse_keeps_the_first_errors_and_counts_every_one():
     assert report.n_malformed == 25
     assert [lineno for lineno, _ in report.errors] == list(range(2, 12))
     assert len(report.events) + report.n_malformed == report.n_lines
-
-
-def test_parse_custom_delimiter():
-    report = parse_events(["u1;100;1.0;2.0;web"], fmt=EventFormat(delimiter=";"))
-    assert report.events[0].user_id == "u1"
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.floats(-90, 90), st.floats(-180, 180))
@@ -253,6 +247,16 @@ def test_load_boundaries_geojson(tmp_path):
     assert index.locate(5.0, 5.0) == "AA"
     assert index.locate(21.0, 1.0) == "BB"
     assert index.locate(31.0, 1.0) == "BB"
+
+
+@pytest.mark.parametrize("geometry", [{"type": "Polygon", "coordinates": []}, {"type": "MultiPolygon", "coordinates": [[]]}])
+def test_polygon_without_rings_is_rejected(tmp_path, geometry):
+    square = {"type": "Feature", "properties": {"code": "AA"}, "geometry": {"type": "Polygon", "coordinates": [SQUARE]}}
+    empty = {"type": "Feature", "properties": {"code": "bb"}, "geometry": geometry}
+    path = tmp_path / "b.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": [square, empty]}), encoding="utf-8")
+    with pytest.raises(ValueError, match="^boundary feature 1: bb: polygon has no rings$"):
+        load_boundaries(str(path))
 
 
 GRID = 1 / 64  # vertices on a dyadic grid, so edge midpoints lie exactly on their edges

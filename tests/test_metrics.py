@@ -150,7 +150,7 @@ def test_build_mobility_profiles_rates_and_means():
         ev("u2", 2, 0.0, 0.0, country="BB"),
     ]
     profiles = make_profiles(events)
-    out = build_mobility_profiles(profiles, events)
+    out = build_mobility_profiles(profiles, user_gyration_radii(events))
     aa = out["AA"]
     assert aa.n_residents == 2
     assert aa.mobility_rate == 0.5
@@ -168,13 +168,13 @@ def test_build_mobility_profiles_mobile_only_mean():
         ev("u2", 2, 0.0, 0.0, country="BB"),
     ]
     profiles = make_profiles(events)
-    out = build_mobility_profiles(profiles, events, gyration_over="mobile")
+    out = build_mobility_profiles(profiles, user_gyration_radii(events), gyration_over="mobile")
     assert out["AA"].mean_radius_km == pytest.approx(0.0, abs=1e-9)  # only u2 is mobile
 
 
 def test_build_mobility_profiles_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        build_mobility_profiles({}, [], gyration_over="everyone")
+        build_mobility_profiles({}, user_gyration_radii([]), gyration_over="everyone")
 
 
 class CountingProfiles(Mapping):
@@ -204,9 +204,9 @@ def test_mobility_profiles_scan_the_profiles_once(n_countries):
             user = f"{home}-{u}"
             events += [ev(user, 1, country=home), ev(user, 2, country=home), ev(user, 3 + u, country=away)]
     profiles = make_profiles(events)
-    want = build_mobility_profiles(profiles, events)
+    want = build_mobility_profiles(profiles, user_gyration_radii(events))
     counting = CountingProfiles(profiles)
-    assert build_mobility_profiles(counting, events) == want
+    assert build_mobility_profiles(counting, user_gyration_radii(events)) == want
     assert counting.scans == 1
 
 

@@ -229,7 +229,6 @@ def test_global_balance_exact_zero_for_arbitrary_est_weights(rows):
         nodes=nodes,
         edges=edges,
         mobile_residents={c: 1 for c in nodes},
-        stats={},
         normalized=True,
     )
     assert global_balance(network) == 0.0

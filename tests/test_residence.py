@@ -195,6 +195,26 @@ def test_gdp_attached_when_given():
     assert stats["AA"].gdp_per_capita == 41500.5
 
 
+CODES = ["AA", "BB", "CC", "DD"]
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(CODES), min_size=1, max_size=4), min_size=1, max_size=30),
+    st.dictionaries(st.sampled_from(CODES), st.integers(-(10**12), 10**12) | st.just(0)),
+    st.floats(min_value=0.0, max_value=1e300) | st.sampled_from([0.0, 5e-4, 1e-7, 0.1]),
+    st.integers(0, 10**12) | st.sampled_from([0, 1, 3, 10_000]),
+)
+def test_exclusion_reasons_hold_no_comma(visits, census, min_penetration, min_residents):
+    """country_stats.csv writes each reason as one unquoted CSV cell.
+
+    Covers census gaps, zero and negative populations and both thresholds.
+    """
+    profiles = profiles_for({f"u{i}": countries for i, countries in enumerate(visits)})
+    stats = compute_country_stats(profiles, census, min_penetration=min_penetration, min_residents=min_residents)
+    for s in stats.values():
+        assert "," not in s.reason
+
+
 @given(
     st.dictionaries(st.sampled_from(["AA", "BB", "CC"]), st.integers(1, 40), min_size=1),
     st.sampled_from([(0.0, 0.001), (0.0005, 0.01)]),

@@ -85,17 +85,8 @@ def events_fixture():
 
 def test_events_round_trip_with_country(tmp_path):
     path = str(tmp_path / "ev.csv")
-    write_events(path, events_fixture(), with_country=True)
+    write_events(path, events_fixture())
     assert read_events(path) == events_fixture()
-
-
-def test_events_round_trip_without_country(tmp_path):
-    path = str(tmp_path / "ev.csv")
-    write_events(path, events_fixture(), with_country=False)
-    stripped = [
-        GeoEvent(e.user_id, e.timestamp, e.lat, e.lon, e.source, None) for e in events_fixture()
-    ]
-    assert read_events(path) == stripped
 
 
 def test_read_events_is_strict(tmp_path):
