@@ -2,7 +2,7 @@
 
 import statistics
 
-from geoflow.ingest import BoundaryIndex, build_trajectories, label_events
+from geoflow.ingest import BoundaryIndex, build_trajectories, label_events, parse_events
 from geoflow.metrics import (
     build_mobility_profiles,
     daily_abroad_series,
@@ -10,12 +10,13 @@ from geoflow.metrics import (
     user_gyration_radii,
 )
 from geoflow.residence import build_profiles, compute_country_stats
-from geoflow.synth import generate_events, make_world, world_boundaries
+from geoflow.synth import event_lines, generate_events, make_world, world_boundaries
 
 world = make_world(5, seed=3)
 events, truth = generate_events(world, users_per_country=60, events_per_user=25, trip_rate=0.5)
 index = BoundaryIndex(world_boundaries(world))
-labeled, _ = label_events(events, index)
+labeled, _ = label_events(parse_events(event_lines(events)).events, index)
+trajectories = labeled.take(build_trajectories(labeled))
 
 profiles = build_profiles(labeled)
 hits = sum(1 for uid, p in profiles.items() if p.residence == truth.residences[uid])
@@ -28,7 +29,7 @@ for code in sorted(stats):
     s = stats[code]
     print(f"  {code}  residents={s.residents:>3}  penetration={s.penetration:.5f}  included={s.included}")
 
-radii = user_gyration_radii(labeled)
+radii = user_gyration_radii(trajectories)
 mobility = build_mobility_profiles(profiles, radii)
 print("\nmobility by residence country:")
 for code in sorted(mobility):
@@ -42,8 +43,8 @@ stay_home = sum(1 for r in radii.values() if r < 100.0)
 print(f"\nradius of gyration: median {statistics.median(radii.values()):,.1f} km; "
       f"{stay_home}/{len(radii)} users stay within 100 km")
 
-trajectories = build_trajectories(labeled)
-hops = [d for t in trajectories.values() for d in displacements(t)]
+_, hops = displacements(trajectories)
+hops = hops.tolist()
 short = sum(1 for d in hops if d < 100.0)
 print(f"displacements: {len(hops):,} hops, {short / len(hops):.1%} under 100 km "
       f"(longest {max(hops):,.0f} km)")

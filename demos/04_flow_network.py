@@ -2,7 +2,7 @@
 estimates, and the balance sheet they imply.
 """
 
-from geoflow.ingest import BoundaryIndex, label_events
+from geoflow.ingest import BoundaryIndex, label_events, parse_events
 from geoflow.network import (
     build_flow_network,
     global_balance,
@@ -11,11 +11,11 @@ from geoflow.network import (
     top_k_flows,
 )
 from geoflow.residence import build_profiles, compute_country_stats
-from geoflow.synth import generate_events, make_world, world_boundaries
+from geoflow.synth import event_lines, generate_events, make_world, world_boundaries
 
 world = make_world(8, seed=19, n_blocks=2, block_boost=4.0)
 events, _ = generate_events(world, users_per_country=80, events_per_user=20, trip_rate=0.6)
-labeled, _ = label_events(events, BoundaryIndex(world_boundaries(world)))
+labeled, _ = label_events(parse_events(event_lines(events)).events, BoundaryIndex(world_boundaries(world)))
 profiles = build_profiles(labeled)
 
 raw = build_flow_network(profiles)

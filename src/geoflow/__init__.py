@@ -12,8 +12,8 @@ from .community import Partition, PartitionHierarchy, hierarchical_partition, mo
 from .ingest import (
     BoundaryIndex,
     CountryBoundary,
+    EventTable,
     GeoEvent,
-    Trajectory,
     build_trajectories,
     load_boundaries,
     parse_events,
@@ -26,7 +26,6 @@ from .metrics import (
     displacements,
     is_mobile,
     mobility_rate,
-    radius_of_gyration,
 )
 from .models import (
     GravityFit,
@@ -45,7 +44,7 @@ from .network import (
     top_k_flows,
 )
 from .residence import CountryStats, UserProfile, assign_residence, build_profiles, compute_country_stats
-from .sphere import EARTH_RADIUS_KM, center_of_mass, haversine_km
+from .sphere import EARTH_RADIUS_KM, haversine_km
 from .synth import SynthCountry, SynthWorld, expected_flows, generate_events, make_world, sample_power_law
 
 __version__ = "0.1.0"
@@ -56,6 +55,7 @@ __all__ = [
     "CountryBoundary",
     "CountryStats",
     "DailySeries",
+    "EventTable",
     "FlowNetwork",
     "GeoEvent",
     "GravityFit",
@@ -65,7 +65,6 @@ __all__ = [
     "PowerLawFit",
     "SynthCountry",
     "SynthWorld",
-    "Trajectory",
     "UserProfile",
     "assign_residence",
     "build_flow_network",
@@ -73,7 +72,6 @@ __all__ = [
     "build_profiles",
     "build_trajectories",
     "capital_distances",
-    "center_of_mass",
     "compute_country_stats",
     "daily_abroad_series",
     "displacements",
@@ -93,7 +91,6 @@ __all__ = [
     "normalize_and_filter",
     "optimize_partition",
     "parse_events",
-    "radius_of_gyration",
     "sample_power_law",
     "source_popularity_filter",
     "speed_filter",

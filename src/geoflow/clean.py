@@ -11,45 +11,43 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ingest import GeoEvent, Trajectory
-from .sphere import haversine_km
+import numpy as np
 
-__all__ = [
-    "speed_filter",
-    "rank_sources",
-    "source_popularity_filter",
-    "apply_source_filter",
-    "CleaningStats",
-]
+from .ingest import EventTable, runs
+from .sphere import haversine_km, haversine_many
+
+__all__ = ["speed_filter", "source_popularity_filter", "CleaningStats"]
 
 
-def speed_filter(trajectory: Trajectory, max_speed_kmh: float = 1000.0) -> tuple[Trajectory, int]:
-    """Drop events implying speed strictly above max_speed_kmh.
+def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tuple[np.ndarray, int]:
+    """Keep mask dropping events that imply speed strictly above max_speed_kmh, and the drop count.
 
-    Sequential scan against the last retained event; the later event of an
-    offending pair is dropped and the scan continues from the retained one.
-    A zero time gap means infinite speed (drop) unless the distance is also
-    zero (duplicate point, keep). The first event is always retained, so
-    every retained consecutive pair satisfies the cap.
+    Rows must be in trajectory order (see ingest.build_trajectories). Each
+    trajectory is scanned against its last retained event, whose first event
+    is always retained; the later event of an offending pair is dropped. A
+    zero time gap means infinite speed (drop) unless the distance is also
+    zero (duplicate point, keep). Consecutive pairs are checked as arrays
+    first, and only users with an offending pair are scanned one by one.
     """
-    events = trajectory.events
-    if len(events) <= 1:
-        return Trajectory(trajectory.user_id, list(events)), 0
-    kept = [events[0]]
-    removed = 0
-    for event in events[1:]:
-        last = kept[-1]
-        dist = haversine_km((last.lat, last.lon), (event.lat, event.lon))
-        gap = event.timestamp - last.timestamp
-        if gap == 0:
-            ok = dist == 0.0
-        else:
-            ok = dist * 3600.0 <= max_speed_kmh * gap
-        if ok:
-            kept.append(event)
-        else:
-            removed += 1
-    return Trajectory(trajectory.user_id, kept), removed
+    t = trajectories
+    keep = np.ones(len(t), dtype=bool)
+    pair = np.flatnonzero(t.user[1:] == t.user[:-1])
+    dist = haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
+    gap = t.timestamp[pair + 1] - t.timestamp[pair]
+    ok = np.where(gap == 0, dist == 0.0, dist * 3600.0 <= max_speed_kmh * gap)
+    offsets = runs(t.user)
+    for k in np.unique(np.searchsorted(offsets, pair[~ok], side="right") - 1).tolist():
+        start, end = offsets[k], offsets[k + 1]
+        lat, lon, ts = (column[start:end].tolist() for column in (t.lat, t.lon, t.timestamp))
+        last = 0
+        for i in range(1, end - start):
+            dist_km = haversine_km((lat[last], lon[last]), (lat[i], lon[i]))
+            gap_s = ts[i] - ts[last]
+            if (dist_km == 0.0) if gap_s == 0 else (dist_km * 3600.0 <= max_speed_kmh * gap_s):
+                last = i
+            else:
+                keep[start + i] = False
+    return keep, len(t) - int(np.count_nonzero(keep))
 
 
 @dataclass(slots=True)
@@ -72,89 +70,53 @@ class CleaningStats:
         return self.events_after / self.events_before if self.events_before else 1.0
 
 
-def rank_sources(events: list[GeoEvent], weight_mode: str = "users") -> dict[str, list[tuple[str, int]]]:
-    """Per-country source ranking by mass, heaviest first, ties by source name.
-
-    Mass is distinct users per (country, source) in "users" mode, raw event
-    counts in "events" mode. A user active through two sources in one
-    country contributes to both masses.
-    """
-    if weight_mode not in ("users", "events"):
-        raise ValueError(f"weight_mode must be 'users' or 'events', got {weight_mode!r}")
-    if weight_mode == "users":
-        seen: dict[str, dict[str, set[str]]] = {}
-        for event in events:
-            if event.country is None:
-                raise ValueError(f"event of user {event.user_id!r} has no country label")
-            seen.setdefault(event.country, {}).setdefault(event.source, set()).add(event.user_id)
-        masses = {c: {s: len(u) for s, u in per.items()} for c, per in seen.items()}
-    else:
-        masses = {}
-        for event in events:
-            if event.country is None:
-                raise ValueError(f"event of user {event.user_id!r} has no country label")
-            per = masses.setdefault(event.country, {})
-            per[event.source] = per.get(event.source, 0) + 1
-    return {
-        country: sorted(per.items(), key=lambda kv: (-kv[1], kv[0]))
-        for country, per in sorted(masses.items())
-    }
-
-
 def source_popularity_filter(
-    events: list[GeoEvent], coverage: float = 0.95, weight_mode: str = "users"
-) -> tuple[dict[str, set[str]], list[GeoEvent], CleaningStats]:
+    events: EventTable, coverage: float = 0.95, weight_mode: str = "users"
+) -> tuple[dict[str, set[str]], np.ndarray, CleaningStats]:
     """Keep, per country, the most popular sources covering `coverage` of mass.
 
-    Walks each country's ranking accumulating mass and stops once the
-    cumulative mass first reaches coverage times the country's total mass;
-    the source that crosses the threshold is retained. Events whose
-    (country, source) pair is not retained are discarded.
-
-    The threshold comparison is exact: coverage is read as a decimal
-    (0.95 means exactly 19/20), so a corpus built with an exact 95 percent
-    split filters exactly, free of binary float rounding.
+    Each country ranks its sources by mass, heaviest first, ties by name:
+    distinct users per (country, source) in "users" mode, events in
+    "events" mode. Sources are retained down the ranking until the
+    cumulative mass first reaches coverage times the country's total; the
+    source that crosses the threshold is retained. Returns the retained
+    sources per country, the keep mask of the events with a retained
+    (country, source) pair, and the statistics. The threshold comparison is
+    exact: coverage is read as a decimal (0.95 means exactly 19/20).
     """
     if not 0.0 < coverage <= 1.0:
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
-    rankings = rank_sources(events, weight_mode)
+    if weight_mode not in ("users", "events"):
+        raise ValueError(f"weight_mode must be 'users' or 'events', got {weight_mode!r}")
+    if np.any(events.country < 0):
+        raise ValueError("every event needs a country label")
+    order = np.lexsort((events.user, events.source, events.country))
+    if weight_mode == "users":  # one row per distinct (country, source, user)
+        order = order[runs(*(column[order] for column in (events.country, events.source, events.user)))[:-1]]
+    offsets = runs(events.country[order], events.source[order])
+    pairs = order[offsets[:-1]]
+    country, source, mass = events.country[pairs], events.source[pairs], np.diff(offsets)
+    rank = np.lexsort((source, -mass, country))
+    total = np.bincount(country, weights=mass, minlength=len(events.countries))  # exact: integer sums below 2**53
     share = Fraction(str(coverage))
-    retained: dict[str, set[str]] = {}
+    rankings: dict[str, list[tuple[str, int]]] = {}
     retained_ordered: dict[str, list[str]] = {}
-    for country, ranking in rankings.items():
-        total = sum(mass for _, mass in ranking)
-        threshold = share * total
-        cumulative = 0
-        keep: list[str] = []
-        for source, mass in ranking:
-            keep.append(source)
-            cumulative += mass
-            if cumulative >= threshold:
-                break
-        retained_ordered[country] = keep
-        retained[country] = set(keep)
-    filtered = apply_source_filter(events, retained)
+    kept_pairs: list[int] = []
+    cumulative: dict[int, int] = {}
+    for c, s, m in zip(country[rank].tolist(), source[rank].tolist(), mass[rank].tolist()):
+        code, name = events.countries[c], events.sources[s]
+        if cumulative.get(c, 0) < share * int(total[c]):  # the threshold is not reached yet
+            retained_ordered.setdefault(code, []).append(name)
+            kept_pairs.append(c * len(events.sources) + s)
+        cumulative[c] = cumulative.get(c, 0) + m
+        rankings.setdefault(code, []).append((name, m))
+    keep = np.isin(events.country * len(events.sources) + events.source, kept_pairs)
     stats = CleaningStats(
         retained_sources=retained_ordered,
         rankings=rankings,
-        users_before=len({e.user_id for e in events}),
-        users_after=len({e.user_id for e in filtered}),
+        users_before=len(np.unique(events.user)),
+        users_after=len(np.unique(events.user[keep])),
         events_before=len(events),
-        events_after=len(filtered),
+        events_after=int(np.count_nonzero(keep)),
     )
-    return retained, filtered, stats
-
-
-def apply_source_filter(events: list[GeoEvent], retained: dict[str, set[str]]) -> list[GeoEvent]:
-    """Drop events whose (country, source) is not in the frozen retained map.
-
-    Idempotent by construction: the retained map does not change between
-    applications. Countries absent from the map retain nothing.
-    """
-    out: list[GeoEvent] = []
-    for event in events:
-        if event.country is None:
-            raise ValueError(f"event of user {event.user_id!r} has no country label")
-        if event.source in retained.get(event.country, ()):
-            out.append(event)
-    return out
+    return {code: set(names) for code, names in retained_ordered.items()}, keep, stats

@@ -22,6 +22,8 @@ import os
 import sys
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from . import clean as clean_mod
 from . import community as community_mod
 from . import ingest as ingest_mod
@@ -89,14 +91,14 @@ ARTIFACTS: dict[str, Artifact] = {
 class Workspace:
     """One invocation's work directory, and the values its stages hand on.
 
-    Artifacts are read and written through ARTIFACTS. Event lists and user
-    profiles that an earlier stage of this process produced are held here
-    and returned by `load`; without one, `load` reads the artifact.
+    Artifacts are read and written through ARTIFACTS. Values that an earlier
+    stage of this process produced are in `held` and returned by `load`;
+    without one, `load` derives the value from the artifacts (_LOADERS).
     """
 
     def __init__(self, config: dict[str, Any]):
         self.config = config
-        self._held: dict[str, Any] = {}
+        self.held: dict[str, Any] = {}
 
     def path(self, name: str) -> str:
         """Where artifact `name` is written; creates the work directory."""
@@ -122,24 +124,25 @@ class Workspace:
         header = ARTIFACTS[name].header
         self.write_rows(name, ([getattr(record, column) for column in header] for record in records))
 
-    def write_events(self, name: str, events: list[ingest_mod.GeoEvent]) -> None:
-        tables.write_events(self.path(name), events)
-        self._held[name] = events
-
     def load(self, name: str) -> Any:
-        """An event artifact, or "profiles" built from events_clean.csv."""
-        if name not in self._held:
-            if name == "profiles":
-                self._held[name] = residence_mod.build_profiles(self.load("events_clean.csv"))
-            else:
-                self._held[name] = tables.read_events(self.artifact(name))
-        return self._held[name]
+        """A held value, or one derived from the artifacts; an event artifact reads as an EventTable."""
+        if name not in self.held:
+            self.held[name] = _LOADERS[name](self) if name in _LOADERS else tables.read_events(self.artifact(name))
+        return self.held[name]
 
     def take(self, name: str) -> Any:
         """`load`, and stop holding the value: no later stage of `run` needs it."""
         value = self.load(name)
-        del self._held[name]
+        del self.held[name]
         return value
+
+
+_LOADERS: dict[str, Callable[[Workspace], Any]] = {
+    "labeled rows": lambda ws: tables.event_rows(ws.load("events_labeled.csv")),
+    "profiles": lambda ws: residence_mod.build_profiles(ws.load("events_clean.csv")),
+    "displacements.csv": lambda ws: [float(km) for _, km in ws.read_rows("displacements.csv")],
+    "gyration.csv": lambda ws: [float(km) for _, km in ws.read_rows("gyration.csv")],
+}
 
 
 def _external(config: dict[str, Any], key: str, required: bool) -> str | None:
@@ -166,7 +169,9 @@ def stage_ingest(ws: Workspace) -> None:
     if boundaries_path:
         index = ingest_mod.BoundaryIndex(ingest_mod.load_boundaries(boundaries_path))
     labeled, dropped = ingest_mod.label_events(report.events, index)
-    ws.write_events("events_labeled.csv", labeled)
+    rows = tables.event_rows(labeled)
+    tables.write_events(ws.path("events_labeled.csv"), rows)
+    ws.held.update({"events_labeled.csv": labeled, "labeled rows": rows})
     tables.write_json(
         ws.path("ingest_report.json"),
         {
@@ -183,23 +188,19 @@ def stage_ingest(ws: Workspace) -> None:
 
 def stage_clean(ws: Workspace) -> None:
     settings = ws.config["clean"]
-    trajectories = ingest_mod.build_trajectories(ws.take("events_labeled.csv"))
-    speed_kept: list[ingest_mod.GeoEvent] = []
-    speed_removed = 0
-    for user_id in sorted(trajectories):
-        filtered, removed = clean_mod.speed_filter(trajectories[user_id], settings["max_speed_kmh"])
-        speed_removed += removed
-        speed_kept.extend(filtered.events)
-    retained, cleaned, stats = clean_mod.source_popularity_filter(
-        speed_kept, settings["coverage"], settings["weight_mode"]
-    )
-    ws.write_events("events_clean.csv", cleaned)
-    rows = []
-    for country in sorted(stats.rankings):
-        keep = retained.get(country, set())
-        for source, mass in stats.rankings[country]:
-            rows.append([country, source, mass, source in keep])
-    ws.write_rows("cleaning_report.csv", rows)
+    rows = ws.take("labeled rows")  # first: without held rows, this loads the events taken below
+    events = ws.take("events_labeled.csv")
+    order = ingest_mod.build_trajectories(events)
+    events = events.take(order)
+    keep, speed_removed = clean_mod.speed_filter(events, settings["max_speed_kmh"])
+    order, events = order[keep], events.take(keep)
+    retained, keep, stats = clean_mod.source_popularity_filter(events, settings["coverage"], settings["weight_mode"])
+    order, events = order[keep], events.take(keep)
+    # The cleaned events are labeled rows in trajectory order: select their lines, formatted once.
+    tables.write_events(ws.path("events_clean.csv"), np.asarray(rows, dtype=object)[order])
+    ws.held["events_clean.csv"] = events
+    ranked = ((country, source, mass) for country, ranking in stats.rankings.items() for source, mass in ranking)
+    ws.write_rows("cleaning_report.csv", ([c, s, mass, s in retained[c]] for c, s, mass in ranked))
     tables.write_json(
         ws.path("cleaning_stats.json"),
         {
@@ -255,19 +256,13 @@ def stage_metrics(ws: Workspace) -> None:
     ws.write_records("mobility_profiles.csv", (mobility[c] for c in sorted(mobility)))
     for direction in ("outbound", "inbound"):
         series = metrics_mod.daily_abroad_series(profiles, events, direction, year=ws.config["year"])
-        rows = []
-        for code in sorted(series):
-            s = series[code]
-            for day, (value, norm) in enumerate(zip(s.values, s.normalized)):
-                rows.append([code, day, value, norm])
+        rows = ([s.code, day, *pair] for s in series.values() for day, pair in enumerate(zip(s.values, s.normalized)))
         ws.write_rows(f"daily_{direction}.csv", rows)
-    trajectories = ingest_mod.build_trajectories(events)
-    disp_rows = []
-    for user_id in sorted(trajectories):
-        for d in metrics_mod.displacements(trajectories[user_id]):
-            disp_rows.append([user_id, d])
-    ws.write_rows("displacements.csv", disp_rows)
-    ws.write_rows("gyration.csv", ([u, radii[u]] for u in sorted(radii)))
+    users, km = metrics_mod.displacements(events)  # events_clean.csv is in trajectory order
+    km = km.tolist()
+    ws.write_rows("displacements.csv", zip([events.users[u] for u in users.tolist()], km))
+    ws.write_rows("gyration.csv", radii.items())  # in user id order
+    ws.held.update({"displacements.csv": km, "gyration.csv": list(radii.values())})
 
 
 def stage_network(ws: Workspace) -> None:
@@ -372,8 +367,8 @@ def _powerlaw_report(samples: list[float], xmin: float) -> dict[str, Any]:
 
 def stage_fit_powerlaw(ws: Workspace) -> None:
     report: dict[str, Any] = {}
-    for name, artifact in (("displacements", "displacements.csv"), ("gyration", "gyration.csv")):
-        samples = [float(km) for _, km in ws.read_rows(artifact)]
+    for name in ("displacements", "gyration"):
+        samples = ws.take(f"{name}.csv")
         try:
             report[name] = _powerlaw_report(samples, ws.config["fit"]["powerlaw_xmin_km"])
         except ValueError as exc:

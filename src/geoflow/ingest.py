@@ -9,7 +9,8 @@ arrive pre-labeled keep their label and skip the geometry entirely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,12 +35,36 @@ class GeoEvent:
     country: str | None = None  # ISO 3166-1 alpha-2 when known
 
 
-@dataclass(slots=True)
-class Trajectory:
-    """All events of one user, sorted by (timestamp, input order)."""
+@dataclass(slots=True, eq=False)
+class EventTable:
+    """Events as columns, one row per event. `user`, `source` and `country` are positions in the
+    sorted vocabularies `users`, `sources` and `countries`, which may hold names no row uses."""
 
-    user_id: str
-    events: list[GeoEvent]
+    users: list[str]
+    sources: list[str]
+    countries: list[str]
+    user: np.ndarray  # int64 positions in users
+    timestamp: np.ndarray  # int64 UTC seconds since epoch
+    lat: np.ndarray  # float64 degrees in [-90, 90]
+    lon: np.ndarray  # float64 degrees in (-180, 180]
+    source: np.ndarray  # int64 positions in sources
+    country: np.ndarray  # int64 positions in countries, -1 when unlabeled
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def take(self, rows: np.ndarray) -> EventTable:
+        """The rows an index array or boolean mask selects, over the same vocabularies."""
+        columns = (self.user, self.timestamp, self.lat, self.lon, self.source, self.country)
+        return EventTable(self.users, self.sources, self.countries, *(column[rows] for column in columns))
+
+
+def runs(*columns: np.ndarray) -> np.ndarray:
+    """Offsets of the runs of equal rows across aligned columns: run k is rows offsets[k]:offsets[k + 1]."""
+    change = np.zeros(max(len(columns[0]) - 1, 0), dtype=bool)
+    for column in columns:
+        change |= column[1:] != column[:-1]
+    return np.flatnonzero(np.r_[True, change, True]) if len(columns[0]) else np.zeros(1, dtype=np.int64)
 
 
 # Malformed lines a ParseReport keeps with their reason; later ones are
@@ -49,15 +74,15 @@ MAX_ERRORS = 10
 
 @dataclass(slots=True)
 class ParseReport:
-    events: list[GeoEvent]
+    events: EventTable
     errors: list[tuple[int, str]]  # the first MAX_ERRORS (1-based line number, reason)
     n_lines: int = 0
     header_skipped: bool = False
     n_malformed: int = 0  # every malformed line, kept in errors or not
 
 
-def _parse_line(parts: list[str]) -> GeoEvent:
-    """Build a GeoEvent from split fields; raises ValueError on any violation."""
+def _parse_line(parts: list[str]) -> tuple[str, int, float, float, str, str | None]:
+    """GeoEvent fields from split fields; raises ValueError on any violation."""
     if len(parts) < 5 or len(parts) > 6:
         raise ValueError(f"expected 5 or 6 fields, got {len(parts)}")
     user_id = parts[0].strip()
@@ -69,6 +94,8 @@ def _parse_line(parts: list[str]) -> GeoEvent:
         raise ValueError(f"timestamp not an integer: {parts[1]!r}") from None
     if timestamp < 0:
         raise ValueError(f"negative timestamp: {timestamp}")
+    if timestamp >= 2**63:
+        raise ValueError(f"timestamp beyond int64: {timestamp}")
     try:
         lat = float(parts[2])
         lon = float(parts[3])
@@ -86,7 +113,7 @@ def _parse_line(parts: list[str]) -> GeoEvent:
             if len(raw) != 2 or not raw.isalpha():
                 raise ValueError(f"bad country code: {raw!r}")
             country = raw.upper()
-    return GeoEvent(user_id, timestamp, lat, normalize_lon(lon), source, country)
+    return user_id, timestamp, lat, normalize_lon(lon), source, country
 
 
 def _looks_like_header(parts: list[str]) -> bool:
@@ -99,33 +126,58 @@ def _looks_like_header(parts: list[str]) -> bool:
     return False
 
 
-def parse_events(stream: Iterable[str] | Iterable[bytes]) -> ParseReport:
-    """Parse a line-delimited event stream.
+def _sorted_codes(vocab: dict[str, int], codes: array) -> tuple[list[str], np.ndarray]:
+    """A vocabulary in sorted order, and first-seen codes (-1 kept) renumbered into it."""
+    names = sorted(vocab)
+    position = {name: i for i, name in enumerate(names)}
+    renumber = np.array([position[name] for name in vocab] + [-1], dtype=np.int64)
+    return names, renumber[np.frombuffer(codes, dtype=np.int64)]
 
-    Every well-formed line yields exactly one GeoEvent. Malformed lines are
-    counted and skipped, never silently dropped, and the first MAX_ERRORS
-    keep their 1-based line number and reason:
-    len(events) + n_malformed + header == total lines. Lines given
-    as bytes are decoded as UTF-8 one by one, so an undecodable line is one
-    malformed line.
+
+def parse_events(stream: Iterable[str] | Iterable[bytes]) -> ParseReport:
+    """Parse a line-delimited event stream into an EventTable, streaming rows into compact columns.
+
+    Every well-formed line yields exactly one row, in input order. Malformed
+    lines are counted and skipped, never silently dropped, and the first
+    MAX_ERRORS keep their 1-based line number and reason:
+    len(events) + n_malformed + header == total lines. Lines given as bytes
+    are decoded as UTF-8 one by one, so an undecodable line is one malformed line.
     """
-    report = ParseReport(events=[], errors=[])
+    users: dict[str, int] = {}  # name -> first-seen code; likewise sources and countries
+    sources: dict[str, int] = {}
+    countries: dict[str, int] = {}
+    user, timestamp, lat, lon, source, country = (array(kind) for kind in "qqddqq")
+    errors: list[tuple[int, str]] = []
+    n_lines = n_malformed = 0
+    header_skipped = False
     for lineno, line in enumerate(stream, start=1):
-        report.n_lines = lineno
+        n_lines = lineno
         try:
             line = (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
             if not line.strip():
                 raise ValueError("blank line")
             parts = line.split(",")
             if lineno == 1 and _looks_like_header(parts):
-                report.header_skipped = True
+                header_skipped = True
                 continue
-            report.events.append(_parse_line(parts))
+            user_id, ts, lat_deg, lon_deg, source_name, code = _parse_line(parts)
         except ValueError as exc:
-            report.n_malformed += 1
-            if len(report.errors) < MAX_ERRORS:
-                report.errors.append((lineno, "invalid UTF-8" if isinstance(exc, UnicodeDecodeError) else str(exc)))
-    return report
+            n_malformed += 1
+            if len(errors) < MAX_ERRORS:
+                errors.append((lineno, "invalid UTF-8" if isinstance(exc, UnicodeDecodeError) else str(exc)))
+            continue
+        user.append(users.setdefault(user_id, len(users)))
+        timestamp.append(ts)
+        lat.append(lat_deg)
+        lon.append(lon_deg)
+        source.append(sources.setdefault(source_name, len(sources)))
+        country.append(-1 if code is None else countries.setdefault(code, len(countries)))
+    user_ids, user_codes = _sorted_codes(users, user)
+    source_names, source_codes = _sorted_codes(sources, source)
+    country_codes, country_positions = _sorted_codes(countries, country)
+    numeric = (np.frombuffer(timestamp, dtype=np.int64), np.frombuffer(lat), np.frombuffer(lon))
+    events = EventTable(user_ids, source_names, country_codes, user_codes, *numeric, source_codes, country_positions)
+    return ParseReport(events, errors, n_lines, header_skipped, n_malformed)
 
 
 # ---------------------------------------------------------------------------
@@ -140,22 +192,27 @@ class CountryBoundary:
     code: str
     polygons: list[Polygon]
 
-
-def _validate_ring(ring: Ring, code: str) -> None:
-    if len(ring) < 4:
-        raise ValueError(f"{code}: ring has {len(ring)} vertices, need >= 4")
-    if ring[0] != ring[-1]:
-        raise ValueError(f"{code}: ring not closed (first != last vertex)")
-    for (lon1, _), (lon2, _) in zip(ring, ring[1:]):
-        if not -180.0 <= lon1 <= 180.0:
-            raise ValueError(f"{code}: longitude {lon1} out of range")
-        if abs(lon2 - lon1) > 180.0:
-            # Rings that cross the antimeridian must be pre-split by the
-            # data supplier; ray casting here is strictly planar.
-            raise ValueError(f"{code}: ring jumps {abs(lon2 - lon1):.3f} deg in lon; split at the antimeridian")
-    for _, lat in ring:
-        if not -90.0 <= lat <= 90.0:
-            raise ValueError(f"{code}: latitude {lat} out of range")
+    def __post_init__(self) -> None:
+        code = self.code  # every outline is checked here, wherever it comes from
+        for polygon in self.polygons:
+            if not polygon:
+                raise ValueError(f"{code}: polygon has no rings")
+            for ring in polygon:
+                if len(ring) < 4:
+                    raise ValueError(f"{code}: ring has {len(ring)} vertices, need >= 4")
+                if ring[0] != ring[-1]:
+                    raise ValueError(f"{code}: ring not closed (first != last vertex)")
+                for (lon1, _), (lon2, _) in zip(ring, ring[1:]):
+                    if not -180.0 <= lon1 <= 180.0:
+                        raise ValueError(f"{code}: longitude {lon1} out of range")
+                    if abs(lon2 - lon1) > 180.0:
+                        # Rings that cross the antimeridian must be pre-split by the
+                        # data supplier; ray casting here is strictly planar.
+                        jump = abs(lon2 - lon1)
+                        raise ValueError(f"{code}: ring jumps {jump:.3f} deg in lon; split at the antimeridian")
+                for _, lat in ring:
+                    if not -90.0 <= lat <= 90.0:
+                        raise ValueError(f"{code}: latitude {lat} out of range")
 
 
 # Points x edges pairs per block of the labeling kernel: bounds its
@@ -163,8 +220,8 @@ def _validate_ring(ring: Ring, code: str) -> None:
 _BLOCK_PAIRS = 1 << 16
 
 
-def _contains(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Closed even-odd containment of (m, 2) lon/lat points in a polygon's (n, 4) edge rows.
+def _contains(edges: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Closed even-odd containment of m (lon x, lat y) points in a polygon's (n, 4) edge rows.
 
     Each float expression keeps the operand order of the scalar
     crossing-number test (Haines, Graphics Gems IV, 1994), and numpy
@@ -172,7 +229,7 @@ def _contains(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
     is the scalar one. (x2, y2) is the later vertex of each edge.
     """
     x1, y1, x2, y2 = edges.T
-    x, y = points[:, :1], points[:, 1:]
+    x, y = x[:, None], y[:, None]
     cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
     on_edge = (cross == 0.0) & (np.minimum(x1, x2) <= x) & (x <= np.maximum(x1, x2))
     on_edge &= (np.minimum(y1, y2) <= y) & (y <= np.maximum(y1, y2))
@@ -199,45 +256,50 @@ class BoundaryIndex:
                 raise ValueError(f"duplicate country code {boundary.code!r}")
             self._codes.append(boundary.code)
             for polygon in boundary.polygons:
-                for ring in polygon:
-                    _validate_ring(ring, boundary.code)
                 edges = np.array([(*a, *b) for ring in polygon for a, b in zip(ring, ring[1:])], dtype=np.float64)
                 vertices = edges.reshape(-1, 2)
                 self._entries.append((len(self._codes) - 1, vertices.min(axis=0), vertices.max(axis=0), edges))
 
-    def locate_many(self, lons: Sequence[float], lats: Sequence[float]) -> list[str | None]:
-        """Country code containing each (lon, lat) point, or None (open ocean).
+    def _labels(self, lons: Sequence[float], lats: Sequence[float]) -> np.ndarray:
+        """Position in self._codes of the country containing each point, -1 for none.
 
         Each polygon, in code order, tests the points still unlabeled inside
         its bounding box, in blocks of about _BLOCK_PAIRS point-edge pairs.
         """
-        points = np.column_stack((lons, lats)).astype(np.float64, copy=False)
-        label = np.full(len(points), -1)
+        x, y = np.asarray(lons, dtype=np.float64), np.asarray(lats, dtype=np.float64)
+        label = np.full(len(x), -1)
         for k, lo, hi, edges in self._entries:
-            todo = np.flatnonzero((label < 0) & np.all((lo <= points) & (points <= hi), axis=1))
+            todo = np.flatnonzero((label < 0) & (lo[0] <= x) & (x <= hi[0]) & (lo[1] <= y) & (y <= hi[1]))
             step = max(1, _BLOCK_PAIRS // len(edges))
             for start in range(0, len(todo), step):
                 block = todo[start : start + step]
-                label[block[_contains(edges, points[block])]] = k
-        return [self._codes[k] if k >= 0 else None for k in label.tolist()]
+                label[block[_contains(edges, x[block], y[block])]] = k
+        return label
+
+    def locate_many(self, lons: Sequence[float], lats: Sequence[float]) -> list[str | None]:
+        """Country code containing each (lon, lat) point, or None (open ocean)."""
+        return [self._codes[k] if k >= 0 else None for k in self._labels(lons, lats).tolist()]
 
     def locate(self, lon: float, lat: float) -> str | None:
         """Country code containing (lon, lat), or None (open ocean)."""
         return self.locate_many([lon], [lat])[0]
 
 
-def label_events(events: list[GeoEvent], index: BoundaryIndex | None) -> tuple[list[GeoEvent], int]:
-    """Attach country labels in place; returns (labeled events, dropped count).
+def label_events(events: EventTable, index: BoundaryIndex | None) -> tuple[EventTable, int]:
+    """Label the unlabeled events; returns (labeled events, dropped count).
 
-    Events that end up with no country (open ocean, or unlabeled input with
-    no boundary set) are dropped and counted — downstream stages require a
-    country on every event.
+    Pre-labeled events keep their label. Events that end up with no country
+    (open ocean, or no boundary set) are dropped and counted: downstream
+    stages require a country on every event.
     """
     if index is not None:
-        todo = [event for event in events if event.country is None]
-        for event, code in zip(todo, index.locate_many([e.lon for e in todo], [e.lat for e in todo])):
-            event.country = code
-    labeled = [event for event in events if event.country is not None]
+        todo = np.flatnonzero(events.country < 0)
+        countries = sorted(set(events.countries).union(index._codes))
+        country = np.array([*map(countries.index, events.countries), -1], dtype=np.int64)[events.country]
+        found = index._labels(events.lon[todo], events.lat[todo])
+        country[todo] = np.array([*map(countries.index, index._codes), -1], dtype=np.int64)[found]
+        events = replace(events, countries=countries, country=country)
+    labeled = events.take(events.country >= 0)
     return labeled, len(events) - len(labeled)
 
 
@@ -270,26 +332,14 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
             else:
                 raise ValueError(f"{code}: unsupported geometry type {gtype!r}")
             polygons = [[[(float(v[0]), float(v[1])) for v in ring] for ring in poly] for poly in multi]
-            if not all(polygons):
-                raise ValueError(f"{code}: polygon has no rings")
+            boundary = CountryBoundary(code=str(code), polygons=polygons)
         except (AttributeError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"boundary feature {number}: {exc}") from exc
-        out.append(CountryBoundary(code=str(code).upper(), polygons=polygons))
+        boundary.code = boundary.code.upper()
+        out.append(boundary)
     return out
 
 
-def build_trajectories(events: list[GeoEvent]) -> dict[str, Trajectory]:
-    """Group events into per-user trajectories sorted by (timestamp, input order).
-
-    Every event lands in exactly one trajectory; the sort is stable so equal
-    timestamps keep their input order.
-    """
-    grouped: dict[str, list[GeoEvent]] = {}
-    for event in events:
-        grouped.setdefault(event.user_id, []).append(event)
-    out: dict[str, Trajectory] = {}
-    for user_id in sorted(grouped):
-        evs = grouped[user_id]
-        evs.sort(key=lambda e: e.timestamp)  # stable: input order preserved on ties
-        out[user_id] = Trajectory(user_id=user_id, events=evs)
-    return out
+def build_trajectories(events: EventTable) -> np.ndarray:
+    """Row order of the per-user trajectories: users in id order, each by timestamp, ties in input order."""
+    return np.lexsort((events.timestamp, events.user))

@@ -12,14 +12,15 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Mapping
 
-from .ingest import GeoEvent, Trajectory
+import numpy as np
+
+from .ingest import EventTable, runs
 from .residence import UserProfile
-from .sphere import DegenerateCenterError, center_of_mass, haversine_km
+from .sphere import DegenerateCenterError, haversine_many, mean_center
 
 __all__ = [
     "is_mobile",
     "mobility_rate",
-    "radius_of_gyration",
     "user_gyration_radii",
     "displacements",
     "destination_diversity",
@@ -43,43 +44,50 @@ def mobility_rate(country: str, profiles: Mapping[str, UserProfile]) -> float:
     return sum(1 for p in residents if is_mobile(p)) / len(residents)
 
 
-def radius_of_gyration(points: list[tuple[float, float]]) -> float:
-    """Root-mean-square great-circle distance from the points' center of mass.
+def _run_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of each run offsets[k]:offsets[k + 1], left to right from 0.0 as a loop adds.
 
-    Points carry multiplicity: every event counts, so duplicating all points
-    changes nothing. Antipodal cancellation makes the center undefined; the
-    first point then serves as the anchor.
+    Step j adds the j-th value of every run that long: one array step per step of the longest run."""
+    lengths = np.diff(offsets)
+    by_length = np.argsort(-lengths, kind="stable")
+    active = np.searchsorted(-lengths[by_length], -np.arange(lengths.max(initial=0)))  # runs longer than j
+    sums = np.zeros(values.shape[:-1] + lengths.shape)
+    for j, m in enumerate(active.tolist()):
+        sums[..., by_length[:m]] += values[..., offsets[by_length[:m]] + j]
+    return sums
+
+
+def user_gyration_radii(trajectories: EventTable) -> dict[str, float]:
+    """Per-user radius of gyration: RMS great-circle distance of every event from the center of mass.
+
+    Rows must be in trajectory order (see ingest.build_trajectories), and
+    each user's sums run in row order. A user whose events share one point
+    gets 0; when antipodal cancellation leaves the center undefined, the
+    user's first event is the anchor. Users come in id order.
     """
-    if not points:
-        raise ValueError("no points")
-    if all(p == points[0] for p in points):
-        return 0.0  # the center is the point itself; skip round-trip noise
-    try:
-        center = center_of_mass(points)
-    except DegenerateCenterError:
-        center = points[0]
-    total = 0.0
-    for p in points:
-        d = haversine_km(p, center)
-        total += d * d
-    return (total / len(points)) ** 0.5
+    t = trajectories
+    offsets = runs(t.user)
+    first, n = offsets[:-1], np.diff(offsets)
+    run = np.repeat(np.arange(len(n)), n)
+    phi, lam = np.radians(t.lat), np.radians(t.lon)
+    sums = _run_sums(np.stack((np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi))), offsets)
+    moved = np.bincount(run[(t.lat != t.lat[first][run]) | (t.lon != t.lon[first][run])], minlength=len(n)) > 0
+    center_lat, center_lon = t.lat[first], t.lon[first]  # the anchor unless the center is defined
+    for k in np.flatnonzero(moved).tolist():
+        try:
+            center_lat[k], center_lon[k] = mean_center(*sums[:, k].tolist(), int(n[k]))
+        except DegenerateCenterError:
+            pass
+    d = haversine_many(t.lat, t.lon, center_lat[run], center_lon[run])
+    totals = zip(t.user[first].tolist(), _run_sums(d * d, offsets).tolist(), n.tolist(), moved.tolist())
+    return {t.users[u]: (total / count) ** 0.5 if m else 0.0 for u, total, count, m in totals}
 
 
-def user_gyration_radii(events: list[GeoEvent]) -> dict[str, float]:
-    """Per-user radius of gyration over all of the user's event locations."""
-    per_user: dict[str, list[tuple[float, float]]] = {}
-    for event in events:
-        per_user.setdefault(event.user_id, []).append((event.lat, event.lon))
-    return {uid: radius_of_gyration(pts) for uid, pts in sorted(per_user.items())}
-
-
-def displacements(trajectory: Trajectory) -> list[float]:
-    """Great-circle distances between consecutive events; empty for n <= 1."""
-    evs = trajectory.events
-    return [
-        haversine_km((a.lat, a.lon), (b.lat, b.lon))
-        for a, b in zip(evs, evs[1:])
-    ]
+def displacements(trajectories: EventTable) -> tuple[np.ndarray, np.ndarray]:
+    """User and great-circle distance of each consecutive pair of one user's events, in trajectory order."""
+    t = trajectories
+    pair = np.flatnonzero(t.user[1:] == t.user[:-1])
+    return t.user[pair], haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
 
 
 def destination_diversity(country: str, profiles: Mapping[str, UserProfile]) -> int:
@@ -154,7 +162,7 @@ def _normalize(values: list[int]) -> list[float]:
 
 def daily_abroad_series(
     profiles: Mapping[str, UserProfile],
-    events: list[GeoEvent],
+    events: EventTable,
     direction: str,
     year: int = 2012,
 ) -> dict[str, DailySeries]:
@@ -163,35 +171,26 @@ def daily_abroad_series(
     Outbound series of C: distinct residents of C with at least one event
     outside C that day. Inbound series of C: distinct non-residents with at
     least one event in C that day. Users are counted once per day however
-    many qualifying events they post. Events outside the year are ignored.
+    many qualifying events they post. Events outside the year, and of users
+    without a profile, are ignored; profiles built from the events cover all their countries.
     """
     if direction not in ("outbound", "inbound"):
         raise ValueError(f"direction must be 'outbound' or 'inbound', got {direction!r}")
+    if np.any(events.country < 0):
+        raise ValueError("every event needs a country label")
     n_days = 366 if calendar.isleap(year) else 365
     start = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
-    domain: set[str] = set()
-    for profile in profiles.values():
-        domain.update(profile.counts)
-    daily: dict[str, list[set[str]]] = {c: [set() for _ in range(n_days)] for c in sorted(domain)}
-    for event in events:
-        if event.country is None:
-            raise ValueError(f"event of user {event.user_id!r} has no country label")
-        profile = profiles.get(event.user_id)
-        if profile is None or event.country == profile.residence:
-            continue
-        day = (event.timestamp - start) // 86400
-        if not 0 <= day < n_days:
-            continue
-        key = profile.residence if direction == "outbound" else event.country
-        daily[key][day].add(event.user_id)
+    domain = sorted(set().union(*(profile.counts for profile in profiles.values())))
+    position = {code: i for i, code in enumerate(domain)}
+    home = np.array([position[p.residence] if (p := profiles.get(u)) else -1 for u in events.users], dtype=np.int64)
+    home = home[events.user]
+    here = np.array([position.get(code, -1) for code in events.countries], dtype=np.int64)[events.country]
+    day = (events.timestamp - start) // 86400
+    mask = (home >= 0) & (here != home) & (0 <= day) & (day < n_days)
+    cell = ((home if direction == "outbound" else here) * n_days + day)[mask]
+    distinct = np.unique(cell * len(events.users) + events.user[mask])  # one per (country, day, user)
+    values = np.bincount(distinct // len(events.users), minlength=len(domain) * n_days)
     out: dict[str, DailySeries] = {}
-    for code, sets in daily.items():
-        values = [len(s) for s in sets]
-        out[code] = DailySeries(
-            code=code,
-            direction=direction,
-            year=year,
-            values=values,
-            normalized=_normalize(values),
-        )
+    for code, row in zip(domain, values.reshape(len(domain), n_days).tolist()):
+        out[code] = DailySeries(code=code, direction=direction, year=year, values=row, normalized=_normalize(row))
     return out

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .ingest import GeoEvent
+import numpy as np
+
+from .ingest import EventTable, runs
 
 
 @dataclass(slots=True)
@@ -53,30 +55,20 @@ def assign_residence(counts: Mapping[str, int], first_seen: Mapping[str, int]) -
     return min(tied)
 
 
-def build_profiles(events: list[GeoEvent]) -> dict[str, UserProfile]:
-    """Aggregate labeled events into per-user profiles with residence assigned."""
+def build_profiles(events: EventTable) -> dict[str, UserProfile]:
+    """Aggregate labeled events into per-user profiles with residence assigned, in user id order."""
+    if np.any(events.country < 0):
+        raise ValueError("every event needs a country label")
+    order = np.lexsort((events.timestamp, events.country, events.user))
+    offsets = runs(events.user[order], events.country[order])
+    first = order[offsets[:-1]]  # each (user, country)'s earliest event
     counts: dict[str, dict[str, int]] = {}
     first_seen: dict[str, dict[str, int]] = {}
-    for event in events:
-        if event.country is None:
-            raise ValueError(f"event of user {event.user_id!r} has no country label")
-        per_c = counts.setdefault(event.user_id, {})
-        per_c[event.country] = per_c.get(event.country, 0) + 1
-        per_f = first_seen.setdefault(event.user_id, {})
-        if event.country not in per_f or event.timestamp < per_f[event.country]:
-            per_f[event.country] = event.timestamp
-    profiles: dict[str, UserProfile] = {}
-    for user_id in sorted(counts):
-        c = counts[user_id]
-        f = first_seen[user_id]
-        profiles[user_id] = UserProfile(
-            user_id=user_id,
-            counts=c,
-            first_seen=f,
-            residence=assign_residence(c, f),
-            distinct_countries=len(c),
-        )
-    return profiles
+    columns = (events.user[first], events.country[first], np.diff(offsets), events.timestamp[first])
+    for u, c, n, ts in zip(*(column.tolist() for column in columns)):
+        counts.setdefault(events.users[u], {})[events.countries[c]] = n
+        first_seen.setdefault(events.users[u], {})[events.countries[c]] = ts
+    return {u: UserProfile(u, c, first_seen[u], assign_residence(c, first_seen[u]), len(c)) for u, c in counts.items()}
 
 
 def compute_country_stats(

@@ -8,6 +8,9 @@ are (latitude, longitude) pairs in degrees; longitude is normalized to
 from __future__ import annotations
 
 import math
+from itertools import repeat
+
+import numpy as np
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -44,12 +47,17 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def to_unit_vector(lat: float, lon: float) -> tuple[float, float, float]:
-    """Unit vector on the sphere for a (lat, lon) in degrees."""
-    phi = math.radians(lat)
-    lam = math.radians(lon)
-    c = math.cos(phi)
-    return (c * math.cos(lam), c * math.sin(lam), math.sin(phi))
+def haversine_many(lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: np.ndarray) -> np.ndarray:
+    """haversine_km of each pair of points, bit for bit.
+
+    Radians, sines, cosines, products, sums and square roots are array operations, rounded as
+    the scalar ones are; the squares (libm `pow`) and the arcsine (numpy's differs) stay scalar.
+    """
+    n = len(lat1)  # memoryview hands each value to the scalar calls as a Python float, building no list
+    h = np.fromiter(map(pow, memoryview(np.sin(np.radians(lat2 - lat1) / 2.0)), repeat(2)), np.float64, n)
+    sin2_dlam = np.fromiter(map(pow, memoryview(np.sin(np.radians(lon2 - lon1) / 2.0)), repeat(2)), np.float64, n)
+    h += np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * sin2_dlam
+    return 2.0 * EARTH_RADIUS_KM * np.fromiter(map(math.asin, memoryview(np.minimum(1.0, np.sqrt(h)))), np.float64, n)
 
 
 def from_unit_vector(x: float, y: float, z: float) -> tuple[float, float]:
@@ -59,23 +67,9 @@ def from_unit_vector(x: float, y: float, z: float) -> tuple[float, float]:
     return (lat, normalize_lon(lon))
 
 
-def center_of_mass(points: list[tuple[float, float]]) -> tuple[float, float]:
-    """Spherical center of mass: the 3-D mean of unit position vectors,
-    projected back onto the sphere.
-
-    Raises DegenerateCenterError when the mean vector norm falls below
-    1e-12 (antipodal cancellation); callers that need totality substitute
-    the first point.
-    """
-    if not points:
-        raise ValueError("center_of_mass needs at least one point")
-    sx = sy = sz = 0.0
-    for lat, lon in points:
-        x, y, z = to_unit_vector(lat, lon)
-        sx += x
-        sy += y
-        sz += z
-    n = len(points)
+def mean_center(sx: float, sy: float, sz: float, n: int) -> tuple[float, float]:
+    """Spherical center of mass of n points whose unit vectors sum to (sx, sy, sz): their 3-D mean
+    projected onto the sphere. DegenerateCenterError when its norm is below 1e-12 (antipodal cancellation)."""
     mx, my, mz = sx / n, sy / n, sz / n
     if math.sqrt(mx * mx + my * my + mz * mz) < 1e-12:
         raise DegenerateCenterError("mean position vector cancels to zero")

@@ -12,7 +12,8 @@ import os
 from contextlib import contextmanager, suppress
 from typing import IO, Any, Iterable, Iterator, Sequence
 
-from .ingest import GeoEvent
+from . import ingest
+from .ingest import EventTable
 
 
 def fmt(value: Any) -> str:
@@ -81,19 +82,28 @@ def read_json(path: str) -> Any:
 EVENT_HEADER = ["user_id", "timestamp", "lat", "lon", "source", "country"]
 
 
-def write_events(path: str, events: Sequence[GeoEvent]) -> None:
+def event_rows(events: EventTable) -> list[str]:
+    """Each event's event-table line, newline included, formatted a block at a time to bound transient objects."""
+    users, sources, countries = events.users, events.sources, events.countries + [""]
+    columns = (events.user, events.timestamp, events.lat, events.lon, events.source, events.country)
+    rows: list[str] = []
+    for start in range(0, len(events), 1 << 14):
+        block = (column[start : start + (1 << 14)].tolist() for column in columns)
+        rows += [f"{users[u]},{t},{y!r},{x!r},{sources[s]},{countries[c]}\n" for u, t, y, x, s, c in zip(*block)]
+    return rows
+
+
+def write_events(path: str, rows: Sequence[str]) -> None:
+    """An event table of rows as event_rows formats them."""
     with replacing(path) as fh:
         fh.write(",".join(EVENT_HEADER) + "\n")
-        for e in events:
-            fh.write(f"{e.user_id},{e.timestamp},{e.lat!r},{e.lon!r},{e.source},{e.country or ''}\n")
+        fh.writelines(rows)
 
 
-def read_events(path: str) -> list[GeoEvent]:
+def read_events(path: str) -> EventTable:
     """Strict read of a previously written event table (no malformed rows)."""
-    from .ingest import parse_events
-
     with open(path, encoding="utf-8") as fh:
-        report = parse_events(fh)
+        report = ingest.parse_events(fh)
     if report.errors:
         lineno, reason = report.errors[0]
         raise ValueError(f"{path}:{lineno}: {reason}")

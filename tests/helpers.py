@@ -7,13 +7,31 @@ cross-check implementations instead of echoing them.
 
 from __future__ import annotations
 
+import calendar
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from datetime import datetime, timezone
+from fractions import Fraction
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from geoflow import ingest, tables
+from geoflow.clean import CleaningStats
 from geoflow.community import SPLIT_EPS, Partition, PartitionHierarchy, modularity, optimize_partition
-from geoflow.ingest import CountryBoundary, GeoEvent, Trajectory
+from geoflow.ingest import (
+    MAX_ERRORS,
+    BoundaryIndex,
+    CountryBoundary,
+    EventTable,
+    GeoEvent,
+    _looks_like_header,
+    _parse_line,
+    load_boundaries,
+)
+from geoflow.metrics import DailySeries, _normalize
+from geoflow.residence import UserProfile, assign_residence
+from geoflow.sphere import DegenerateCenterError, from_unit_vector, haversine_km
 
 Edges = Mapping[tuple[str, str], float]
 
@@ -295,3 +313,385 @@ def reference_hierarchical_partition(
         levels.append(Partition(assignment=new_assignment, q=q))
         parents.append(parent_of)
     return PartitionHierarchy(levels=levels, parents=parents)
+
+
+# ---------------------------------------------------------------------------
+# Object-based event pipeline: one GeoEvent per event, one Python step per
+# event. The package's columnar EventTable layers must agree with these
+# exactly, row for row and bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def table_of(events: Iterable[GeoEvent]) -> EventTable:
+    """The EventTable of some events, through their event-table lines (floats round-trip exactly)."""
+    lines = [f"{e.user_id},{e.timestamp},{e.lat!r},{e.lon!r},{e.source},{e.country or ''}" for e in events]
+    return ingest.parse_events(["user_id,timestamp,lat,lon,source,country", *lines]).events
+
+
+def events_of(table: EventTable) -> list[GeoEvent]:
+    """The rows of an EventTable as GeoEvents."""
+    columns = (table.user, table.timestamp, table.lat, table.lon, table.source, table.country)
+    return [
+        GeoEvent(table.users[u], t, lat, lon, table.sources[s], table.countries[c] if c >= 0 else None)
+        for u, t, lat, lon, s, c in zip(*(column.tolist() for column in columns))
+    ]
+
+
+@dataclass(slots=True)
+class Trajectory:
+    """All events of one user, sorted by (timestamp, input order)."""
+
+    user_id: str
+    events: list[GeoEvent]
+
+
+@dataclass(slots=True)
+class ObjectParseReport:
+    events: list[GeoEvent]
+    errors: list[tuple[int, str]]
+    n_lines: int = 0
+    header_skipped: bool = False
+    n_malformed: int = 0
+
+
+def parse_events(stream: Iterable[str] | Iterable[bytes]) -> ObjectParseReport:
+    """ingest.parse_events with one GeoEvent per well-formed line."""
+    report = ObjectParseReport(events=[], errors=[])
+    for lineno, line in enumerate(stream, start=1):
+        report.n_lines = lineno
+        try:
+            line = (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
+            if not line.strip():
+                raise ValueError("blank line")
+            parts = line.split(",")
+            if lineno == 1 and _looks_like_header(parts):
+                report.header_skipped = True
+                continue
+            report.events.append(GeoEvent(*_parse_line(parts)))
+        except ValueError as exc:
+            report.n_malformed += 1
+            if len(report.errors) < MAX_ERRORS:
+                report.errors.append((lineno, "invalid UTF-8" if isinstance(exc, UnicodeDecodeError) else str(exc)))
+    return report
+
+
+def write_events(path: str, events: Sequence[GeoEvent]) -> None:
+    with tables.replacing(path) as fh:
+        fh.write(",".join(tables.EVENT_HEADER) + "\n")
+        for e in events:
+            fh.write(f"{e.user_id},{e.timestamp},{e.lat!r},{e.lon!r},{e.source},{e.country or ''}\n")
+
+
+def read_events(path: str) -> list[GeoEvent]:
+    with open(path, encoding="utf-8") as fh:
+        report = parse_events(fh)
+    if report.errors:
+        lineno, reason = report.errors[0]
+        raise ValueError(f"{path}:{lineno}: {reason}")
+    return report.events
+
+
+def label_events(events: list[GeoEvent], index: BoundaryIndex | None) -> tuple[list[GeoEvent], int]:
+    """Attach country labels in place; returns (labeled events, dropped count)."""
+    if index is not None:
+        for event in events:
+            if event.country is None:
+                event.country = index.locate(event.lon, event.lat)
+    labeled = [event for event in events if event.country is not None]
+    return labeled, len(events) - len(labeled)
+
+
+def build_trajectories(events: list[GeoEvent]) -> dict[str, Trajectory]:
+    """Per-user trajectories sorted by (timestamp, input order), users in id order."""
+    grouped: dict[str, list[GeoEvent]] = {}
+    for event in events:
+        grouped.setdefault(event.user_id, []).append(event)
+    out: dict[str, Trajectory] = {}
+    for user_id in sorted(grouped):
+        evs = grouped[user_id]
+        evs.sort(key=lambda e: e.timestamp)  # stable: input order preserved on ties
+        out[user_id] = Trajectory(user_id=user_id, events=evs)
+    return out
+
+
+def speed_filter(trajectory: Trajectory, max_speed_kmh: float = 1000.0) -> tuple[Trajectory, int]:
+    """Sequential scan against the last retained event (see clean.speed_filter)."""
+    events = trajectory.events
+    if len(events) <= 1:
+        return Trajectory(trajectory.user_id, list(events)), 0
+    kept = [events[0]]
+    removed = 0
+    for event in events[1:]:
+        last = kept[-1]
+        dist = haversine_km((last.lat, last.lon), (event.lat, event.lon))
+        gap = event.timestamp - last.timestamp
+        if gap == 0:
+            ok = dist == 0.0
+        else:
+            ok = dist * 3600.0 <= max_speed_kmh * gap
+        if ok:
+            kept.append(event)
+        else:
+            removed += 1
+    return Trajectory(trajectory.user_id, kept), removed
+
+
+def rank_sources(events: list[GeoEvent], weight_mode: str = "users") -> dict[str, list[tuple[str, int]]]:
+    """Per-country source ranking by mass, heaviest first, ties by source name."""
+    if weight_mode not in ("users", "events"):
+        raise ValueError(f"weight_mode must be 'users' or 'events', got {weight_mode!r}")
+    if weight_mode == "users":
+        seen: dict[str, dict[str, set[str]]] = {}
+        for event in events:
+            if event.country is None:
+                raise ValueError(f"event of user {event.user_id!r} has no country label")
+            seen.setdefault(event.country, {}).setdefault(event.source, set()).add(event.user_id)
+        masses = {c: {s: len(u) for s, u in per.items()} for c, per in seen.items()}
+    else:
+        masses = {}
+        for event in events:
+            if event.country is None:
+                raise ValueError(f"event of user {event.user_id!r} has no country label")
+            per = masses.setdefault(event.country, {})
+            per[event.source] = per.get(event.source, 0) + 1
+    return {
+        country: sorted(per.items(), key=lambda kv: (-kv[1], kv[0]))
+        for country, per in sorted(masses.items())
+    }
+
+
+def source_popularity_filter(
+    events: list[GeoEvent], coverage: float = 0.95, weight_mode: str = "users"
+) -> tuple[dict[str, set[str]], list[GeoEvent], CleaningStats]:
+    """clean.source_popularity_filter returning the kept events instead of a mask."""
+    if not 0.0 < coverage <= 1.0:
+        raise ValueError(f"coverage must be in (0, 1], got {coverage}")
+    rankings = rank_sources(events, weight_mode)
+    share = Fraction(str(coverage))
+    retained: dict[str, set[str]] = {}
+    retained_ordered: dict[str, list[str]] = {}
+    for country, ranking in rankings.items():
+        total = sum(mass for _, mass in ranking)
+        threshold = share * total
+        cumulative = 0
+        keep: list[str] = []
+        for source, mass in ranking:
+            keep.append(source)
+            cumulative += mass
+            if cumulative >= threshold:
+                break
+        retained_ordered[country] = keep
+        retained[country] = set(keep)
+    filtered = apply_source_filter(events, retained)
+    stats = CleaningStats(
+        retained_sources=retained_ordered,
+        rankings=rankings,
+        users_before=len({e.user_id for e in events}),
+        users_after=len({e.user_id for e in filtered}),
+        events_before=len(events),
+        events_after=len(filtered),
+    )
+    return retained, filtered, stats
+
+
+def apply_source_filter(events: list[GeoEvent], retained: dict[str, set[str]]) -> list[GeoEvent]:
+    """Drop events whose (country, source) is not in the frozen retained map."""
+    out: list[GeoEvent] = []
+    for event in events:
+        if event.country is None:
+            raise ValueError(f"event of user {event.user_id!r} has no country label")
+        if event.source in retained.get(event.country, ()):
+            out.append(event)
+    return out
+
+
+def build_profiles(events: list[GeoEvent]) -> dict[str, UserProfile]:
+    """Aggregate labeled events into per-user profiles with residence assigned."""
+    counts: dict[str, dict[str, int]] = {}
+    first_seen: dict[str, dict[str, int]] = {}
+    for event in events:
+        if event.country is None:
+            raise ValueError(f"event of user {event.user_id!r} has no country label")
+        per_c = counts.setdefault(event.user_id, {})
+        per_c[event.country] = per_c.get(event.country, 0) + 1
+        per_f = first_seen.setdefault(event.user_id, {})
+        if event.country not in per_f or event.timestamp < per_f[event.country]:
+            per_f[event.country] = event.timestamp
+    profiles: dict[str, UserProfile] = {}
+    for user_id in sorted(counts):
+        c = counts[user_id]
+        f = first_seen[user_id]
+        profiles[user_id] = UserProfile(
+            user_id=user_id, counts=c, first_seen=f, residence=assign_residence(c, f), distinct_countries=len(c)
+        )
+    return profiles
+
+
+def to_unit_vector(lat: float, lon: float) -> tuple[float, float, float]:
+    """Unit vector on the sphere for a (lat, lon) in degrees."""
+    phi = math.radians(lat)
+    lam = math.radians(lon)
+    c = math.cos(phi)
+    return (c * math.cos(lam), c * math.sin(lam), math.sin(phi))
+
+
+def center_of_mass(points: list[tuple[float, float]]) -> tuple[float, float]:
+    """Spherical center of mass: the 3-D mean of unit position vectors,
+    projected back onto the sphere; DegenerateCenterError on antipodal
+    cancellation."""
+    if not points:
+        raise ValueError("center_of_mass needs at least one point")
+    sx = sy = sz = 0.0
+    for lat, lon in points:
+        x, y, z = to_unit_vector(lat, lon)
+        sx += x
+        sy += y
+        sz += z
+    n = len(points)
+    mx, my, mz = sx / n, sy / n, sz / n
+    if math.sqrt(mx * mx + my * my + mz * mz) < 1e-12:
+        raise DegenerateCenterError("mean position vector cancels to zero")
+    return from_unit_vector(mx, my, mz)
+
+
+def radius_of_gyration(points: list[tuple[float, float]]) -> float:
+    """Root-mean-square great-circle distance from the points' center of mass."""
+    if not points:
+        raise ValueError("no points")
+    if all(p == points[0] for p in points):
+        return 0.0  # the center is the point itself; skip round-trip noise
+    try:
+        center = center_of_mass(points)
+    except DegenerateCenterError:
+        center = points[0]
+    total = 0.0
+    for p in points:
+        d = haversine_km(p, center)
+        total += d * d
+    return (total / len(points)) ** 0.5
+
+
+def user_gyration_radii(events: list[GeoEvent]) -> dict[str, float]:
+    """Per-user radius of gyration over all of the user's event locations."""
+    per_user: dict[str, list[tuple[float, float]]] = {}
+    for event in events:
+        per_user.setdefault(event.user_id, []).append((event.lat, event.lon))
+    return {uid: radius_of_gyration(pts) for uid, pts in sorted(per_user.items())}
+
+
+def displacements(trajectory: Trajectory) -> list[float]:
+    """Great-circle distances between consecutive events; empty for n <= 1."""
+    evs = trajectory.events
+    return [haversine_km((a.lat, a.lon), (b.lat, b.lon)) for a, b in zip(evs, evs[1:])]
+
+
+def daily_abroad_series(
+    profiles: Mapping[str, UserProfile], events: list[GeoEvent], direction: str, year: int = 2012
+) -> dict[str, DailySeries]:
+    """Per-country daily counts of users active outside their residence."""
+    if direction not in ("outbound", "inbound"):
+        raise ValueError(f"direction must be 'outbound' or 'inbound', got {direction!r}")
+    n_days = 366 if calendar.isleap(year) else 365
+    start = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
+    domain: set[str] = set()
+    for profile in profiles.values():
+        domain.update(profile.counts)
+    daily: dict[str, list[set[str]]] = {c: [set() for _ in range(n_days)] for c in sorted(domain)}
+    for event in events:
+        if event.country is None:
+            raise ValueError(f"event of user {event.user_id!r} has no country label")
+        profile = profiles.get(event.user_id)
+        if profile is None or event.country == profile.residence:
+            continue
+        day = (event.timestamp - start) // 86400
+        if not 0 <= day < n_days:
+            continue
+        key = profile.residence if direction == "outbound" else event.country
+        daily[key][day].add(event.user_id)
+    out: dict[str, DailySeries] = {}
+    for code, sets in daily.items():
+        values = [len(s) for s in sets]
+        out[code] = DailySeries(code=code, direction=direction, year=year, values=values, normalized=_normalize(values))
+    return out
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    return "".join(",".join(tables.fmt(cell) for cell in row) + "\n" for row in [header, *rows])
+
+
+def oracle_artifacts(config: Mapping[str, Any]) -> dict[str, str]:
+    """The event-level artifacts of `geoflow run`, rebuilt with the object pipeline above.
+
+    Covers ingest, clean, the user profiles, the daily series, the
+    displacements and the gyration radii; keys are artifact file names.
+    """
+    paths, settings = config["paths"], config["clean"]
+    with open(paths["events"], "rb") as fh:
+        report = parse_events(fh)
+    index = BoundaryIndex(load_boundaries(paths["boundaries"])) if paths["boundaries"] else None
+    labeled, _ = label_events(report.events, index)
+    out = {"events_labeled.csv": _event_file(labeled)}
+    trajectories = build_trajectories(labeled)
+    speed_kept: list[GeoEvent] = []
+    for user_id in sorted(trajectories):
+        filtered, _ = speed_filter(trajectories[user_id], settings["max_speed_kmh"])
+        speed_kept.extend(filtered.events)
+    retained, cleaned, stats = source_popularity_filter(speed_kept, settings["coverage"], settings["weight_mode"])
+    out["events_clean.csv"] = _event_file(cleaned)
+    out["cleaning_report.csv"] = _csv(
+        ["country", "source", "mass", "retained"],
+        [[c, s, m, s in retained.get(c, set())] for c in sorted(stats.rankings) for s, m in stats.rankings[c]],
+    )
+    profiles = build_profiles(cleaned)
+    out["profiles.csv"] = _csv(
+        ["user_id", "residence", "total_events", "distinct_countries"],
+        [[p.user_id, p.residence, p.total_events, p.distinct_countries] for _, p in sorted(profiles.items())],
+    )
+    for direction in ("outbound", "inbound"):
+        series = daily_abroad_series(profiles, cleaned, direction, year=config["year"])
+        out[f"daily_{direction}.csv"] = _csv(
+            ["code", "day", "count", "normalized"],
+            [
+                [c, day, v, norm]
+                for c in sorted(series)
+                for day, (v, norm) in enumerate(zip(series[c].values, series[c].normalized))
+            ],
+        )
+    traj_clean = build_trajectories(cleaned)
+    out["displacements.csv"] = _csv(
+        ["user_id", "km"], [[u, d] for u in sorted(traj_clean) for d in displacements(traj_clean[u])]
+    )
+    radii = user_gyration_radii(cleaned)
+    out["gyration.csv"] = _csv(["user_id", "km"], [[u, radii[u]] for u in sorted(radii)])
+    return out
+
+
+def _event_file(events: Sequence[GeoEvent]) -> str:
+    rows = [f"{e.user_id},{e.timestamp},{e.lat!r},{e.lon!r},{e.source},{e.country or ''}\n" for e in events]
+    return ",".join(tables.EVENT_HEADER) + "\n" + "".join(rows)
+
+
+# A few fixed points, antipodal pairs and seam neighbours among them, plus
+# any point: the columnar layers must agree with the oracles above on all.
+FIXED_POINTS = [
+    (0.0, 0.0), (0.0, 1.0), (0.0, 10.0), (0.0, 180.0), (45.0, 90.0), (-45.0, -90.0),
+    (10.0, 179.9), (10.0, -179.9), (90.0, 0.0), (-90.0, 0.0),
+]
+
+
+def event_lists(max_size: int = 40):
+    """Hypothesis strategy: labeled events of a few users, sources and countries, close in time."""
+    from hypothesis import strategies as st
+
+    point = st.sampled_from(FIXED_POINTS) | st.tuples(st.floats(-90.0, 90.0), st.floats(-179.9, 180.0))
+    return st.lists(
+        st.builds(
+            lambda user, ts, p, source, country: ev(user, Y2012 + ts, p[0], p[1], source, country),
+            st.sampled_from("abcd"),
+            st.integers(-90_000, 200_000),
+            point,
+            st.sampled_from(["s1", "s2", "s3"]),
+            st.sampled_from(["AA", "BB", "CC"]),
+        ),
+        max_size=max_size,
+    )

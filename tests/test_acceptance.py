@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from geoflow import clean as clean_mod
+import helpers as clean_mod
 from geoflow.cli import main
 from geoflow.community import hierarchical_partition, modularity, optimize_partition
-from geoflow.ingest import BoundaryIndex, GeoEvent, build_trajectories, label_events
+from geoflow.ingest import BoundaryIndex, GeoEvent
 from geoflow.models import capital_distances, fit_gravity, fit_power_law
 from geoflow.sphere import haversine_km, normalize_lon
 from geoflow.synth import (
@@ -26,7 +26,15 @@ from geoflow.synth import (
     sample_power_law,
     world_boundaries,
 )
-from helpers import brute_best_q, groups_of, nested_fixture, random_digraph, set_partitions
+from helpers import (
+    brute_best_q,
+    build_trajectories,
+    groups_of,
+    label_events,
+    nested_fixture,
+    random_digraph,
+    set_partitions,
+)
 
 
 def run_cli(*argv):

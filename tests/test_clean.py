@@ -6,15 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geoflow.clean import (
-    apply_source_filter,
-    haversine_km,
-    rank_sources,
-    source_popularity_filter,
-    speed_filter,
-)
-from geoflow.ingest import Trajectory
-from helpers import ev, traj
+from geoflow import clean, ingest
+from geoflow.clean import haversine_km
+from helpers import Trajectory, apply_source_filter, ev, rank_sources, source_popularity_filter, speed_filter, traj
+from helpers import build_trajectories, event_lists, events_of, table_of
 
 # ---------------------------------------------------------------- speed filter
 
@@ -262,3 +257,35 @@ def test_retained_sources_cover_requested_mass(rows):
         total = sum(mass for _, mass in ranked)
         kept = sum(mass for source, mass in ranked if source in retained[country])
         assert Fraction(kept) >= Fraction("0.9") * total
+
+
+# ---------------------------------------------------------------- columnar filters
+
+
+@given(event_lists(), st.sampled_from([1000.0, 50.0]))
+def test_table_speed_filter_matches_the_scan(events, cap):
+    table = table_of(events)
+    trajectories = table.take(ingest.build_trajectories(table))
+    keep, removed = clean.speed_filter(trajectories, cap)
+    want, want_removed = [], 0
+    oracle = build_trajectories(events_of(table))
+    for user in sorted(oracle):
+        kept, n = speed_filter(oracle[user], cap)
+        want += kept.events
+        want_removed += n
+    assert events_of(trajectories) == [e for user in sorted(oracle) for e in oracle[user].events]
+    assert (events_of(trajectories.take(keep)), removed) == (want, want_removed)
+
+
+@given(event_lists(), st.sampled_from(["users", "events"]), st.sampled_from([0.5, 0.95, 1.0]))
+def test_table_source_filter_matches_the_object_filter(events, mode, coverage):
+    table = table_of(events)
+    retained, keep, stats = clean.source_popularity_filter(table, coverage, mode)
+    want_retained, want_kept, want_stats = source_popularity_filter(events_of(table), coverage, mode)
+    assert (retained, events_of(table.take(keep)), stats) == (want_retained, want_kept, want_stats)
+    assert list(stats.rankings) == list(want_stats.rankings)
+
+
+def test_table_filters_reject_unlabeled_events():
+    with pytest.raises(ValueError, match="country label"):
+        clean.source_popularity_filter(table_of([ev("u", 1)]))

@@ -1,5 +1,7 @@
 """Command-line pipeline: stages, artifacts, exit codes, overrides."""
 
+import importlib
+import importlib.util
 import json
 import os
 import shutil
@@ -418,6 +420,10 @@ MALFORMED_BOUNDARIES = {
         "type": "FeatureCollection",
         "features": [{"type": "Feature", "properties": {"code": "AA"}, "geometry": {"type": "Polygon", "coordinates": []}}],
     },
+    "polygon_with_empty_ring": {
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"code": "AA"}, "geometry": {"type": "Polygon", "coordinates": [[]]}}],
+    },
     "multipolygon_part_without_rings": {
         "type": "FeatureCollection",
         "features": [{"type": "Feature", "properties": {"code": "AA"}, "geometry": {"type": "MultiPolygon", "coordinates": [[]]}}],
@@ -443,3 +449,66 @@ def test_malformed_boundaries_exit_six(pipeline, tmp_path, doc):
     assert proc.returncode == 6, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "boundary feature 0" in proc.stderr or "FeatureCollection" in proc.stderr
+
+
+def test_run_hands_the_power_law_samples_over_in_memory(tmp_path, monkeypatch):
+    world = build_world(tmp_path, "world")
+    config = str(world / "config.json")
+    read = []
+    original = tables.read_rows
+
+    def recording(path, *args, **kwargs):
+        read.append(os.path.basename(path))
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(tables, "read_rows", recording)
+    assert cli("run", "--config", config) == 0
+    assert read and not {"displacements.csv", "gyration.csv"} & set(read)
+    fit = (world / "artifacts" / "powerlaw_fit.json").read_bytes()
+    read.clear()
+    assert cli("fit-powerlaw", "--config", config) == 0  # a single stage reads the samples back
+    assert {"displacements.csv", "gyration.csv"} <= set(read)
+    assert (world / "artifacts" / "powerlaw_fit.json").read_bytes() == fit
+
+
+def _perfbench_layers():
+    spec = importlib.util.spec_from_file_location("layers", Path(__file__).parents[1] / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+# Traced layers that `run` does not call: read_events serves the single-stage
+# commands, optimize_partition is public API the hierarchy no longer uses, and
+# synth builds the benchmark's inputs.
+NOT_IN_RUN = {"tables.read_events", "community.optimize_partition"}
+# What perfbench/tracer.py reads off the calls it counts.
+TRACED_COUNTS = {
+    "ingest.parse_events": lambda args, r: r.n_lines + r.n_malformed,
+    "ingest.label_events": lambda args, r: len(r[0]) + r[1],
+    "tables.write_events": lambda args, r: len(args[1]),
+    "clean.speed_filter": lambda args, r: r[1],
+    "clean.source_popularity_filter": lambda args, r: r[2].events_after,
+}
+
+
+def test_run_calls_every_traced_layer(tmp_path, monkeypatch):
+    world = build_world(tmp_path, "world")
+    names = [n for n in _perfbench_layers().SELF_S if n not in NOT_IN_RUN and not n.startswith("synth.")]
+    calls = Counter()
+    counts = Counter()
+    for name in names:
+        module = importlib.import_module(f"geoflow.{name.split('.')[0]}")
+        attr = name.split(".")[1]
+
+        def counted(*args, _name=name, _original=getattr(module, attr), **kwargs):
+            result = _original(*args, **kwargs)
+            calls[_name] += 1
+            if _name in TRACED_COUNTS:
+                counts[_name] += int(TRACED_COUNTS[_name](args, result))
+            return result
+
+        monkeypatch.setattr(module, attr, counted)
+    assert cli("run", "--config", str(world / "config.json")) == 0
+    assert [name for name in names if not calls[name]] == []
+    assert set(counts) == set(TRACED_COUNTS)  # every count the tracer takes reads off its call

@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoflow import ingest
-from geoflow.ingest import (
-    BoundaryIndex,
-    CountryBoundary,
-    GeoEvent,
+from geoflow.ingest import BoundaryIndex, CountryBoundary, GeoEvent, load_boundaries
+from helpers import events_of, table_of
+from helpers import (
+    ScalarBoundaryIndex,
     Trajectory,
     build_trajectories,
+    ev,
     label_events,
-    load_boundaries,
     parse_events,
+    point_in_rings_crossing,
 )
-from helpers import ScalarBoundaryIndex, ev, point_in_rings_crossing
 
 SQUARE = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (0.0, 0.0)]
 
@@ -364,3 +364,58 @@ def test_build_trajectories_partitions_events(pairs):
         assert all(e.user_id == user for e in t.events)
         stamps = [e.timestamp for e in t.events]
         assert stamps == sorted(stamps)
+
+
+# ---------------------------------------------------------------- columnar table
+
+FIELDS = ["u1", " u2 ", "", "100", "1.50", "+3", "007", "-5", "190", "-180", "90.0", "1e1", "nan", "xx", "de", " web "]
+
+
+@given(st.lists(st.lists(st.sampled_from(FIELDS), min_size=4, max_size=7).map(",".join), max_size=25))
+def test_table_parser_matches_the_object_parser(lines):
+    """Same checks, same errors, same values: canonical or not, every field lands where the object parser puts it."""
+    got, want = ingest.parse_events(lines), parse_events(lines)
+    assert events_of(got.events) == want.events
+    assert (got.errors, got.n_lines, got.header_skipped, got.n_malformed) == (
+        want.errors, want.n_lines, want.header_skipped, want.n_malformed
+    )
+
+
+def test_parse_rejects_timestamps_beyond_int64():
+    report = ingest.parse_events([f"u,{2**63 - 1},0,0,web", f"u,{2**63},0,0,web"])
+    assert (len(report.events), report.n_malformed) == (1, 1)
+    assert report.errors == [(2, f"timestamp beyond int64: {2**63}")]
+    assert report.events.timestamp.tolist() == [2**63 - 1]
+
+
+def test_table_parser_counts_undecodable_bytes():
+    report = ingest.parse_events([b"u,1,0,0,web", b"\xff,2,0,0,web", b"v,3,0,0,web,de"])
+    assert (report.n_malformed, report.errors) == (1, [(2, "invalid UTF-8")])
+    assert events_of(report.events) == [ev("u", 1, source="web"), ev("v", 3, source="web", country="DE")]
+
+
+@given(st.lists(st.tuples(st.floats(-5.0, 25.0), st.floats(-5.0, 15.0), st.sampled_from([None, "AA", "ZZ"])), max_size=40))
+def test_table_labeling_matches_the_object_labeling(points):
+    other = ring((10, 0), (20, 0), (20, 10), (10, 10), (10, 0))  # shares the x = 10 edge with AA
+    index = BoundaryIndex([CountryBoundary("AA", [[SQUARE]]), CountryBoundary("CC", [[other]])])
+    table = table_of([ev(f"u{i % 3}", i, lat=y, lon=x, country=c) for i, (x, y, c) in enumerate(points)])
+    labeled, dropped = ingest.label_events(table, index)
+    want, want_dropped = label_events(events_of(table), index)
+    assert (events_of(labeled), dropped) == (want, want_dropped)
+    assert labeled.countries == sorted(labeled.countries)
+    kept, dropped = ingest.label_events(table, None)
+    assert events_of(kept) == [e for e in events_of(table) if e.country is not None]
+    assert dropped == sum(c is None for _, _, c in points)
+
+
+def test_boundary_index_rejects_a_polygon_without_rings():
+    with pytest.raises(ValueError, match="^AA: polygon has no rings$"):
+        BoundaryIndex([CountryBoundary("AA", [[]])])
+
+
+def test_empty_ring_names_its_feature(tmp_path):
+    empty = {"type": "Feature", "properties": {"code": "AA"}, "geometry": {"type": "Polygon", "coordinates": [[]]}}
+    path = tmp_path / "b.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": [empty]}), encoding="utf-8")
+    with pytest.raises(ValueError, match="^boundary feature 0: AA: ring has 0 vertices, need >= 4$"):
+        load_boundaries(str(path))

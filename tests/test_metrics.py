@@ -7,19 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geoflow.metrics import (
-    build_mobility_profiles,
+from geoflow import ingest, metrics
+from geoflow.metrics import build_mobility_profiles, destination_diversity, is_mobile, mobility_rate
+from geoflow.sphere import EARTH_RADIUS_KM, haversine_km
+from helpers import (
+    Y2012,
+    build_profiles,
     daily_abroad_series,
-    destination_diversity,
     displacements,
-    is_mobile,
-    mobility_rate,
+    ev,
     radius_of_gyration,
+    rotate_points,
+    traj,
     user_gyration_radii,
 )
-from geoflow.residence import build_profiles
-from geoflow.sphere import EARTH_RADIUS_KM, haversine_km
-from helpers import Y2012, ev, rotate_points, traj
+from helpers import build_trajectories, event_lists, events_of, table_of
 
 HALF_TURN_KM = math.pi * EARTH_RADIUS_KM
 
@@ -44,7 +46,7 @@ def test_equatorial_pair_radius_is_quarter_arc():
 
 def test_radius_matches_direct_formula():
     pts = [(48.8566, 2.3522), (52.52, 13.405), (40.4168, -3.7038)]
-    from geoflow.sphere import center_of_mass
+    from helpers import center_of_mass
 
     center = center_of_mass(pts)
     want = math.sqrt(sum(haversine_km(center, p) ** 2 for p in pts) / len(pts))
@@ -292,3 +294,31 @@ def test_series_cover_every_observed_country():
 def test_unknown_direction_rejected():
     with pytest.raises(ValueError):
         daily_abroad_series({}, [], "sideways")
+
+
+# ---------------------------------------------------------------- columnar metrics
+
+
+@given(event_lists(), st.sampled_from(["outbound", "inbound"]))
+def test_table_metrics_match_the_object_metrics(events, direction):
+    table = table_of(events)
+    trajectories = table.take(ingest.build_trajectories(table))
+    objects = events_of(trajectories)
+    radii = metrics.user_gyration_radii(trajectories)
+    want = user_gyration_radii(objects)
+    assert radii == want and list(radii) == list(want)  # bit for bit, in user id order
+    users, km = metrics.displacements(trajectories)
+    oracle = build_trajectories(objects)
+    want_km = [(user, d) for user in sorted(oracle) for d in displacements(oracle[user])]
+    assert list(zip([trajectories.users[u] for u in users.tolist()], km.tolist())) == want_km
+    profiles = build_profiles(objects)
+    series = metrics.daily_abroad_series(profiles, trajectories, direction)
+    assert series == daily_abroad_series(profiles, objects, direction)
+    assert list(series) == sorted(series)
+
+
+def test_gyration_of_an_antipodal_pair_anchors_at_the_first_event():
+    trajectories = table_of([ev("u", 1, 0.0, 0.0), ev("u", 2, 0.0, 180.0), ev("v", 1, 5.0, 5.0)])
+    radii = metrics.user_gyration_radii(trajectories)
+    assert radii == {"u": radius_of_gyration([(0.0, 0.0), (0.0, 180.0)]), "v": 0.0}
+    assert radii["u"] == pytest.approx(HALF_TURN_KM / math.sqrt(2.0))

@@ -13,8 +13,8 @@ from geoflow.network import (
     normalize_and_filter,
     top_k_flows,
 )
-from geoflow.residence import build_profiles, compute_country_stats
-from helpers import ev
+from geoflow.residence import compute_country_stats
+from helpers import build_profiles, ev
 
 
 def profiles_from(visits):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geoflow.residence import assign_residence, build_profiles, compute_country_stats
-from helpers import ev
+from geoflow import residence
+from geoflow.residence import assign_residence, compute_country_stats
+from helpers import build_profiles, ev, event_lists, table_of
 
 
 # ---------------------------------------------------------------- assignment
@@ -236,3 +237,15 @@ def test_tightening_thresholds_never_adds_countries(resident_counts, pens, mins)
     included_loose = {c for c, s in loose.items() if s.included}
     included_tight = {c for c, s in tight.items() if s.included}
     assert included_tight <= included_loose
+
+
+@given(event_lists())
+def test_table_profiles_match_the_object_profiles(events):
+    got = residence.build_profiles(table_of(events))
+    want = build_profiles(events)
+    assert got == want and list(got) == list(want)
+
+
+def test_table_profiles_reject_unlabeled_events():
+    with pytest.raises(ValueError, match="country label"):
+        residence.build_profiles(table_of([ev("u", 1)]))

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from geoflow.sphere import (
     EARTH_RADIUS_KM,
     DegenerateCenterError,
-    center_of_mass,
     from_unit_vector,
     haversine_km,
+    haversine_many,
     normalize_lon,
-    to_unit_vector,
 )
+from helpers import center_of_mass, to_unit_vector
 
 HALF_TURN_KM = math.pi * EARTH_RADIUS_KM  # antipodal distance
 ONE_DEGREE_KM = HALF_TURN_KM / 180.0  # meridian arc per degree
@@ -145,3 +145,29 @@ def test_center_of_antipodal_pair_is_degenerate():
         center_of_mass([(0.0, 0.0), (0.0, 180.0)])
     with pytest.raises(DegenerateCenterError):
         center_of_mass([(90.0, 0.0), (-90.0, 0.0)])
+
+
+def test_array_haversine_is_bit_for_bit_the_scalar_one():
+    """haversine_many mixes numpy and libm calls; numpy may pick other SIMD loops elsewhere, so check its bits."""
+    rng = np.random.default_rng(20131104)
+    n = 120_000
+    lat1, lon1 = rng.uniform(-90.0, 90.0, n), rng.uniform(-180.0, 180.0, n)
+    lat2, lon2 = rng.uniform(-90.0, 90.0, n), rng.uniform(-180.0, 180.0, n)
+    near = slice(0, 30_000)  # neighbours, as consecutive events mostly are
+    lat2[near] = np.clip(lat1[near] + rng.normal(0.0, 0.05, 30_000), -90.0, 90.0)
+    lon2[near] = np.clip(lon1[near] + rng.normal(0.0, 0.05, 30_000), -180.0, 180.0)
+    identical = slice(30_000, 35_000)
+    lat2[identical], lon2[identical] = lat1[identical], lon1[identical]
+    antipodes = slice(35_000, 45_000)  # near-antipodes, where the arcsine argument reaches 1
+    lat2[antipodes] = -lat1[antipodes] + rng.normal(0.0, 1e-7, 10_000)
+    lon2[antipodes] = np.where(lon1[antipodes] > 0, lon1[antipodes] - 180.0, lon1[antipodes] + 180.0)
+    poles = slice(45_000, 50_000)
+    lat1[poles] = rng.choice([90.0, -90.0], 5_000)
+    seam = slice(50_000, 60_000)  # pairs straddling the +-180 meridian
+    lon1[seam] = rng.choice([180.0, -180.0, 179.9999, -179.9999], 10_000)
+    lon2[seam] = rng.choice([180.0, -180.0, 179.99, -179.99], 10_000)
+    got = haversine_many(lat1, lon1, lat2, lon2)
+    want = np.array([haversine_km(a, b) for a, b in zip(zip(lat1.tolist(), lon1.tolist()), zip(lat2.tolist(), lon2.tolist()))])
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, [(lat1[i], lon1[i], lat2[i], lon2[i], got[i], want[i]) for i in differ[:5]]
+    assert haversine_many(*(np.empty(0),) * 4).shape == (0,)

@@ -7,7 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from geoflow.ingest import BoundaryIndex, parse_events
+from geoflow.ingest import BoundaryIndex
 from geoflow.models import capital_distances
 from geoflow.sphere import haversine_km
 from geoflow.synth import (
@@ -21,6 +21,7 @@ from geoflow.synth import (
     sample_power_law,
     world_boundaries,
 )
+from helpers import parse_events
 
 YEAR_START = int(datetime(2012, 1, 1, tzinfo=timezone.utc).timestamp())
 YEAR_SECONDS = 366 * 86400  # 2012 is a leap year

@@ -6,18 +6,8 @@ import pytest
 
 from geoflow.config import ConfigError, default_config, load_config
 from geoflow.ingest import GeoEvent
-from geoflow.tables import (
-    fmt,
-    read_capitals,
-    read_census,
-    read_events,
-    read_json,
-    read_reference,
-    read_rows,
-    write_events,
-    write_json,
-    write_rows,
-)
+from geoflow.tables import fmt, read_capitals, read_census, read_json, read_reference, read_rows, write_json, write_rows
+from helpers import read_events, write_events
 
 # ---------------------------------------------------------------- cells and rows
 
