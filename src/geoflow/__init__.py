@@ -9,15 +9,8 @@ synthetic-world generator provides exact ground truth for all of it.
 
 from .clean import source_popularity_filter, speed_filter
 from .community import Partition, PartitionHierarchy, hierarchical_partition, modularity, optimize_partition
-from .ingest import (
-    BoundaryIndex,
-    CountryBoundary,
-    EventTable,
-    GeoEvent,
-    build_trajectories,
-    load_boundaries,
-    parse_events,
-)
+from .ingest import BoundaryIndex, CountryBoundary, EventTable, GeoEvent
+from .ingest import build_trajectories, load_boundaries, parse_events
 from .metrics import (
     DailySeries,
     MobilityProfile,
@@ -36,13 +29,7 @@ from .models import (
     loglog_regression,
     validate_external,
 )
-from .network import (
-    FlowNetwork,
-    build_flow_network,
-    inflow_outflow_balance,
-    normalize_and_filter,
-    top_k_flows,
-)
+from .network import FlowNetwork, build_flow_network, inflow_outflow_balance, normalize_and_filter, top_k_flows
 from .residence import CountryStats, UserProfile, assign_residence, build_profiles, compute_country_stats
 from .sphere import EARTH_RADIUS_KM, haversine_km
 from .synth import SynthCountry, SynthWorld, expected_flows, generate_events, make_world, sample_power_law

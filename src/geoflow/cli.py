@@ -258,7 +258,7 @@ def stage_metrics(ws: Workspace) -> None:
         series = metrics_mod.daily_abroad_series(profiles, events, direction, year=ws.config["year"])
         rows = ([s.code, day, *pair] for s in series.values() for day, pair in enumerate(zip(s.values, s.normalized)))
         ws.write_rows(f"daily_{direction}.csv", rows)
-    users, km = metrics_mod.displacements(events)  # events_clean.csv is in trajectory order
+    users, km = metrics_mod.displacements(events)
     km = km.tolist()
     ws.write_rows("displacements.csv", zip([events.users[u] for u in users.tolist()], km))
     ws.write_rows("gyration.csv", radii.items())  # in user id order

@@ -335,7 +335,7 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
             boundary = CountryBoundary(code=str(code), polygons=polygons)
         except (AttributeError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"boundary feature {number}: {exc}") from exc
-        boundary.code = boundary.code.upper()
+        boundary.code = boundary.code.upper()  # checked first, so its errors name the code as the file writes it
         out.append(boundary)
     return out
 

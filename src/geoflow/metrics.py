@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import EventTable, runs
+from .ingest import EventTable, build_trajectories, runs
 from .residence import UserProfile
 from .sphere import DegenerateCenterError, haversine_many, mean_center
 
@@ -47,25 +47,37 @@ def mobility_rate(country: str, profiles: Mapping[str, UserProfile]) -> float:
 def _run_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sum over the last axis of each run offsets[k]:offsets[k + 1], left to right from 0.0 as a loop adds.
 
-    Step j adds the j-th value of every run that long: one array step per step of the longest run."""
+    Array step j adds value j of every run longer than j; runs still longer after the last step are each
+    finished by one cumsum (in order too). Steps are as many as minimize steps + runs finished alone."""
     lengths = np.diff(offsets)
     by_length = np.argsort(-lengths, kind="stable")
-    active = np.searchsorted(-lengths[by_length], -np.arange(lengths.max(initial=0)))  # runs longer than j
+    longer = np.searchsorted(-lengths[by_length], -np.arange(lengths.max(initial=0) + 1))  # runs longer than j
+    steps = int(np.argmin(np.arange(len(longer)) + longer))
     sums = np.zeros(values.shape[:-1] + lengths.shape)
-    for j, m in enumerate(active.tolist()):
+    for j, m in enumerate(longer[:steps].tolist()):
         sums[..., by_length[:m]] += values[..., offsets[by_length[:m]] + j]
+    for k in by_length[: longer[steps]].tolist():
+        tail = values[..., offsets[k] + steps : offsets[k + 1]]
+        sums[..., k] = np.cumsum(np.concatenate((sums[..., k : k + 1], tail), axis=-1), axis=-1)[..., -1]
     return sums
 
 
-def user_gyration_radii(trajectories: EventTable) -> dict[str, float]:
+def _in_trajectory_order(events: EventTable) -> EventTable:
+    """The rows in trajectory order (ingest.build_trajectories): the table itself if they already are."""
+    u, ts = events.user, events.timestamp
+    ordered = np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (ts[1:] >= ts[:-1])))  # a stable sort keeps them
+    return events if ordered else events.take(build_trajectories(events))
+
+
+def user_gyration_radii(events: EventTable) -> dict[str, float]:
     """Per-user radius of gyration: RMS great-circle distance of every event from the center of mass.
 
-    Rows must be in trajectory order (see ingest.build_trajectories), and
-    each user's sums run in row order. A user whose events share one point
+    Each user's sums run in trajectory order (ingest.build_trajectories),
+    whatever the order of the rows. A user whose events share one point
     gets 0; when antipodal cancellation leaves the center undefined, the
     user's first event is the anchor. Users come in id order.
     """
-    t = trajectories
+    t = _in_trajectory_order(events)
     offsets = runs(t.user)
     first, n = offsets[:-1], np.diff(offsets)
     run = np.repeat(np.arange(len(n)), n)
@@ -83,9 +95,9 @@ def user_gyration_radii(trajectories: EventTable) -> dict[str, float]:
     return {t.users[u]: (total / count) ** 0.5 if m else 0.0 for u, total, count, m in totals}
 
 
-def displacements(trajectories: EventTable) -> tuple[np.ndarray, np.ndarray]:
+def displacements(events: EventTable) -> tuple[np.ndarray, np.ndarray]:
     """User and great-circle distance of each consecutive pair of one user's events, in trajectory order."""
-    t = trajectories
+    t = _in_trajectory_order(events)
     pair = np.flatnonzero(t.user[1:] == t.user[:-1])
     return t.user[pair], haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
 

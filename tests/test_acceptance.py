@@ -14,6 +14,7 @@ import time
 import pytest
 
 import helpers as clean_mod
+from geoflow import clean, ingest
 from geoflow.cli import main
 from geoflow.community import hierarchical_partition, modularity, optimize_partition
 from geoflow.ingest import BoundaryIndex, GeoEvent
@@ -29,11 +30,13 @@ from geoflow.synth import (
 from helpers import (
     brute_best_q,
     build_trajectories,
+    events_of,
     groups_of,
     label_events,
     nested_fixture,
     random_digraph,
     set_partitions,
+    table_of,
 )
 
 
@@ -261,6 +264,20 @@ def test_criterion_6_cleaning_properties_on_planted_bot_corpus():
     assert {e.user_id for e in cleaned} == set(truth.residences) - set(truth.bots)
     retained2, cleaned2, _ = clean_mod.source_popularity_filter(cleaned, 0.95, "users")
     assert cleaned2 == cleaned
+
+    # the shipping table filters on the same injected world keep exactly these rows, and are idempotent too
+    table, table_dropped = ingest.label_events(table_of(events), index)
+    assert table_dropped == 0 and events_of(table) == labeled[: len(events)]
+    table = table_of(labeled)
+    table = table.take(ingest.build_trajectories(table))
+    keep, table_removed = clean.speed_filter(table, 1000.0)
+    table = table.take(keep)
+    assert table_removed == removed and events_of(table) == kept
+    assert clean.speed_filter(table, 1000.0)[1] == 0
+    table_retained, keep, _ = clean.source_popularity_filter(table, 0.95, "users")
+    table = table.take(keep)
+    assert table_retained == retained and events_of(table) == cleaned
+    assert clean.source_popularity_filter(table, 0.95, "users")[1].all()
     print(
         f"criterion 6: PASS — {removed} teleports removed, no fast pair survives; "
         f"{len(bot_sources)} bot sources all filtered; "

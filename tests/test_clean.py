@@ -180,6 +180,8 @@ def test_planted_user_and_event_survival_fractions():
     assert retained["AA"] == {"a", "b"}
     assert stats.user_fraction == 0.98
     assert stats.event_fraction == 0.95
+    table_retained, _, table_stats = clean.source_popularity_filter(table_of(events), coverage=0.95)
+    assert (table_retained, table_stats) == (retained, stats)
 
 
 def test_countries_filter_independently():

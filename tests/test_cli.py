@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -190,6 +191,30 @@ def test_env_override_reaches_the_stage(pipeline, tmp_path):
     assert stats["user_fraction"] == 1.0
     baseline = read_json(str(world / "artifacts" / "cleaning_stats.json"))
     assert baseline["events_after"] < baseline["events_before"]
+
+
+def test_metrics_stage_orders_shuffled_events_itself(pipeline, tmp_path):
+    world, _ = pipeline
+    header, *lines = (world / "artifacts" / "events_clean.csv").read_text().splitlines(keepends=True)
+    shuffled = lines[:]
+    random.Random(7).shuffle(shuffled)
+    assert shuffled != lines
+    ordered = sorted(shuffled, key=lambda line: (line.split(",")[0], int(line.split(",")[1])))  # stable
+    settings = json.loads((world / "config.json").read_text())
+    outputs = []
+    for name, rows in (("shuffled", shuffled), ("ordered", ordered)):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        (workdir / "events_clean.csv").write_text(header + "".join(rows))
+        settings["paths"]["workdir"] = str(workdir)
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(settings))
+        assert cli("metrics", "--config", str(config)) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(workdir.iterdir())})
+    assert outputs[0].keys() == outputs[1].keys() >= {"gyration.csv", "mobility_profiles.csv", "displacements.csv"}
+    for name in outputs[0]:
+        if name != "events_clean.csv":
+            assert outputs[0][name] == outputs[1][name], name
 
 
 # ---------------------------------------------------------------- exit codes

@@ -1,6 +1,7 @@
 """Mobility measures: gyration radii, displacements, daily abroad series."""
 
 import math
+import random
 from collections.abc import Mapping
 
 import pytest
@@ -322,3 +323,28 @@ def test_gyration_of_an_antipodal_pair_anchors_at_the_first_event():
     radii = metrics.user_gyration_radii(trajectories)
     assert radii == {"u": radius_of_gyration([(0.0, 0.0), (0.0, 180.0)]), "v": 0.0}
     assert radii["u"] == pytest.approx(HALF_TURN_KM / math.sqrt(2.0))
+
+
+@given(event_lists())
+def test_table_metrics_order_the_rows_themselves(events):
+    table = table_of(events)
+    trajectories = table.take(ingest.build_trajectories(table))
+    radii = metrics.user_gyration_radii(table)
+    want = metrics.user_gyration_radii(trajectories)
+    assert radii == want and list(radii) == list(want)
+    for got, want_column in zip(metrics.displacements(table), metrics.displacements(trajectories)):
+        assert got.tolist() == want_column.tolist()
+
+
+def test_gyration_of_a_few_long_trajectories_among_short_ones():
+    rng = random.Random(5)
+    lengths = {"long1": 3000, "long2": 700, **{f"s{k:02d}": 1 + k % 5 for k in range(60)}}
+    events = [
+        ev(user, Y2012 + 60 * i, rng.uniform(-70.0, 70.0), rng.uniform(-180.0, 180.0), country="AA")
+        for user, n in lengths.items()
+        for i in range(n)
+    ]
+    rng.shuffle(events)
+    radii = metrics.user_gyration_radii(table_of(events))
+    want = user_gyration_radii(sorted(events, key=lambda e: (e.user_id, e.timestamp)))  # trajectory order
+    assert radii == want and list(radii) == list(want)

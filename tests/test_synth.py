@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from geoflow import ingest
 from geoflow.ingest import BoundaryIndex
 from geoflow.models import capital_distances
 from geoflow.sphere import haversine_km
@@ -21,7 +22,7 @@ from geoflow.synth import (
     sample_power_law,
     world_boundaries,
 )
-from helpers import parse_events
+from helpers import events_of, parse_events
 
 YEAR_START = int(datetime(2012, 1, 1, tzinfo=timezone.utc).timestamp())
 YEAR_SECONDS = 366 * 86400  # 2012 is a leap year
@@ -349,3 +350,5 @@ def test_event_lines_round_trip_through_parser(corpus):
     assert report.n_malformed == 0
     assert report.header_skipped
     assert report.events == events
+    table = ingest.parse_events(event_lines(events))
+    assert (table.n_malformed, table.header_skipped, events_of(table.events)) == (0, True, events)
