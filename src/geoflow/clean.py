@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ingest import EventTable, runs
+from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
 from .sphere import haversine_km, haversine_many
 
 __all__ = ["speed_filter", "source_popularity_filter", "CleaningStats"]
@@ -22,14 +22,16 @@ __all__ = ["speed_filter", "source_popularity_filter", "CleaningStats"]
 def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tuple[np.ndarray, int]:
     """Keep mask dropping events that imply speed strictly above max_speed_kmh, and the drop count.
 
-    Rows must be in trajectory order (see ingest.build_trajectories). Each
+    Rows in any order are scanned in trajectory order (see
+    ingest.build_trajectories), and the mask is over the rows as given. Each
     trajectory is scanned against its last retained event, whose first event
     is always retained; the later event of an offending pair is dropped. A
     zero time gap means infinite speed (drop) unless the distance is also
     zero (duplicate point, keep). Consecutive pairs are checked as arrays
     first, and only users with an offending pair are scanned one by one.
     """
-    t = trajectories
+    order = None if _in_trajectory_order(trajectories) else build_trajectories(trajectories)
+    t = trajectories if order is None else trajectories.take(order)
     keep = np.ones(len(t), dtype=bool)
     pair = np.flatnonzero(t.user[1:] == t.user[:-1])
     dist = haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
@@ -47,6 +49,8 @@ def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tup
                 last = i
             else:
                 keep[start + i] = False
+    if order is not None:  # back to the input rows, through the inverse permutation
+        keep = keep[np.argsort(order)]
     return keep, len(t) - int(np.count_nonzero(keep))
 
 

@@ -248,6 +248,13 @@ def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
     return out
 
 
+def _write_km(ws: Workspace, name: str, users: Iterable[str], km: Iterable[float]) -> None:
+    """A user_id,km artifact a column at a time: write_rows' bytes without a fmt call per cell."""
+    with tables.replacing(ws.path(name)) as fh:
+        fh.write(",".join(_KM_HEADER) + "\n")
+        fh.writelines(map("{},{}\n".format, users, map(repr, km)))
+
+
 def stage_metrics(ws: Workspace) -> None:
     profiles = ws.load("profiles")  # first: without held profiles, this loads the events taken below
     events = ws.take("events_clean.csv")
@@ -260,8 +267,8 @@ def stage_metrics(ws: Workspace) -> None:
         ws.write_rows(f"daily_{direction}.csv", rows)
     users, km = metrics_mod.displacements(events)
     km = km.tolist()
-    ws.write_rows("displacements.csv", zip([events.users[u] for u in users.tolist()], km))
-    ws.write_rows("gyration.csv", radii.items())  # in user id order
+    _write_km(ws, "displacements.csv", map(events.users.__getitem__, users.tolist()), km)
+    _write_km(ws, "gyration.csv", radii.keys(), radii.values())  # in user id order
     ws.held.update({"displacements.csv": km, "gyration.csv": list(radii.values())})
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -218,6 +219,7 @@ class CountryBoundary:
 # Points x edges pairs per block of the labeling kernel: bounds its
 # temporaries to a few MiB whatever the event count or outline detail.
 _BLOCK_PAIRS = 1 << 16
+_BAND_EDGES = 16  # edges per horizontal band of a polygon's box, about: a point meets only its band's edges
 
 
 def _contains(edges: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -248,32 +250,50 @@ class BoundaryIndex:
 
     def __init__(self, boundaries: list[CountryBoundary]):
         self._codes: list[str] = []
-        # Per polygon, in code order: code position, bbox corners and the
-        # (n, 4) float64 edge rows x1, y1, x2, y2 of all its rings.
-        self._entries: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # Per polygon, in code order: code position, bbox corners, (n, 4) float64 edge rows x1, y1, x2, y2 of all
+        # its rings, band cuts and, per band, the int32 indices of the edges whose closed y-range meets the band.
+        self._entries: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]] = []
         for boundary in sorted(boundaries, key=lambda b: b.code):
             if boundary.code in self._codes:
                 raise ValueError(f"duplicate country code {boundary.code!r}")
             self._codes.append(boundary.code)
             for polygon in boundary.polygons:
-                edges = np.array([(*a, *b) for ring in polygon for a, b in zip(ring, ring[1:])], dtype=np.float64)
-                vertices = edges.reshape(-1, 2)
-                self._entries.append((len(self._codes) - 1, vertices.min(axis=0), vertices.max(axis=0), edges))
+                rings = [np.fromiter(chain.from_iterable(r), np.float64, 2 * len(r)).reshape(-1, 2) for r in polygon]
+                edges = np.concatenate([np.hstack((ring[:-1], ring[1:])) for ring in rings])
+                lo, hi = edges[:, :2].min(axis=0), edges[:, :2].max(axis=0)  # rings are closed
+                cuts, bands = np.empty(0), []  # one band: every point meets every edge
+                if len(edges) >= 2 * _BAND_EDGES:  # band j: closed [cuts[j - 1], cuts[j]], ends lo[1] and hi[1]
+                    cuts = np.linspace(lo[1], hi[1], len(edges) // _BAND_EDGES + 1)[1:-1]
+                    first = np.searchsorted(cuts, np.minimum(edges[:, 1], edges[:, 3]), "left")
+                    span = np.searchsorted(cuts, np.maximum(edges[:, 1], edges[:, 3]), "right") - first + 1
+                    band = np.arange(span.sum()) + np.repeat(first - np.cumsum(span) + span, span)
+                    order = np.argsort(band)  # any order of a band's edges gives the same any() and parity
+                    members = np.repeat(np.arange(len(edges), dtype=np.int32), span)[order]
+                    starts = np.searchsorted(band[order], np.arange(len(cuts) + 2)).tolist()
+                    bands = [members[a:b] for a, b in zip(starts, starts[1:])]
+                self._entries.append((len(self._codes) - 1, lo, hi, edges, cuts, bands))
 
     def _labels(self, lons: Sequence[float], lats: Sequence[float]) -> np.ndarray:
         """Position in self._codes of the country containing each point, -1 for none.
 
-        Each polygon, in code order, tests the points still unlabeled inside
-        its bounding box, in blocks of about _BLOCK_PAIRS point-edge pairs.
+        Each polygon, in code order, tests the points still unlabeled in its box against their band's edges, in
+        blocks of about _BLOCK_PAIRS point-edge pairs: exact, as an edge missing y is neither on-edge nor crossing.
         """
         x, y = np.asarray(lons, dtype=np.float64), np.asarray(lats, dtype=np.float64)
         label = np.full(len(x), -1)
-        for k, lo, hi, edges in self._entries:
+        for k, lo, hi, edges, cuts, bands in self._entries:
             todo = np.flatnonzero((label < 0) & (lo[0] <= x) & (x <= hi[0]) & (lo[1] <= y) & (y <= hi[1]))
-            step = max(1, _BLOCK_PAIRS // len(edges))
-            for start in range(0, len(todo), step):
-                block = todo[start : start + step]
-                label[block[_contains(edges, x[block], y[block])]] = k
+            groups = [(todo, edges)]
+            if bands:  # several bands: group the points by band
+                band = np.searchsorted(cuts, y[todo], "right")
+                order = np.argsort(band, kind="stable")
+                split = np.split(todo[order], np.searchsorted(band[order], np.arange(1, len(bands))))
+                groups = ((points, edges[index]) for points, index in zip(split, bands) if len(points) and len(index))
+            for points, group_edges in groups:
+                step = max(1, _BLOCK_PAIRS // len(group_edges))
+                for start in range(0, len(points), step):
+                    block = points[start : start + step]
+                    label[block[_contains(group_edges, x[block], y[block])]] = k
         return label
 
     def locate_many(self, lons: Sequence[float], lats: Sequence[float]) -> list[str | None]:
@@ -343,3 +363,9 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
 def build_trajectories(events: EventTable) -> np.ndarray:
     """Row order of the per-user trajectories: users in id order, each by timestamp, ties in input order."""
     return np.lexsort((events.timestamp, events.user))
+
+
+def _in_trajectory_order(events: EventTable) -> bool:
+    """Whether the rows are already in build_trajectories order (a stable sort keeps them): one pass."""
+    u, ts = events.user, events.timestamp
+    return bool(np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (ts[1:] >= ts[:-1]))))

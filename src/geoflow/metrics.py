@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import EventTable, build_trajectories, runs
+from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
 from .residence import UserProfile
 from .sphere import DegenerateCenterError, haversine_many, mean_center
 
@@ -62,13 +62,6 @@ def _run_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _in_trajectory_order(events: EventTable) -> EventTable:
-    """The rows in trajectory order (ingest.build_trajectories): the table itself if they already are."""
-    u, ts = events.user, events.timestamp
-    ordered = np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (ts[1:] >= ts[:-1])))  # a stable sort keeps them
-    return events if ordered else events.take(build_trajectories(events))
-
-
 def user_gyration_radii(events: EventTable) -> dict[str, float]:
     """Per-user radius of gyration: RMS great-circle distance of every event from the center of mass.
 
@@ -77,7 +70,7 @@ def user_gyration_radii(events: EventTable) -> dict[str, float]:
     gets 0; when antipodal cancellation leaves the center undefined, the
     user's first event is the anchor. Users come in id order.
     """
-    t = _in_trajectory_order(events)
+    t = events if _in_trajectory_order(events) else events.take(build_trajectories(events))
     offsets = runs(t.user)
     first, n = offsets[:-1], np.diff(offsets)
     run = np.repeat(np.arange(len(n)), n)
@@ -97,7 +90,7 @@ def user_gyration_radii(events: EventTable) -> dict[str, float]:
 
 def displacements(events: EventTable) -> tuple[np.ndarray, np.ndarray]:
     """User and great-circle distance of each consecutive pair of one user's events, in trajectory order."""
-    t = _in_trajectory_order(events)
+    t = events if _in_trajectory_order(events) else events.take(build_trajectories(events))
     pair = np.flatnonzero(t.user[1:] == t.user[:-1])
     return t.user[pair], haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
 

@@ -52,6 +52,7 @@ def fit_power_law(samples, xmin: float) -> PowerLawFit:
     tail = [float(x) for x in samples if x >= xmin]
     if len(tail) < 2:
         raise ValueError(f"need >= 2 samples at or above xmin, got {len(tail)}")
+    # Scalar math.log: numpy 2.4's np.log differs in the last bit on 42 of 201k tail samples of four synth worlds.
     log_sum = math.fsum(math.log(x / xmin) for x in tail)
     if log_sum <= 0.0:
         raise ValueError("degenerate tail: all samples equal xmin")
@@ -225,12 +226,8 @@ def log_binned_density(samples) -> tuple[list[float], list[float]]:
     edges = [_LOG_BIN_BASE**k for k in range(k_lo, k_hi + 1)]
     if edges[-1] <= hi:  # guard against log rounding at the top edge
         edges.append(edges[-1] * _LOG_BIN_BASE)
-    counts = [0] * (len(edges) - 1)
-    b = 0
-    for x in xs:
-        while x >= edges[b + 1]:
-            b += 1
-        counts[b] += 1
+    # Sample x falls in bin b with edges[b] <= x < edges[b + 1]; the lowest bin also takes an x below edges[0].
+    counts = np.bincount(np.searchsorted(edges[1:], xs, side="right"), minlength=len(edges) - 1).tolist()
     centers: list[float] = []
     densities: list[float] = []
     n = len(xs)

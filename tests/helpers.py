@@ -30,6 +30,7 @@ from geoflow.ingest import (
     load_boundaries,
 )
 from geoflow.metrics import DailySeries, _normalize
+from geoflow.models import _LOG_BIN_BASE
 from geoflow.residence import UserProfile, assign_residence
 from geoflow.sphere import DegenerateCenterError, from_unit_vector, haversine_km
 
@@ -613,6 +614,29 @@ def daily_abroad_series(
         values = [len(s) for s in sets]
         out[code] = DailySeries(code=code, direction=direction, year=year, values=values, normalized=_normalize(values))
     return out
+
+
+def log_binned_density(samples) -> tuple[list[float], list[float]]:
+    """Geometric-bin density of the positive samples, walking the sorted samples up the bin edges one by one."""
+    xs = sorted(float(x) for x in samples if x > 0)
+    if len(xs) < 2:
+        raise ValueError(f"need >= 2 positive samples, got {len(xs)}")
+    lo, hi = xs[0], xs[-1]
+    if lo == hi:
+        raise ValueError("all samples identical: no bins")
+    edges = [_LOG_BIN_BASE**k for k in range(math.floor(math.log(lo, _LOG_BIN_BASE)),
+                                              math.ceil(math.log(hi, _LOG_BIN_BASE)) + 1)]
+    if edges[-1] <= hi:
+        edges.append(edges[-1] * _LOG_BIN_BASE)
+    counts = [0] * (len(edges) - 1)
+    b = 0
+    for x in xs:
+        while x >= edges[b + 1]:
+            b += 1
+        counts[b] += 1
+    bins = [(i, c) for i, c in enumerate(counts) if c]
+    centers = [math.sqrt(edges[i] * edges[i + 1]) for i, _ in bins]
+    return centers, [c / (len(xs) * (edges[i + 1] - edges[i])) for i, c in bins]
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

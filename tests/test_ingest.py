@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -329,6 +330,67 @@ def test_locate_many_matches_scalar_oracle(spikes, r_out, r_in, phase, seed):
     labeled, dropped = label_events(events, index)
     assert [e.country for e in labeled] == [c for c in expect if c is not None]
     assert dropped == expect.count(None)
+
+
+def _near(v):
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    heights=st.lists(st.integers(1, 127).map(lambda k: k / 8), min_size=200, max_size=260),
+    picks=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_labeling_matches_scalar_oracle_at_band_cuts(heights, picks, seed):
+    """Points on every band cut and one ulp to each side, a vertex and a horizontal edge lying on a cut, rings
+    of zero height and the top edge: the multi-band path makes the scalar test's every decision."""
+
+    def world(vertex_y, flat_y):
+        h = [*heights]
+        h[1], h[3], h[5], h[6] = 16.0, vertex_y, flat_y, flat_y  # the top; a vertex and a horizontal edge on cuts
+        top = [(i / 4, y) for i, y in enumerate(h)]
+        skyline = [*top, (top[-1][0], 0.0), (0.0, 0.0), top[0]]  # a top chain closed along y = 0
+        hole = [(1.0, flat_y), (2.0, flat_y), (3.0, flat_y), (1.0, flat_y)]  # zero height, on a cut
+        line = [(10.0 + i / 8, flat_y) for i in range(151)]
+        flat = [*line, *line[-2::-1]]  # 300 edges there and back: zero height, several bands
+        return [CountryBoundary("BB", [[skyline, hole]]), CountryBoundary("AA", [[flat]])], top
+
+    cuts = BoundaryIndex(world(8.0, 8.0)[0])._entries[1][4]  # bands depend on the bbox and edge count only
+    assert len(cuts) >= 2
+    boundaries, top = world(cuts[picks[0] % len(cuts)], cuts[picks[1] % len(cuts)])
+    index = BoundaryIndex(boundaries)
+    (_, _, _, flat_edges, flat_cuts, _), (_, lo, hi, edges, banded_cuts, _) = index._entries
+    assert np.array_equal(banded_cuts, cuts) and len(flat_cuts) >= 2 and hi[1] == 16.0
+    flat_y = top[5][1]
+
+    rng = np.random.default_rng(seed)
+    xs = [x for x, _ in top]
+    points = []
+    for c in [0.0, *cuts, 16.0]:  # each cut, the bottom and the top edge, and one ulp to each side
+        on_cut = [x for x, y in top if y == c]
+        for x in [*on_cut, *rng.choice(xs, 4), *rng.uniform(-0.5, xs[-1] + 0.5, 3)]:
+            points += [(x, y) for y in _near(c)]
+    corners = [top[1], top[3], top[5], top[6], ((top[5][0] + top[6][0]) / 2, flat_y), (2.5, flat_y), (12.5, flat_y)]
+    points += [(x, y) for cx, cy in corners for x in _near(cx) for y in _near(cy)]
+    points += [(x, y) for x in (1.0, 3.0, 3.25, 10.0, 28.75, 29.0, 9.875) for y in _near(flat_y)]
+    points += [tuple(p) for p in rng.uniform((-1.0, -1.0), (xs[-1] + 1.0, 17.0), size=(150, 2))]
+    lons, lats = [float(x) for x, _ in points], [float(y) for _, y in points]
+    inside = [y for x, y in points if lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]]
+    assert len(np.unique(np.searchsorted(cuts, inside, "right"))) == len(cuts) + 1  # points in every band
+
+    sizes = []
+
+    def spy(edges, x, y, contains=ingest._contains):
+        sizes.append(len(edges))
+        return contains(edges, x, y)
+
+    with mock.patch.object(ingest, "_contains", spy):
+        got = index.locate_many(lons, lats)
+    assert min(sizes) < len(edges) < len(flat_edges)  # only a band's edges can be fewer than the outline's
+    oracle = ScalarBoundaryIndex(boundaries)
+    assert got == [oracle.locate(x, y) for x, y in zip(lons, lats)]
+    assert got.count("AA") > 0 and got.count("BB") > 0
 
 
 # ---------------------------------------------------------------- trajectories

@@ -1,6 +1,7 @@
 """Power-law MLE, gravity OLS, and validation regressions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from geoflow.models import (
 )
 from geoflow.sphere import haversine_km
 from geoflow.synth import sample_power_law
+from helpers import log_binned_density as bin_walk
 
 # analytic expectation of the MLE on a sample truncated at xmax/xmin = 1e8
 PLIM_162_RATIO_1E8 = 1.62007765120615
@@ -275,6 +277,24 @@ def test_validate_external_constant_reference_scores_zero():
 
 
 # ---------------------------------------------------------------- binned checks
+
+
+@given(
+    st.lists(
+        st.floats(-1.0, 1e6, allow_nan=False)
+        | st.sampled_from([0.0, 1.0, 2.0, 0.5, 1024.0, 3.0])  # zero, powers of the base (bin edges), a non-edge
+        | st.integers(-3, 20).map(lambda k: math.nextafter(2.0**k, 0.0)),  # one ulp below an edge
+        max_size=60,
+    )
+)
+def test_log_binned_density_matches_the_bin_walk(samples):
+    try:
+        want = bin_walk(samples)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            log_binned_density(samples)
+        return
+    assert log_binned_density(samples) == want
 
 
 def test_log_binned_density_integrates_to_one():
