@@ -16,8 +16,6 @@ import numpy as np
 from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
 from .sphere import haversine_km, haversine_many
 
-__all__ = ["speed_filter", "source_popularity_filter", "CleaningStats"]
-
 
 def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tuple[np.ndarray, int]:
     """Keep mask dropping events that imply speed strictly above max_speed_kmh, and the drop count.

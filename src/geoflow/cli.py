@@ -17,6 +17,7 @@ absent), 6 data error.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import os
 import sys
@@ -450,46 +451,25 @@ def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
         ["code", "lat", "lon"],
         ([c.code, c.capital[0], c.capital[1]] for c in sorted(world.countries, key=lambda c: c.code)),
     )
-    tables.write_json(
-        os.path.join(out_dir, "truth.json"),
-        {
-            "residences": truth.residences,
-            "bots": sorted(truth.bots),
-            "sources": truth.sources,
-            "planted_mobility": truth.planted_mobility,
-            "realized_mobile": truth.realized_mobile,
-            "realized_edges": {f"{o}:{d}": n for (o, d), n in truth.realized_edges.items()},
-            "n_users": truth.n_users,
-            "n_humans": truth.n_humans,
-            "world": dataclasses.asdict(world),
-        },
-    )
-    pipeline_config = {
-        "seed": config["seed"],
-        "year": config["year"],
-        "paths": {
-            "workdir": os.path.join(out_dir, "artifacts"),
-            "events": events_path,
-            "boundaries": boundaries_path,
-            "census": census_path,
-            "capitals": capitals_path,
-            "reference": "",
-        },
-        # Desk-scale corpus: the full-scale inclusion thresholds
-        # (10k residents, 500 mobile, 0.05% penetration) would empty a
-        # few-thousand-user world, so the gates are opened wide here.
-        "residence": {"min_residents": 1, "min_penetration": 0.0},
-        "network": {
-            "min_outgoing": 1,
-            "min_penetration": 0.0,
-            "top_k": config["network"]["top_k"],
-        },
-        "clean": dict(config["clean"]),
-        "metrics": dict(config["metrics"]),
-        "communities": dict(config["communities"]),
-        "fit": dict(config["fit"]),
-        "synth": dict(section),
+    truth_doc = dataclasses.asdict(truth)
+    truth_doc["bots"] = sorted(truth.bots)
+    truth_doc["realized_edges"] = {f"{o}:{d}": n for (o, d), n in truth.realized_edges.items()}
+    truth_doc["world"] = dataclasses.asdict(world)
+    tables.write_json(os.path.join(out_dir, "truth.json"), truth_doc)
+    pipeline_config = copy.deepcopy(config)
+    pipeline_config["paths"] = {
+        "workdir": os.path.join(out_dir, "artifacts"),
+        "events": events_path,
+        "boundaries": boundaries_path,
+        "census": census_path,
+        "capitals": capitals_path,
+        "reference": "",
     }
+    # Desk-scale corpus: the full-scale inclusion thresholds
+    # (10k residents, 500 mobile, 0.05% penetration) would empty a
+    # few-thousand-user world, so the gates are opened wide here.
+    pipeline_config["residence"] = {"min_residents": 1, "min_penetration": 0.0}
+    pipeline_config["network"].update(min_outgoing=1, min_penetration=0.0)
     tables.write_json(os.path.join(out_dir, "config.json"), pipeline_config)
 
 

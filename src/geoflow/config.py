@@ -115,7 +115,10 @@ def _merge(config: dict[str, Any], overrides: Mapping[str, Any]) -> None:
             config[key] = _check_type("", key, value, DEFAULTS[key])
 
 
-def _parse_env_value(raw: str) -> Any:
+def _parse_env_value(raw: str, template: Any) -> Any:
+    """A string setting takes the text as written; any other setting reads it as JSON if it can."""
+    if isinstance(template, str):
+        return raw
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
@@ -127,14 +130,14 @@ def _apply_env(config: dict[str, Any], env: Mapping[str, str]) -> None:
         if not name.startswith(ENV_PREFIX):
             continue
         rest = name[len(ENV_PREFIX) :].lower()
-        value = _parse_env_value(env[name])
         section, _, key = rest.partition("_")
         if section in config and isinstance(config[section], dict) and key:
             if key not in config[section]:
                 raise ConfigError(f"{name}: unknown config key {section}.{key}")
-            config[section][key] = _check_type(section, key, value, DEFAULTS[section][key])
+            template = DEFAULTS[section][key]
+            config[section][key] = _check_type(section, key, _parse_env_value(env[name], template), template)
         elif rest in config and not isinstance(config[rest], dict):
-            config[rest] = _check_type("", rest, value, DEFAULTS[rest])
+            config[rest] = _check_type("", rest, _parse_env_value(env[name], DEFAULTS[rest]), DEFAULTS[rest])
         else:
             raise ConfigError(f"{name}: does not name a known config key")
 

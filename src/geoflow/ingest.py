@@ -195,6 +195,8 @@ class CountryBoundary:
 
     def __post_init__(self) -> None:
         code = self.code  # every outline is checked here, wherever it comes from
+        if len(code) != 2 or not code.isalpha():  # the rule _parse_line holds event labels to
+            raise ValueError(f"bad country code: {code!r}")
         for polygon in self.polygons:
             if not polygon:
                 raise ValueError(f"{code}: polygon has no rings")

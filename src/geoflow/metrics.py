@@ -18,18 +18,6 @@ from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
 from .residence import UserProfile
 from .sphere import DegenerateCenterError, haversine_many, mean_center
 
-__all__ = [
-    "is_mobile",
-    "mobility_rate",
-    "user_gyration_radii",
-    "displacements",
-    "destination_diversity",
-    "MobilityProfile",
-    "build_mobility_profiles",
-    "DailySeries",
-    "daily_abroad_series",
-]
-
 
 def is_mobile(profile: UserProfile) -> bool:
     """True iff the user was seen in a country other than their residence."""

@@ -52,16 +52,20 @@ def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) 
             fh.write(",".join(fmt(cell) for cell in row) + "\n")
 
 
-def read_rows(path: str, expected_header: Sequence[str] | None = None) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\r\n") for line in fh]
-    lines = [line for line in lines if line.strip()]
-    if not lines:
+def _split_lines(path: str) -> list[list[str]]:
+    """The fields of each nonblank line. Lines end at LF only, as ingest reads them; a CR before it is dropped."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
+    if not rows:
         raise ValueError(f"{path}: empty table")
-    header = lines[0].split(",")
+    return rows
+
+
+def read_rows(path: str, expected_header: Sequence[str] | None = None) -> list[list[str]]:
+    header, *rows = _split_lines(path)
     if expected_header is not None and header != list(expected_header):
         raise ValueError(f"{path}: header {header} != expected {list(expected_header)}")
-    return [line.split(",") for line in lines[1:]]
+    return rows
 
 
 def write_json(path: str, obj: Any) -> None:
@@ -102,7 +106,7 @@ def write_events(path: str, rows: Sequence[str]) -> None:
 
 def read_events(path: str) -> EventTable:
     """Strict read of a previously written event table (no malformed rows)."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         report = ingest.parse_events(fh)
     if report.errors:
         lineno, reason = report.errors[0]
@@ -115,11 +119,22 @@ def read_events(path: str) -> EventTable:
 # ---------------------------------------------------------------------------
 
 
+def _code_rows(path: str) -> list[list[str]]:
+    """Rows of a code table; line 1 is a header only when its second field is not a number, as for events."""
+    rows = _split_lines(path)
+    if len(rows[0]) >= 2:
+        try:
+            float(rows[0][1])
+        except ValueError:
+            return rows[1:]
+    return rows
+
+
 def read_census(path: str) -> tuple[dict[str, int], dict[str, float]]:
     """Census table `code,population[,gdp_per_capita]` -> (populations, gdp)."""
     populations: dict[str, int] = {}
     gdp: dict[str, float] = {}
-    for row in read_rows(path):
+    for row in _code_rows(path):
         if len(row) not in (2, 3):
             raise ValueError(f"{path}: expected 2 or 3 fields, got {row}")
         code = row[0].strip().upper()
@@ -132,7 +147,7 @@ def read_census(path: str) -> tuple[dict[str, int], dict[str, float]]:
 def read_capitals(path: str) -> dict[str, tuple[float, float]]:
     """Capitals table `code,lat,lon` -> code -> (lat, lon)."""
     out: dict[str, tuple[float, float]] = {}
-    for row in read_rows(path):
+    for row in _code_rows(path):
         if len(row) != 3:
             raise ValueError(f"{path}: expected 3 fields, got {row}")
         out[row[0].strip().upper()] = (float(row[1]), float(row[2]))
@@ -142,7 +157,7 @@ def read_capitals(path: str) -> dict[str, tuple[float, float]]:
 def read_reference(path: str, column: int = 1) -> dict[str, float]:
     """Reference statistics `code,<value>[,...]`, one numeric column selected."""
     out: dict[str, float] = {}
-    for row in read_rows(path):
+    for row in _code_rows(path):
         if column >= len(row):
             raise ValueError(f"{path}: row {row} has no column {column}")
         out[row[0].strip().upper()] = float(row[column])

@@ -1,5 +1,6 @@
 """Command-line pipeline: stages, artifacts, exit codes, overrides."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -56,6 +57,20 @@ RUN_ARTIFACTS = [
 ]
 
 
+STAGES = ("ingest", "clean", "profile", "metrics", "network", "communities", "fit-gravity", "fit-powerlaw")
+
+# sha256 of each file `geoflow synth` writes for the default config, with the
+# --out directory in config.json read as "<out>".
+DEFAULT_WORLD_SHA256 = {
+    "events.csv": "2b0c5f62988b9026396ae8bf36fa59d018c854d216a9eab921442fa59f603fb3",
+    "boundaries.geojson": "437d5e4e94a5f5ef0d8050c9e12d82bc267afcb2c65cf23c620db4822833979e",
+    "census.csv": "6eacda770b1ee489042995b577177f288fed668bc06db6e632131188942e2d1f",
+    "capitals.csv": "9654c0f52d1907fb904364deb8d1ee0eda4b46bcb283c86b0629bb63d3bdeafe",
+    "truth.json": "424d62cf25d3972066280973d1b5e7b0f7dbf25189bda26aa0db9097bbc4a851",
+    "config.json": "aa73e57d028260b1a1836ca010d5df049369d48a09b85fadabb0e4b467ba16c4",
+}
+
+
 def cli(*argv, env=None):
     """Run the entry point with a scrubbed GEOFLOW_ environment."""
     saved = {k: os.environ.pop(k) for k in list(os.environ) if k.startswith("GEOFLOW_")}
@@ -93,6 +108,16 @@ def test_synth_writes_world_inputs(pipeline):
     world, _ = pipeline
     for name in ("events.csv", "boundaries.geojson", "census.csv", "capitals.csv", "truth.json", "config.json"):
         assert (world / name).is_file(), name
+
+
+def test_synth_writes_the_default_world_byte_for_byte(tmp_path):
+    out = tmp_path / "world"
+    assert cli("synth", "--out", str(out)) == 0
+    for name, digest in DEFAULT_WORLD_SHA256.items():
+        data = (out / name).read_bytes()
+        if name == "config.json":
+            data = data.replace(json.dumps(str(out))[1:-1].encode(), b"<out>")
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_run_produces_all_artifacts(pipeline):
@@ -158,21 +183,38 @@ def test_individual_stages_match_run(pipeline, tmp_path):
     run_world, _ = pipeline
     world = build_world(tmp_path, "world")
     config = str(world / "config.json")
-    for stage in (
-        "ingest",
-        "clean",
-        "profile",
-        "metrics",
-        "network",
-        "communities",
-        "fit-gravity",
-        "fit-powerlaw",
-    ):
+    for stage in STAGES:
         assert cli(stage, "--config", config) == 0, stage
     for name in RUN_ARTIFACTS:
         ours = (world / "artifacts" / name).read_bytes()
         theirs = (run_world / "artifacts" / name).read_bytes()
         assert ours == theirs, name
+
+
+def test_stages_match_run_on_a_user_id_holding_a_carriage_return(tmp_path):
+    world = build_world(tmp_path, "world")
+    text = (world / "events.csv").read_bytes()
+    user = text.split(b"\n")[1].split(b",")[0]
+    (world / "events.csv").write_bytes(text.replace(b"\n" + user + b",", b"\n" + user[:2] + b"\r" + user[2:] + b","))
+    config = str(world / "config.json")
+    assert cli("run", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(tmp_path / "run")}) == 0
+    for stage in STAGES:
+        assert cli(stage, "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(tmp_path / "stages")}) == 0, stage
+    assert b"\r" in (tmp_path / "run" / "profiles.csv").read_bytes()
+    for name in RUN_ARTIFACTS:
+        assert (tmp_path / "stages" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
+def test_census_without_header_keeps_its_first_country(pipeline, tmp_path):
+    world, config = pipeline
+    census = tmp_path / "census.csv"
+    census.write_text("".join((world / "census.csv").read_text().splitlines(keepends=True)[1:]))
+    workdir = tmp_path / "artifacts"
+    workdir.mkdir()
+    shutil.copy(world / "artifacts" / "events_clean.csv", workdir / "events_clean.csv")
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), "GEOFLOW_PATHS_CENSUS": str(census)}
+    assert cli("profile", "--config", config, env=env) == 0
+    assert (workdir / "country_stats.csv").read_bytes() == (world / "artifacts" / "country_stats.csv").read_bytes()
 
 
 def test_env_override_reaches_the_stage(pipeline, tmp_path):
@@ -452,6 +494,14 @@ MALFORMED_BOUNDARIES = {
     "multipolygon_part_without_rings": {
         "type": "FeatureCollection",
         "features": [{"type": "Feature", "properties": {"code": "AA"}, "geometry": {"type": "MultiPolygon", "coordinates": [[]]}}],
+    },
+    "code_of_three_letters": {
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"code": "ABC"}, "geometry": POLYGON}],
+    },
+    "code_holding_a_comma": {
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"code": "A,B"}, "geometry": POLYGON}],
     },
 }
 

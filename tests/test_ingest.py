@@ -134,6 +134,12 @@ def test_ring_rejects_antimeridian_jump():
         BoundaryIndex([CountryBoundary("AA", [[jump]])])
 
 
+@pytest.mark.parametrize("code", ["ABC", "A,B", "A", "", "A1", "A "])
+def test_boundary_code_is_two_letters(code):
+    with pytest.raises(ValueError, match="bad country code"):
+        CountryBoundary(code, [[SQUARE]])
+
+
 def test_duplicate_codes_rejected():
     poly = [[SQUARE]]
     with pytest.raises(ValueError, match="duplicate"):

@@ -119,6 +119,24 @@ def test_read_reference_column_select(tmp_path):
         read_reference(str(path), column=5)
 
 
+def test_code_tables_without_header_keep_their_first_row(tmp_path):
+    census = tmp_path / "census.csv"
+    census.write_text("za,52000000,7500.5\nFR,65000000,\n")
+    assert read_census(str(census)) == ({"ZA": 52000000, "FR": 65000000}, {"ZA": 7500.5})
+    capitals = tmp_path / "capitals.csv"
+    capitals.write_text("za,-25.75,28.19\nFR,48.86,2.35\n")
+    assert read_capitals(str(capitals)) == {"ZA": (-25.75, 28.19), "FR": (48.86, 2.35)}
+    reference = tmp_path / "ref.csv"
+    reference.write_text("ZA,100.0,50.0\nFR,7,9\n")
+    assert read_reference(str(reference), column=2) == {"ZA": 50.0, "FR": 9.0}
+
+
+def test_tables_split_lines_at_lf_only(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\r\nx\ry,1\r\nz,2\n")
+    assert read_rows(str(path), expected_header=["a", "b"]) == [["x\ry", "1"], ["z", "2"]]
+
+
 # ---------------------------------------------------------------- configuration
 
 
@@ -158,6 +176,11 @@ def test_env_string_and_list_values():
     assert config["clean"]["weight_mode"] == "events"
     config = load_config(env={"GEOFLOW_SYNTH_GRAVITY": "[2.0, 0.9, 0.7, 1.1]"})
     assert config["synth"]["gravity"] == [2.0, 0.9, 0.7, 1.1]
+
+
+def test_env_string_settings_are_taken_as_written():
+    for raw in ("2024", "1e5", "true", "null", '"quoted"', "[1]"):
+        assert load_config(env={"GEOFLOW_PATHS_WORKDIR": raw})["paths"]["workdir"] == raw
 
 
 def test_unknown_keys_rejected(tmp_path):
