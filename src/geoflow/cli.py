@@ -393,6 +393,8 @@ def cmd_validate(ws: Workspace) -> None:
             reference = tables.read_reference(reference_path, column=column)
             r2, matched = models_mod.validate_external(inflows, reference)
             report[name] = {"r2": r2, "matched_countries": matched}
+        except tables.DuplicateCodeError:
+            raise  # the table itself is unusable, not just this leg
         except ValueError as exc:
             report[name] = {"error": str(exc)}
     tables.write_json(ws.path("validate.json"), report)
@@ -412,7 +414,7 @@ def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
         n_blocks=section["n_blocks"],
         block_boost=section["block_boost"],
     )
-    events, truth = synth_mod.generate_events(
+    truth, blocks = synth_mod.event_blocks(
         world,
         users_per_country=section["users_per_country"],
         events_per_user=section["events_per_user"],
@@ -422,8 +424,7 @@ def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
     )
     events_path = os.path.join(out_dir, "events.csv")
     with tables.replacing(events_path) as fh:
-        for line in synth_mod.event_lines(events):
-            fh.write(line + "\n")
+        synth_mod.write_event_lines(fh, blocks)
     boundaries = synth_mod.world_boundaries(world)
     features = []
     for b in boundaries:

@@ -145,6 +145,7 @@ def _apply_env(config: dict[str, Any], env: Mapping[str, str]) -> None:
 def _validate_ranges(config: dict[str, Any]) -> None:
     checks = [
         (config["seed"] >= 0, "seed must be nonnegative"),
+        (1970 <= config["year"] <= 9999, "year must be in [1970, 9999]"),
         (config["clean"]["max_speed_kmh"] > 0, "clean.max_speed_kmh must be positive"),
         (0 < config["clean"]["coverage"] <= 1, "clean.coverage must be in (0, 1]"),
         (config["clean"]["weight_mode"] in ("users", "events"), "clean.weight_mode must be 'users' or 'events'"),
@@ -159,12 +160,15 @@ def _validate_ranges(config: dict[str, Any]) -> None:
         (config["communities"]["weights"] in ("est", "raw"), "communities.weights must be 'est' or 'raw'"),
         (config["fit"]["powerlaw_xmin_km"] > 0, "fit.powerlaw_xmin_km must be positive"),
         (config["fit"]["min_distance_km"] >= 0, "fit.min_distance_km must be >= 0"),
-        (config["synth"]["n_countries"] >= 1, "synth.n_countries must be >= 1"),
+        (1 <= config["synth"]["n_countries"] <= 676, "synth.n_countries must be in [1, 676]"),
         (config["synth"]["users_per_country"] >= 1, "synth.users_per_country must be >= 1"),
         (config["synth"]["events_per_user"] >= 1, "synth.events_per_user must be >= 1"),
         (0 <= config["synth"]["trip_rate"] <= 1, "synth.trip_rate must be in [0, 1]"),
         (0 <= config["synth"]["bot_fraction"] < 1, "synth.bot_fraction must be in [0, 1)"),
-        (config["synth"]["n_blocks"] >= 1, "synth.n_blocks must be >= 1"),
+        (
+            1 <= config["synth"]["n_blocks"] <= config["synth"]["n_countries"],
+            "synth.n_blocks must be in [1, synth.n_countries]",
+        ),
         (config["synth"]["block_boost"] >= 1, "synth.block_boost must be >= 1"),
     ]
     for ok, message in checks:

@@ -24,14 +24,6 @@ def is_mobile(profile: UserProfile) -> bool:
     return profile.distinct_countries >= 2
 
 
-def mobility_rate(country: str, profiles: Mapping[str, UserProfile]) -> float:
-    """Fraction of the country's residents that are mobile."""
-    residents = [p for p in profiles.values() if p.residence == country]
-    if not residents:
-        raise ValueError(f"no residents in {country!r}")
-    return sum(1 for p in residents if is_mobile(p)) / len(residents)
-
-
 def _run_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sum over the last axis of each run offsets[k]:offsets[k + 1], left to right from 0.0 as a loop adds.
 

@@ -1,9 +1,10 @@
 """Seeded synthetic-world generation: planted flows, events, and truth.
 
-Everything here is an oracle for tests and demos. A world plants country
-populations, capitals, penetrations, block structure, and gravity
-parameters; the generator turns it into an event stream whose residences,
-mobility, source mix, and flow structure are known exactly.
+A world plants country populations, capitals, penetrations, block
+structure, and gravity parameters; the generator turns it into an event
+stream whose residences, mobility, source mix, and flow structure are
+known exactly. `geoflow synth` writes the stream a block of users at a
+time; tests and demos take it as a list of GeoEvents.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ import calendar
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .ingest import CountryBoundary, GeoEvent
 from .models import capital_distances
-from .sphere import haversine_km
+from .sphere import haversine_many
 
 SECONDS_PER_HOUR = 3600
 # Minimum inter-event spacing grows with the hop distance so implied speeds
@@ -32,6 +33,12 @@ _SOURCE_PATTERN = (0,) * 12 + (1,) * 5 + (2,) * 3
 _MAX_FOREIGN_EVENTS = 5
 KM_PER_DEG_LAT = 110.574
 KM_PER_DEG_LON_EQ = 111.320
+_SIGMA_KM = 15.0  # spread of the Gaussian jitter around a capital
+_CAP_KM = 50.0  # jitter offsets are clamped to this length
+# Users drawn as one block of arrays: enough to amortize the array passes,
+# few enough that a block's transients stay small at any world size.
+_BLOCK_USERS = 1024
+EVENT_LINE_HEADER = "user_id,timestamp,lat,lon,source"
 
 
 @dataclass(slots=True)
@@ -128,50 +135,159 @@ def sample_power_law(seed: int, exponent: float, xmin: float, xmax: float, n: in
     return ((lo + u * (hi - lo)) ** (1.0 / one_minus)).tolist()
 
 
-def _jitter(rng: np.random.Generator, capital: tuple[float, float], n: int, sigma_km: float = 15.0, cap_km: float = 50.0) -> list[tuple[float, float]]:
-    """n points Gaussian-scattered around a capital, clamped to cap_km."""
-    lat0, lon0 = capital
-    offsets = rng.normal(0.0, sigma_km, size=(n, 2))  # east, north in km
-    points: list[tuple[float, float]] = []
-    coslat = math.cos(math.radians(lat0))
-    for east, north in offsets:
-        east, north = float(east), float(north)
-        norm = math.hypot(east, north)
-        if norm > cap_km:
-            east *= cap_km / norm
-            north *= cap_km / norm
-        lat = lat0 + north / KM_PER_DEG_LAT
-        lon = lon0 + east / (KM_PER_DEG_LON_EQ * coslat)
-        points.append((lat, lon))
-    return points
+class EventBlock(NamedTuple):
+    """The events of consecutive users; row i holds user i's events in time order."""
+
+    users: list[str]  # user id of each row
+    sources: list[str]  # source of each row
+    timestamp: np.ndarray  # int64, (users, events_per_user)
+    lat: np.ndarray  # float64, (users, events_per_user)
+    lon: np.ndarray  # float64, (users, events_per_user)
 
 
-def _min_gap_seconds(d_km: float) -> int:
-    return SECONDS_PER_HOUR + SECONDS_PER_KM * math.ceil(d_km)
+def event_blocks(
+    world: SynthWorld,
+    users_per_country: int,
+    events_per_user: int,
+    trip_rate: float,
+    bot_fraction: float = 0.05,
+    year: int = 2012,
+) -> tuple[SynthTruth, Iterator[EventBlock]]:
+    """generate_events' truth and its events, drawn _BLOCK_USERS users at a time.
 
-
-def _schedule(rng: np.random.Generator, hops_km: list[float], year_start: int, year_seconds: int) -> list[int]:
-    """Strictly increasing in-year timestamps with speed-safe minimum gaps.
-
-    Works backward from a reserve: at every step the remaining minimum gaps
-    must still fit before year end, so random slack never pushes the tail
-    out of the year.
+    The settings are checked here; the truth's per-user entries fill in as
+    the blocks are drawn and are complete once the iterator is exhausted.
+    A block that does not fit inside the year raises ValueError as it is
+    drawn.
     """
-    min_gaps = [_min_gap_seconds(d) for d in hops_km]
-    suffix = [0] * (len(min_gaps) + 1)
-    for k in range(len(min_gaps) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + min_gaps[k]
-    latest_start = year_seconds - suffix[0] - 1
-    if latest_start < 0:
-        raise ValueError("events do not fit inside the year at safe spacing")
-    t = year_start + int(rng.integers(0, latest_start + 1))
-    times = [t]
+    if not 0.0 <= trip_rate <= 1.0:
+        raise ValueError(f"trip_rate must be in [0, 1], got {trip_rate}")
+    if not 0.0 <= bot_fraction < 1.0:
+        raise ValueError(f"bot_fraction must be in [0, 1), got {bot_fraction}")
+    if users_per_country < 1 or events_per_user < 1:
+        raise ValueError("need at least one user and one event")
+    year_start = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
+    year_seconds = (366 if calendar.isleap(year) else 365) * 86400
+    flows = expected_flows(world) if len(world.countries) > 1 else {}
+    codes = sorted(c.code for c in world.countries)
+    by_code = world.by_code()
+    row_mass = {
+        c: math.fsum(flows.get((c, d), 0.0) for d in codes if d != c) for c in codes
+    }
+    max_row = max(row_mass.values()) if row_mass else 0.0
+    max_foreign = max(0, min(_MAX_FOREIGN_EVENTS, (events_per_user - 1) // 2))
+    n_bots = int(bot_fraction * users_per_country)
+    planted_mobility: dict[str, float] = {}
+    for c in codes:
+        p = trip_rate * row_mass[c] / max_row if max_row > 0.0 else 0.0
+        planted_mobility[c] = p if max_foreign >= 1 else 0.0
+    truth = SynthTruth(
+        residences={},
+        bots=[],
+        sources={},
+        planted_mobility=planted_mobility,
+        realized_mobile={c: 0 for c in codes},
+        realized_edges={},
+        n_users={c: users_per_country for c in codes},
+        n_humans={c: users_per_country - n_bots for c in codes},
+    )
+    # Destinations are country positions; every point is jittered around the capital of its position.
+    dests: list[list[int]] = []
+    probs: list[list[float]] = []
+    for pos, code in enumerate(codes):
+        dests.append([d for d in range(len(codes)) if d != pos])
+        mobile = dests[pos] and row_mass[code] > 0.0 and planted_mobility[code] > 0.0
+        probs.append([flows[(code, codes[d])] / row_mass[code] for d in dests[pos]] if mobile else [])
+    capital_lat = np.array([by_code[c].capital[0] for c in codes])
+    capital_lon = np.array([by_code[c].capital[1] for c in codes])
+    km_per_deg_lon = np.array([KM_PER_DEG_LON_EQ * math.cos(math.radians(by_code[c].capital[0])) for c in codes])
+    n = events_per_user
     year_end = year_start + year_seconds - 1
-    extras = rng.integers(0, MAX_EXTRA_GAP + 1, size=len(min_gaps))
-    for k, gap in enumerate(min_gaps):
-        t = min(t + gap + int(extras[k]), year_end - suffix[k + 1])
-        times.append(t)
-    return times
+
+    def draw(first: int, last: int) -> EventBlock:
+        rows = last - first
+        users: list[str] = []
+        sources: list[str] = []
+        rngs: list[np.random.Generator] = []
+        offsets = np.empty((rows, n, 2))  # east, north in km, in time order
+        where = np.empty((rows, n), np.intp)  # country position of each point
+        # Pass 1: each user's residence, source, trip and jitter offsets, in the order of their draws.
+        for row, index in enumerate(range(first, last)):
+            pos, k = divmod(index, users_per_country)
+            code = codes[pos]
+            rng = np.random.default_rng([world.seed, index])
+            rngs.append(rng)
+            user_id = f"u{index:06d}"
+            is_bot = k >= users_per_country - n_bots
+            if is_bot:
+                source = f"bot_{code}_{k:04d}"
+                truth.bots.append(user_id)
+            else:
+                source = HUMAN_SOURCES[_SOURCE_PATTERN[k % len(_SOURCE_PATTERN)]]
+            truth.residences[user_id] = code
+            truth.sources[user_id] = source
+            users.append(user_id)
+            sources.append(source)
+            n_foreign = 0
+            if not is_bot and probs[pos] and rng.random() < planted_mobility[code]:
+                destination = dests[pos][int(rng.choice(len(dests[pos]), p=probs[pos]))]
+                n_foreign = int(rng.integers(1, max_foreign + 1))
+                truth.realized_mobile[code] += 1
+                edge = (code, codes[destination])
+                truth.realized_edges[edge] = truth.realized_edges.get(edge, 0) + 1
+            n_home = n - n_foreign
+            where[row] = pos
+            if n_foreign:
+                trip_after = int(rng.integers(1, n_home + 1))
+                home = rng.normal(0.0, _SIGMA_KM, size=(n_home, 2))
+                trip_end = trip_after + n_foreign
+                offsets[row, :trip_after] = home[:trip_after]
+                offsets[row, trip_after:trip_end] = rng.normal(0.0, _SIGMA_KM, size=(n_foreign, 2))
+                offsets[row, trip_end:] = home[trip_after:]
+                where[row, trip_after:trip_end] = destination
+            else:
+                offsets[row] = rng.normal(0.0, _SIGMA_KM, size=(n_home, 2))
+        # Jitter: offsets longer than _CAP_KM are scaled back onto the cap. math.hypot is
+        # Python's own; numpy's is libm's and may differ in the last bit.
+        east, north = offsets[..., 0].ravel(), offsets[..., 1].ravel()
+        norm = np.fromiter(map(math.hypot, memoryview(east), memoryview(north)), np.float64, east.size)
+        clip = norm > _CAP_KM
+        scale = _CAP_KM / norm[clip]
+        east[clip] *= scale
+        north[clip] *= scale
+        where = where.ravel()
+        lat = (capital_lat[where] + north / KM_PER_DEG_LAT).reshape(-1, n)
+        lon = (capital_lon[where] + east / km_per_deg_lon[where]).reshape(-1, n)
+        # Speed-safe minimum gaps, and the sum of those still to come after each event.
+        hops = haversine_many(lat[:, :-1].ravel(), lon[:, :-1].ravel(), lat[:, 1:].ravel(), lon[:, 1:].ravel())
+        gaps = SECONDS_PER_HOUR + SECONDS_PER_KM * np.ceil(hops).astype(np.int64).reshape(rows, n - 1)
+        suffix = np.zeros((rows, n), np.int64)
+        suffix[:, :-1] = np.cumsum(gaps[:, ::-1], axis=1)[:, ::-1]
+        latest_start = year_seconds - suffix[:, 0] - 1
+        if (latest_start < 0).any():
+            raise ValueError("events do not fit inside the year at safe spacing")
+        # Pass 2: each user's start and slack draws.
+        bound = np.empty((rows, n), np.int64)
+        steps = np.empty((rows, n - 1), np.int64)
+        for row, (rng, latest) in enumerate(zip(rngs, latest_start.tolist())):
+            bound[row, 0] = year_start + int(rng.integers(0, latest + 1))
+            steps[row] = rng.integers(0, MAX_EXTRA_GAP + 1, size=n - 1)
+        # t_k = min(t_{k-1} + step_k, year_end - suffix_k), with step_k = gap_k + extra_k. Less the
+        # running sum S_k of the steps it is a running minimum of t_0 and the bounds less S_k.
+        steps += gaps
+        running = np.zeros((rows, n), np.int64)
+        np.cumsum(steps, axis=1, out=running[:, 1:])
+        bound[:, 1:] = year_end - suffix[:, 1:] - running[:, 1:]
+        timestamp = running + np.minimum.accumulate(bound, axis=1)
+        return EventBlock(users, sources, timestamp, lat, lon)
+
+    def blocks() -> Iterator[EventBlock]:
+        n_users = len(codes) * users_per_country
+        for first in range(0, n_users, _BLOCK_USERS):
+            yield draw(first, min(first + _BLOCK_USERS, n_users))
+        truth.realized_edges = dict(sorted(truth.realized_edges.items()))
+
+    return truth, blocks()
 
 
 def generate_events(
@@ -195,83 +311,15 @@ def generate_events(
     speed filter. Each user draws from an independent (seed, user index)
     stream, so output is identical however generation is distributed.
     """
-    if not 0.0 <= trip_rate <= 1.0:
-        raise ValueError(f"trip_rate must be in [0, 1], got {trip_rate}")
-    if not 0.0 <= bot_fraction < 1.0:
-        raise ValueError(f"bot_fraction must be in [0, 1), got {bot_fraction}")
-    if users_per_country < 1 or events_per_user < 1:
-        raise ValueError("need at least one user and one event")
-    year_start = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
-    year_seconds = (366 if calendar.isleap(year) else 365) * 86400
-    flows = expected_flows(world) if len(world.countries) > 1 else {}
-    codes = sorted(c.code for c in world.countries)
-    by_code = world.by_code()
-    row_mass = {
-        c: math.fsum(flows.get((c, d), 0.0) for d in codes if d != c) for c in codes
-    }
-    max_row = max(row_mass.values()) if row_mass else 0.0
-    max_foreign = max(0, min(_MAX_FOREIGN_EVENTS, (events_per_user - 1) // 2))
-    n_bots = int(bot_fraction * users_per_country)
-    planted_mobility: dict[str, float] = {}
-    for c in codes:
-        p = trip_rate * row_mass[c] / max_row if max_row > 0.0 else 0.0
-        planted_mobility[c] = p if max_foreign >= 1 else 0.0
-
-    events: list[GeoEvent] = []
-    truth = SynthTruth(
-        residences={},
-        bots=[],
-        sources={},
-        planted_mobility=planted_mobility,
-        realized_mobile={c: 0 for c in codes},
-        realized_edges={},
-        n_users={c: users_per_country for c in codes},
-        n_humans={c: users_per_country - n_bots for c in codes},
-    )
-    user_index = 0
-    for pos, code in enumerate(codes):
-        country = by_code[code]
-        dests = [d for d in codes if d != code]
-        probs: list[float] = []
-        if dests and row_mass[code] > 0.0:
-            probs = [flows[(code, d)] / row_mass[code] for d in dests]
-        for k in range(users_per_country):
-            rng = np.random.default_rng([world.seed, user_index])
-            user_id = f"u{user_index:06d}"
-            user_index += 1
-            is_bot = k >= users_per_country - n_bots
-            if is_bot:
-                source = f"bot_{code}_{k:04d}"
-                truth.bots.append(user_id)
-            else:
-                source = HUMAN_SOURCES[_SOURCE_PATTERN[k % len(_SOURCE_PATTERN)]]
-            truth.residences[user_id] = code
-            truth.sources[user_id] = source
-
-            destination: str | None = None
-            n_foreign = 0
-            if not is_bot and probs and planted_mobility[code] > 0.0:
-                if rng.random() < planted_mobility[code]:
-                    destination = dests[int(rng.choice(len(dests), p=probs))]
-                    n_foreign = int(rng.integers(1, max_foreign + 1))
-            if destination is not None:
-                truth.realized_mobile[code] += 1
-                edge = (code, destination)
-                truth.realized_edges[edge] = truth.realized_edges.get(edge, 0) + 1
-
-            n_home = events_per_user - n_foreign
-            trip_after = int(rng.integers(1, n_home + 1)) if n_foreign else n_home
-            home_points = _jitter(rng, country.capital, n_home)
-            if n_foreign:
-                away_points = _jitter(rng, by_code[destination].capital, n_foreign)
-                points = home_points[:trip_after] + away_points + home_points[trip_after:]
-            else:
-                points = home_points
-            hops = [haversine_km(points[i], points[i + 1]) for i in range(len(points) - 1)]
-            times = _schedule(rng, hops, year_start, year_seconds)
-            for (lat, lon), ts in zip(points, times):
-                events.append(GeoEvent(user_id, ts, lat, lon, source))
-    truth.realized_edges = dict(sorted(truth.realized_edges.items()))
+    truth, blocks = event_blocks(world, users_per_country, events_per_user, trip_rate, bot_fraction, year)
+    events = [
+        GeoEvent(user, t, y, x, source)
+        for block in blocks
+        for user, source, ts, ys, xs in zip(
+            block.users, block.sources, block.timestamp.tolist(), block.lat.tolist(), block.lon.tolist()
+        )
+        for t, y, x in zip(ts, ys, xs)
+    ]
     return events, truth
 
 
@@ -293,10 +341,21 @@ def world_boundaries(world: SynthWorld, half_deg: float = 2.0) -> list[CountryBo
 
 def event_lines(events: Sequence[GeoEvent], header: bool = True) -> list[str]:
     """Events rendered in the ingest line format (shortest float spellings)."""
-    lines = ["user_id,timestamp,lat,lon,source"] if header else []
+    lines = [EVENT_LINE_HEADER] if header else []
     for e in events:
         lines.append(f"{e.user_id},{e.timestamp},{e.lat!r},{e.lon!r},{e.source}")
     return lines
+
+
+def write_event_lines(fh: IO[str], blocks: Iterable[EventBlock]) -> None:
+    """The event_lines of the blocks' events, header first, each block written once it is drawn."""
+    fh.write(EVENT_LINE_HEADER + "\n")
+    for block in blocks:
+        lines: list[str] = []
+        rows = zip(block.users, block.sources, block.timestamp.tolist(), block.lat.tolist(), block.lon.tolist())
+        for user, source, ts, ys, xs in rows:
+            lines += [f"{user},{t},{y!r},{x!r},{source}\n" for t, y, x in zip(ts, ys, xs)]
+        fh.writelines(lines)
 
 
 def make_world(

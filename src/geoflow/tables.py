@@ -119,25 +119,38 @@ def read_events(path: str) -> EventTable:
 # ---------------------------------------------------------------------------
 
 
-def _code_rows(path: str) -> list[list[str]]:
-    """Rows of a code table; line 1 is a header only when its second field is not a number, as for events."""
+class DuplicateCodeError(ValueError):
+    """A code table names one country twice."""
+
+
+def _code_rows(path: str) -> list[tuple[str, list[str]]]:
+    """The code (stripped, upper case) and fields of each row of a code table.
+
+    Line 1 is a header only when its second field is not a number, as for
+    events. A code that two rows name, in any case, raises DuplicateCodeError.
+    """
     rows = _split_lines(path)
     if len(rows[0]) >= 2:
         try:
             float(rows[0][1])
         except ValueError:
-            return rows[1:]
-    return rows
+            rows = rows[1:]
+    out: dict[str, list[str]] = {}
+    for row in rows:
+        code = row[0].strip().upper()
+        if code in out:
+            raise DuplicateCodeError(f"{path}: code {code} appears on more than one row")
+        out[code] = row
+    return list(out.items())
 
 
 def read_census(path: str) -> tuple[dict[str, int], dict[str, float]]:
     """Census table `code,population[,gdp_per_capita]` -> (populations, gdp)."""
     populations: dict[str, int] = {}
     gdp: dict[str, float] = {}
-    for row in _code_rows(path):
+    for code, row in _code_rows(path):
         if len(row) not in (2, 3):
             raise ValueError(f"{path}: expected 2 or 3 fields, got {row}")
-        code = row[0].strip().upper()
         populations[code] = int(row[1])
         if len(row) == 3 and row[2].strip():
             gdp[code] = float(row[2])
@@ -147,18 +160,18 @@ def read_census(path: str) -> tuple[dict[str, int], dict[str, float]]:
 def read_capitals(path: str) -> dict[str, tuple[float, float]]:
     """Capitals table `code,lat,lon` -> code -> (lat, lon)."""
     out: dict[str, tuple[float, float]] = {}
-    for row in _code_rows(path):
+    for code, row in _code_rows(path):
         if len(row) != 3:
             raise ValueError(f"{path}: expected 3 fields, got {row}")
-        out[row[0].strip().upper()] = (float(row[1]), float(row[2]))
+        out[code] = (float(row[1]), float(row[2]))
     return out
 
 
 def read_reference(path: str, column: int = 1) -> dict[str, float]:
     """Reference statistics `code,<value>[,...]`, one numeric column selected."""
     out: dict[str, float] = {}
-    for row in _code_rows(path):
+    for code, row in _code_rows(path):
         if column >= len(row):
             raise ValueError(f"{path}: row {row} has no column {column}")
-        out[row[0].strip().upper()] = float(row[column])
+        out[code] = float(row[column])
     return out

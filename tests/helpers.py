@@ -29,10 +29,23 @@ from geoflow.ingest import (
     _parse_line,
     load_boundaries,
 )
-from geoflow.metrics import DailySeries, _normalize
+from geoflow.metrics import DailySeries, _normalize, is_mobile
 from geoflow.models import _LOG_BIN_BASE
 from geoflow.residence import UserProfile, assign_residence
 from geoflow.sphere import DegenerateCenterError, from_unit_vector, haversine_km
+from geoflow.synth import (
+    _MAX_FOREIGN_EVENTS,
+    _SOURCE_PATTERN,
+    HUMAN_SOURCES,
+    KM_PER_DEG_LAT,
+    KM_PER_DEG_LON_EQ,
+    MAX_EXTRA_GAP,
+    SECONDS_PER_HOUR,
+    SECONDS_PER_KM,
+    SynthTruth,
+    SynthWorld,
+    expected_flows,
+)
 
 Edges = Mapping[tuple[str, str], float]
 
@@ -637,6 +650,143 @@ def log_binned_density(samples) -> tuple[list[float], list[float]]:
     bins = [(i, c) for i, c in enumerate(counts) if c]
     centers = [math.sqrt(edges[i] * edges[i + 1]) for i, _ in bins]
     return centers, [c / (len(xs) * (edges[i + 1] - edges[i])) for i, c in bins]
+
+
+def mobility_rate(country: str, profiles: Mapping[str, UserProfile]) -> float:
+    """Fraction of the country's residents that are mobile (the mobility_rate field of build_mobility_profiles)."""
+    residents = [p for p in profiles.values() if p.residence == country]
+    if not residents:
+        raise ValueError(f"no residents in {country!r}")
+    return sum(1 for p in residents if is_mobile(p)) / len(residents)
+
+
+# ---------------------------------------------------------------------------
+# Scalar synthetic-world generator: one user, one point and one hop at a time.
+# synth.generate_events must draw the same events and truth, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _jitter(rng: np.random.Generator, capital: tuple[float, float], n: int, sigma_km: float = 15.0, cap_km: float = 50.0) -> list[tuple[float, float]]:
+    """n points Gaussian-scattered around a capital, clamped to cap_km."""
+    lat0, lon0 = capital
+    offsets = rng.normal(0.0, sigma_km, size=(n, 2))  # east, north in km
+    points: list[tuple[float, float]] = []
+    coslat = math.cos(math.radians(lat0))
+    for east, north in offsets:
+        east, north = float(east), float(north)
+        norm = math.hypot(east, north)
+        if norm > cap_km:
+            east *= cap_km / norm
+            north *= cap_km / norm
+        lat = lat0 + north / KM_PER_DEG_LAT
+        lon = lon0 + east / (KM_PER_DEG_LON_EQ * coslat)
+        points.append((lat, lon))
+    return points
+
+
+def _schedule(rng: np.random.Generator, hops_km: list[float], year_start: int, year_seconds: int) -> list[int]:
+    """Strictly increasing in-year timestamps with speed-safe minimum gaps.
+
+    Works backward from a reserve: at every step the remaining minimum gaps
+    must still fit before year end, so random slack never pushes the tail
+    out of the year.
+    """
+    min_gaps = [SECONDS_PER_HOUR + SECONDS_PER_KM * math.ceil(d) for d in hops_km]
+    suffix = [0] * (len(min_gaps) + 1)
+    for k in range(len(min_gaps) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + min_gaps[k]
+    latest_start = year_seconds - suffix[0] - 1
+    if latest_start < 0:
+        raise ValueError("events do not fit inside the year at safe spacing")
+    t = year_start + int(rng.integers(0, latest_start + 1))
+    times = [t]
+    year_end = year_start + year_seconds - 1
+    extras = rng.integers(0, MAX_EXTRA_GAP + 1, size=len(min_gaps))
+    for k, gap in enumerate(min_gaps):
+        t = min(t + gap + int(extras[k]), year_end - suffix[k + 1])
+        times.append(t)
+    return times
+
+
+def generate_events(
+    world: SynthWorld,
+    users_per_country: int,
+    events_per_user: int,
+    trip_rate: float,
+    bot_fraction: float = 0.05,
+    year: int = 2012,
+) -> tuple[list[GeoEvent], SynthTruth]:
+    """synth.generate_events, drawing each user's trip, points and schedule with scalar steps."""
+    year_start = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
+    year_seconds = (366 if calendar.isleap(year) else 365) * 86400
+    flows = expected_flows(world) if len(world.countries) > 1 else {}
+    codes = sorted(c.code for c in world.countries)
+    by_code = world.by_code()
+    row_mass = {c: math.fsum(flows.get((c, d), 0.0) for d in codes if d != c) for c in codes}
+    max_row = max(row_mass.values()) if row_mass else 0.0
+    max_foreign = max(0, min(_MAX_FOREIGN_EVENTS, (events_per_user - 1) // 2))
+    n_bots = int(bot_fraction * users_per_country)
+    planted_mobility: dict[str, float] = {}
+    for c in codes:
+        p = trip_rate * row_mass[c] / max_row if max_row > 0.0 else 0.0
+        planted_mobility[c] = p if max_foreign >= 1 else 0.0
+
+    events: list[GeoEvent] = []
+    truth = SynthTruth(
+        residences={},
+        bots=[],
+        sources={},
+        planted_mobility=planted_mobility,
+        realized_mobile={c: 0 for c in codes},
+        realized_edges={},
+        n_users={c: users_per_country for c in codes},
+        n_humans={c: users_per_country - n_bots for c in codes},
+    )
+    user_index = 0
+    for code in codes:
+        country = by_code[code]
+        dests = [d for d in codes if d != code]
+        probs: list[float] = []
+        if dests and row_mass[code] > 0.0:
+            probs = [flows[(code, d)] / row_mass[code] for d in dests]
+        for k in range(users_per_country):
+            rng = np.random.default_rng([world.seed, user_index])
+            user_id = f"u{user_index:06d}"
+            user_index += 1
+            is_bot = k >= users_per_country - n_bots
+            if is_bot:
+                source = f"bot_{code}_{k:04d}"
+                truth.bots.append(user_id)
+            else:
+                source = HUMAN_SOURCES[_SOURCE_PATTERN[k % len(_SOURCE_PATTERN)]]
+            truth.residences[user_id] = code
+            truth.sources[user_id] = source
+
+            destination: str | None = None
+            n_foreign = 0
+            if not is_bot and probs and planted_mobility[code] > 0.0:
+                if rng.random() < planted_mobility[code]:
+                    destination = dests[int(rng.choice(len(dests), p=probs))]
+                    n_foreign = int(rng.integers(1, max_foreign + 1))
+            if destination is not None:
+                truth.realized_mobile[code] += 1
+                edge = (code, destination)
+                truth.realized_edges[edge] = truth.realized_edges.get(edge, 0) + 1
+
+            n_home = events_per_user - n_foreign
+            trip_after = int(rng.integers(1, n_home + 1)) if n_foreign else n_home
+            home_points = _jitter(rng, country.capital, n_home)
+            if n_foreign:
+                away_points = _jitter(rng, by_code[destination].capital, n_foreign)
+                points = home_points[:trip_after] + away_points + home_points[trip_after:]
+            else:
+                points = home_points
+            hops = [haversine_km(points[i], points[i + 1]) for i in range(len(points) - 1)]
+            times = _schedule(rng, hops, year_start, year_seconds)
+            for (lat, lon), ts in zip(points, times):
+                events.append(GeoEvent(user_id, ts, lat, lon, source))
+    truth.realized_edges = dict(sorted(truth.realized_edges.items()))
+    return events, truth
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:

@@ -19,6 +19,7 @@ from geoflow import cli as cli_mod
 from geoflow import ingest, metrics, residence, tables
 from geoflow.cli import main
 from geoflow.config import load_config
+from geoflow.synth import event_lines, generate_events, make_world
 from geoflow.tables import read_json
 
 SYNTH_SETTINGS = {
@@ -118,6 +119,40 @@ def test_synth_writes_the_default_world_byte_for_byte(tmp_path):
         if name == "config.json":
             data = data.replace(json.dumps(str(out))[1:-1].encode(), b"<out>")
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_synth_writes_the_event_lines_of_generate_events(tmp_path):
+    # 1,500 users: the writer's blocks split the users of a country.
+    env = {
+        "GEOFLOW_SEED": "4",
+        "GEOFLOW_YEAR": "2013",
+        "GEOFLOW_SYNTH_N_COUNTRIES": "5",
+        "GEOFLOW_SYNTH_USERS_PER_COUNTRY": "300",
+        "GEOFLOW_SYNTH_EVENTS_PER_USER": "3",
+        "GEOFLOW_SYNTH_TRIP_RATE": "0.9",
+        "GEOFLOW_SYNTH_BOT_FRACTION": "0.1",
+        "GEOFLOW_SYNTH_N_BLOCKS": "2",
+        "GEOFLOW_SYNTH_BLOCK_BOOST": "3.0",
+    }
+    out = tmp_path / "world"
+    assert cli("synth", "--out", str(out), env=env) == 0
+    world = make_world(5, seed=4, n_blocks=2, block_boost=3.0)
+    events, truth = generate_events(world, 300, 3, trip_rate=0.9, bot_fraction=0.1, year=2013)
+    assert (out / "events.csv").read_text() == "\n".join(event_lines(events)) + "\n"
+    written = read_json(str(out / "truth.json"))
+    assert written["residences"] == truth.residences
+    assert written["bots"] == sorted(truth.bots)
+    assert written["realized_edges"] == {f"{o}:{d}": n for (o, d), n in truth.realized_edges.items()}
+    assert truth.realized_edges
+
+
+def test_synth_events_that_do_not_fit_the_year_leave_no_event_file(tmp_path, capsys):
+    out = tmp_path / "world"
+    env = {"GEOFLOW_SYNTH_N_COUNTRIES": "1", "GEOFLOW_SYNTH_USERS_PER_COUNTRY": "1",
+           "GEOFLOW_SYNTH_EVENTS_PER_USER": "9000"}
+    assert cli("synth", "--out", str(out), env=env) == 6
+    assert "fit inside the year" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_run_produces_all_artifacts(pipeline):
@@ -295,6 +330,22 @@ def test_config_errors_exit_three(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"GEOFLOW_YEAR": "1969"},
+        {"GEOFLOW_YEAR": "10000"},
+        {"GEOFLOW_SYNTH_N_COUNTRIES": "677"},
+        {"GEOFLOW_SYNTH_N_BLOCKS": "13"},
+    ],
+)
+def test_out_of_range_synth_settings_exit_three_writing_nothing(tmp_path, capsys, env):
+    out = tmp_path / "world"
+    assert cli("synth", "--out", str(out), env=env) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_inputs_exit_four(tmp_path, capsys):
     assert cli("ingest", "--config", str(tmp_path / "absent.json")) == 4
     config = tmp_path / "c.json"
@@ -351,6 +402,24 @@ def test_data_errors_exit_six(pipeline, tmp_path, capsys):
     config.write_text(json.dumps(settings))
     assert cli("clean", "--config", str(config)) == 6
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, stage", [("census", "run"), ("capitals", "run"), ("reference", "validate")])
+def test_duplicate_code_in_a_code_table_exits_six(pipeline, tmp_path, capsys, key, stage):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    if key == "reference":
+        text = "code,arrivals,receipts\nAA,1.0,2.0\nAB,3.0,4.0\n"
+    else:
+        text = (world / f"{key}.csv").read_text()
+    header, first, *_ = text.splitlines()
+    table = tmp_path / f"{key}.csv"
+    table.write_text(text + "aa" + first[2:] + "\n")  # AA again, in lower case
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), f"GEOFLOW_PATHS_{key.upper()}": str(table)}
+    assert cli(stage, "--config", config, env=env) == 6
+    err = capsys.readouterr().err
+    assert "code AA" in err and str(table) in err
 
 
 def test_workers_key_exits_three(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geoflow import ingest, metrics
-from geoflow.metrics import build_mobility_profiles, destination_diversity, is_mobile, mobility_rate
+from geoflow.metrics import build_mobility_profiles, destination_diversity, is_mobile
 from geoflow.sphere import EARTH_RADIUS_KM, haversine_km
 from helpers import (
     Y2012,
@@ -17,6 +17,7 @@ from helpers import (
     daily_abroad_series,
     displacements,
     ev,
+    mobility_rate,
     radius_of_gyration,
     rotate_points,
     traj,

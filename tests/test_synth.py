@@ -1,13 +1,18 @@
 """Synthetic worlds: planted flows, event generation, and recorded truth."""
 
 import calendar
+import io
 import math
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geoflow import ingest
+import helpers
+from geoflow import ingest, synth
 from geoflow.ingest import BoundaryIndex
 from geoflow.models import capital_distances
 from geoflow.sphere import haversine_km
@@ -15,12 +20,14 @@ from geoflow.synth import (
     HUMAN_SOURCES,
     SynthCountry,
     SynthWorld,
+    event_blocks,
     event_lines,
     expected_flows,
     generate_events,
     make_world,
     sample_power_law,
     world_boundaries,
+    write_event_lines,
 )
 from helpers import events_of, parse_events
 
@@ -323,6 +330,49 @@ def test_leap_year_bounds_apply():
     assert not calendar.isleap(2013)
     for e in events:
         assert start <= e.timestamp < start + 365 * 86400
+
+
+@st.composite
+def synth_settings(draw):
+    n_countries = draw(st.integers(1, 8))
+    world = make_world(
+        n_countries,
+        seed=draw(st.integers(0, 10_000)),
+        n_blocks=draw(st.integers(1, n_countries)),
+        block_boost=draw(st.sampled_from([1.0, 4.0])),
+    )
+    return dict(
+        world=world,
+        users_per_country=draw(st.integers(1, 9)),
+        events_per_user=draw(st.sampled_from([1, 2, 3, 4, 7, 12]) | st.integers(1, 60)),
+        trip_rate=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        bot_fraction=draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.9)),
+        year=draw(st.sampled_from([1999, 2000, 2012, 2013])),
+    )
+
+
+@settings(max_examples=40)
+@given(synth_settings(), st.integers(1, 7))
+def test_block_generator_draws_what_the_scalar_one_does(kwargs, block_users):
+    # Blocks of a few users split each country's users over several blocks.
+    expected_events, expected_truth = helpers.generate_events(**kwargs)
+    expected = event_lines(expected_events)
+    with mock.patch.object(synth, "_BLOCK_USERS", block_users):
+        events, truth = generate_events(**kwargs)
+        written_truth, blocks = event_blocks(**kwargs)
+        out = io.StringIO()
+        write_event_lines(out, blocks)
+    assert event_lines(events) == expected
+    assert truth == expected_truth == written_truth
+    assert out.getvalue() == "\n".join(expected) + "\n"
+
+
+def test_default_block_size_matches_scalar_generator_on_several_blocks():
+    kwargs = dict(world=make_world(5, seed=7, n_blocks=2, block_boost=3.0), users_per_country=450,
+                  events_per_user=6, trip_rate=0.8, bot_fraction=0.1, year=2013)
+    assert 5 * 450 > 2 * synth._BLOCK_USERS
+    events, truth = generate_events(**kwargs)
+    assert (events, truth) == helpers.generate_events(**kwargs)
 
 
 # ---------------------------------------------------------------- serialization

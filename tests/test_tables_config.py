@@ -119,6 +119,21 @@ def test_read_reference_column_select(tmp_path):
         read_reference(str(path), column=5)
 
 
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_census, "code,population\nAA,100\nBB,200\naa,300\n"),
+        (read_capitals, "code,lat,lon\nAA,1.0,2.0\n aa ,3.0,4.0\n"),
+        (read_reference, "AA,1.0\nBB,2.0\nAA,3.0\n"),
+    ],
+)
+def test_code_tables_reject_a_repeated_code(tmp_path, read, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"{path}: code AA appears on more than one row"):
+        read(str(path))
+
+
 def test_code_tables_without_header_keep_their_first_row(tmp_path):
     census = tmp_path / "census.csv"
     census.write_text("za,52000000,7500.5\nFR,65000000,\n")
@@ -225,6 +240,14 @@ def test_range_errors_rejected(tmp_path):
         load_config(env={"GEOFLOW_SEED": "-1"})
     with pytest.raises(ConfigError, match="weight_mode"):
         load_config(env={"GEOFLOW_CLEAN_WEIGHT_MODE": "bytes"})
+    for year in ("1969", "10000"):
+        with pytest.raises(ConfigError, match="year"):
+            load_config(env={"GEOFLOW_YEAR": year})
+    assert load_config(env={"GEOFLOW_YEAR": "1970"})["year"] == 1970
+    with pytest.raises(ConfigError, match="n_countries"):
+        load_config(env={"GEOFLOW_SYNTH_N_COUNTRIES": "677"})
+    with pytest.raises(ConfigError, match="n_blocks"):
+        load_config(env={"GEOFLOW_SYNTH_N_COUNTRIES": "3", "GEOFLOW_SYNTH_N_BLOCKS": "4"})
 
 
 def test_malformed_json_and_missing_file(tmp_path):
