@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ingest
 from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
 from .sphere import haversine_km, haversine_many
 
@@ -26,17 +27,22 @@ def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tup
     is always retained; the later event of an offending pair is dropped. A
     zero time gap means infinite speed (drop) unless the distance is also
     zero (duplicate point, keep). Consecutive pairs are checked as arrays
-    first, and only users with an offending pair are scanned one by one.
+    first, ingest.BLOCK_ROWS pairs at a time, and only users with an offending
+    pair are scanned one by one.
     """
     order = None if _in_trajectory_order(trajectories) else build_trajectories(trajectories)
     t = trajectories if order is None else trajectories.take(order)
     keep = np.ones(len(t), dtype=bool)
-    pair = np.flatnonzero(t.user[1:] == t.user[:-1])
-    dist = haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
-    gap = t.timestamp[pair + 1] - t.timestamp[pair]
-    ok = np.where(gap == 0, dist == 0.0, dist * 3600.0 <= max_speed_kmh * gap)
     offsets = runs(t.user)
-    for k in np.unique(np.searchsorted(offsets, pair[~ok], side="right") - 1).tolist():
+    offending = [np.zeros(0, dtype=np.int64)]  # users with an offending pair
+    for start in range(0, len(t) - 1, ingest.BLOCK_ROWS):
+        stop = min(start + ingest.BLOCK_ROWS, len(t) - 1)
+        pair = start + np.flatnonzero(t.user[start + 1 : stop + 1] == t.user[start:stop])
+        dist = haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
+        gap = t.timestamp[pair + 1] - t.timestamp[pair]
+        ok = np.where(gap == 0, dist == 0.0, dist * 3600.0 <= max_speed_kmh * gap)
+        offending.append(np.searchsorted(offsets, pair[~ok], side="right") - 1)
+    for k in np.unique(np.concatenate(offending)).tolist():
         start, end = offsets[k], offsets[k + 1]
         lat, lon, ts = (column[start:end].tolist() for column in (t.lat, t.lon, t.timestamp))
         last = 0
@@ -112,7 +118,7 @@ def source_popularity_filter(
             kept_pairs.append(c * len(events.sources) + s)
         cumulative[c] = cumulative.get(c, 0) + m
         rankings.setdefault(code, []).append((name, m))
-    keep = np.isin(events.country * len(events.sources) + events.source, kept_pairs)
+    keep = np.isin(events.country.astype(np.int64) * len(events.sources) + events.source, kept_pairs)
     stats = CleaningStats(
         retained_sources=retained_ordered,
         rankings=rankings,

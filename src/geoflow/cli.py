@@ -5,9 +5,13 @@ work directory and writes its own; `run` executes every stage in order. A
 single-stage command reads the events and user profiles it needs back from
 the artifacts, while `run` hands them from stage to stage in memory, so it
 parses the event file once and builds the profiles once; both write the
-same bytes. All randomness flows from the single `seed` config key, and no
-artifact embeds timestamps or machine state, so identical configs produce
-byte-identical outputs.
+same bytes. What `run` holds between stages grows by a few bytes per event
+and no more: the event table, the byte offsets of the `events_labeled.csv`
+line ends from `ingest` to `clean` (which copies the kept lines out of that
+file instead of formatting them again), and the displacement and gyration
+samples as float64 arrays from `metrics` to `fit-powerlaw`. All randomness
+flows from the single `seed` config key, and no artifact embeds timestamps
+or machine state, so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 usage error, 3 malformed config, 4 missing input
 file, 5 stage-order violation (a required intermediate artifact is
@@ -32,7 +36,6 @@ from . import metrics as metrics_mod
 from . import models as models_mod
 from . import network as network_mod
 from . import residence as residence_mod
-from . import synth as synth_mod
 from . import tables
 from .config import ConfigError, load_config
 
@@ -139,10 +142,10 @@ class Workspace:
 
 
 _LOADERS: dict[str, Callable[[Workspace], Any]] = {
-    "labeled rows": lambda ws: tables.event_rows(ws.load("events_labeled.csv")),
+    "labeled line ends": lambda ws: tables.line_ends(ws.artifact("events_labeled.csv")),
     "profiles": lambda ws: residence_mod.build_profiles(ws.load("events_clean.csv")),
-    "displacements.csv": lambda ws: [float(km) for _, km in ws.read_rows("displacements.csv")],
-    "gyration.csv": lambda ws: [float(km) for _, km in ws.read_rows("gyration.csv")],
+    "displacements.csv": lambda ws: np.array([float(km) for _, km in ws.read_rows("displacements.csv")]),
+    "gyration.csv": lambda ws: np.array([float(km) for _, km in ws.read_rows("gyration.csv")]),
 }
 
 
@@ -170,35 +173,39 @@ def stage_ingest(ws: Workspace) -> None:
     if boundaries_path:
         index = ingest_mod.BoundaryIndex(ingest_mod.load_boundaries(boundaries_path))
     labeled, dropped = ingest_mod.label_events(report.events, index)
-    rows = tables.event_rows(labeled)
-    tables.write_events(ws.path("events_labeled.csv"), rows)
-    ws.held.update({"events_labeled.csv": labeled, "labeled rows": rows})
-    tables.write_json(
-        ws.path("ingest_report.json"),
-        {
-            "n_lines": report.n_lines,
-            "n_events": len(report.events),
-            "n_malformed": report.n_malformed,
-            "header_skipped": report.header_skipped,
-            "n_unlocatable_dropped": dropped,
-            "n_labeled": len(labeled),
-            "errors_first_10": [[lineno, reason] for lineno, reason in report.errors],
-        },
-    )
+    summary = {
+        "n_lines": report.n_lines,
+        "n_events": len(report.events),
+        "n_malformed": report.n_malformed,
+        "header_skipped": report.header_skipped,
+        "n_unlocatable_dropped": dropped,
+        "n_labeled": len(labeled),
+        "errors_first_10": [[lineno, reason] for lineno, reason in report.errors],
+    }
+    del report  # the parsed table: only the labeled one is needed from here on
+    ends = tables.write_events(ws.path("events_labeled.csv"), labeled)
+    ws.held.update({"events_labeled.csv": labeled, "labeled line ends": ends})
+    tables.write_json(ws.path("ingest_report.json"), summary)
 
 
 def stage_clean(ws: Workspace) -> None:
     settings = ws.config["clean"]
-    rows = ws.take("labeled rows")  # first: without held rows, this loads the events taken below
     events = ws.take("events_labeled.csv")
+    n_labeled = len(events)
     order = ingest_mod.build_trajectories(events)
-    events = events.take(order)
+    events.select(order)  # in place: this stage took the only reference
     keep, speed_removed = clean_mod.speed_filter(events, settings["max_speed_kmh"])
-    order, events = order[keep], events.take(keep)
+    order = order[keep]
+    events.select(keep)
     retained, keep, stats = clean_mod.source_popularity_filter(events, settings["coverage"], settings["weight_mode"])
-    order, events = order[keep], events.take(keep)
-    # The cleaned events are labeled rows in trajectory order: select their lines, formatted once.
-    tables.write_events(ws.path("events_clean.csv"), np.asarray(rows, dtype=object)[order])
+    order = order[keep]
+    events.select(keep)
+    # The cleaned events are labeled rows in trajectory order: copy their lines, formatted once, from the
+    # labeled file, now that the filters' copies of the table are freed.
+    labeled_path, ends = ws.artifact("events_labeled.csv"), ws.take("labeled line ends")
+    if len(ends) != n_labeled + 1:
+        raise ValueError(f"{labeled_path}: {len(ends) - 1} lines after the header, but {n_labeled} events")
+    tables.write_events(ws.path("events_clean.csv"), events, tables.EventLines(labeled_path, ends, order))
     ws.held["events_clean.csv"] = events
     ranked = ((country, source, mass) for country, ranking in stats.rankings.items() for source, mass in ranking)
     ws.write_rows("cleaning_report.csv", ([c, s, mass, s in retained[c]] for c, s, mass in ranked))
@@ -249,11 +256,15 @@ def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
     return out
 
 
-def _write_km(ws: Workspace, name: str, users: Iterable[str], km: Iterable[float]) -> None:
-    """A user_id,km artifact a column at a time: write_rows' bytes without a fmt call per cell."""
+def _write_km(ws: Workspace, name: str, users: Sequence[str], codes: np.ndarray, km: np.ndarray) -> None:
+    """A user_id,km artifact, row k naming users[codes[k]], a block of columns at a time: write_rows' bytes
+    without a fmt call per cell."""
     with tables.replacing(ws.path(name)) as fh:
         fh.write(",".join(_KM_HEADER) + "\n")
-        fh.writelines(map("{},{}\n".format, users, map(repr, km)))
+        for start in range(0, len(km), ingest_mod.BLOCK_ROWS):
+            stop = start + ingest_mod.BLOCK_ROWS
+            names = map(users.__getitem__, codes[start:stop].tolist())
+            fh.writelines(map("{},{}\n".format, names, map(repr, km[start:stop].tolist())))
 
 
 def stage_metrics(ws: Workspace) -> None:
@@ -267,10 +278,10 @@ def stage_metrics(ws: Workspace) -> None:
         rows = ([s.code, day, *pair] for s in series.values() for day, pair in enumerate(zip(s.values, s.normalized)))
         ws.write_rows(f"daily_{direction}.csv", rows)
     users, km = metrics_mod.displacements(events)
-    km = km.tolist()
-    _write_km(ws, "displacements.csv", map(events.users.__getitem__, users.tolist()), km)
-    _write_km(ws, "gyration.csv", radii.keys(), radii.values())  # in user id order
-    ws.held.update({"displacements.csv": km, "gyration.csv": list(radii.values())})
+    _write_km(ws, "displacements.csv", events.users, users, km)
+    radii_km = np.fromiter(radii.values(), dtype=np.float64, count=len(radii))
+    _write_km(ws, "gyration.csv", list(radii), np.arange(len(radii)), radii_km)  # in user id order
+    ws.held.update({"displacements.csv": km, "gyration.csv": radii_km})
 
 
 def stage_network(ws: Workspace) -> None:
@@ -363,10 +374,10 @@ def stage_fit_gravity(ws: Workspace) -> None:
     tables.write_json(ws.path("gravity_fit.json"), report)
 
 
-def _powerlaw_report(samples: list[float], xmin: float) -> dict[str, Any]:
+def _powerlaw_report(samples: np.ndarray, xmin: float) -> dict[str, Any]:
     out = dataclasses.asdict(models_mod.fit_power_law(samples, xmin))
     try:
-        b_beta, b_intercept, b_r2 = models_mod.binned_powerlaw_check([x for x in samples if x >= xmin])
+        b_beta, b_intercept, b_r2 = models_mod.binned_powerlaw_check(samples[samples >= xmin])
         out["binned_check"] = {"exponent": b_beta, "intercept": b_intercept, "r2": b_r2}
     except ValueError as exc:
         out["binned_check"] = {"error": str(exc)}
@@ -401,6 +412,8 @@ def cmd_validate(ws: Workspace) -> None:
 
 
 def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
+    from . import synth as synth_mod  # here, not at the top: no pipeline stage imports the generator
+
     os.makedirs(out_dir, exist_ok=True)
     section = config["synth"]
     a, alpha, beta, gamma = section["gravity"]

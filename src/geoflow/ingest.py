@@ -39,17 +39,19 @@ class GeoEvent:
 @dataclass(slots=True, eq=False)
 class EventTable:
     """Events as columns, one row per event. `user`, `source` and `country` are positions in the
-    sorted vocabularies `users`, `sources` and `countries`, which may hold names no row uses."""
+    sorted vocabularies `users`, `sources` and `countries`, which may hold names no row uses. Each of
+    these code columns has the narrowest type _code_dtype gives its vocabulary: widen it to int64
+    before any arithmetic on a code."""
 
     users: list[str]
     sources: list[str]
     countries: list[str]
-    user: np.ndarray  # int64 positions in users
+    user: np.ndarray  # positions in users
     timestamp: np.ndarray  # int64 UTC seconds since epoch
     lat: np.ndarray  # float64 degrees in [-90, 90]
     lon: np.ndarray  # float64 degrees in (-180, 180]
-    source: np.ndarray  # int64 positions in sources
-    country: np.ndarray  # int64 positions in countries, -1 when unlabeled
+    source: np.ndarray  # positions in sources
+    country: np.ndarray  # positions in countries, -1 when unlabeled
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -58,6 +60,22 @@ class EventTable:
         """The rows an index array or boolean mask selects, over the same vocabularies."""
         columns = (self.user, self.timestamp, self.lat, self.lon, self.source, self.country)
         return EventTable(self.users, self.sources, self.countries, *(column[rows] for column in columns))
+
+    def select(self, rows: np.ndarray) -> None:
+        """Keep only the rows `take` would return, in place: one column is copied at a time, so the rows are
+        never held twice. For a table no one else reads."""
+        for name in ("user", "timestamp", "lat", "lon", "source", "country"):
+            setattr(self, name, getattr(self, name)[rows])
+
+
+# Rows a pass over a whole table handles at a time (formatting, copying and scanning event files, pairs of
+# consecutive events): bounds every transient string, slice, mapped page and array whatever the event count.
+BLOCK_ROWS = 4096
+
+
+def _code_dtype(n_names: int) -> type[np.signedinteger]:
+    """The narrowest of int16 and int32 that holds the codes -1 to n_names - 1."""
+    return np.int16 if n_names < 2**15 else np.int32
 
 
 def runs(*columns: np.ndarray) -> np.ndarray:
@@ -131,8 +149,8 @@ def _sorted_codes(vocab: dict[str, int], codes: array) -> tuple[list[str], np.nd
     """A vocabulary in sorted order, and first-seen codes (-1 kept) renumbered into it."""
     names = sorted(vocab)
     position = {name: i for i, name in enumerate(names)}
-    renumber = np.array([position[name] for name in vocab] + [-1], dtype=np.int64)
-    return names, renumber[np.frombuffer(codes, dtype=np.int64)]
+    renumber = np.array([position[name] for name in vocab] + [-1], dtype=_code_dtype(len(names)))
+    return names, renumber[np.frombuffer(codes, dtype=np.intc)]
 
 
 def parse_events(stream: Iterable[str] | Iterable[bytes]) -> ParseReport:
@@ -147,7 +165,8 @@ def parse_events(stream: Iterable[str] | Iterable[bytes]) -> ParseReport:
     users: dict[str, int] = {}  # name -> first-seen code; likewise sources and countries
     sources: dict[str, int] = {}
     countries: dict[str, int] = {}
-    user, timestamp, lat, lon, source, country = (array(kind) for kind in "qqddqq")
+    # First-seen codes are C ints (int32): more than 2**31 names of one kind would take more lines than that.
+    user, timestamp, lat, lon, source, country = (array(kind) for kind in "iqddii")
     errors: list[tuple[int, str]] = []
     n_lines = n_malformed = 0
     header_skipped = False
@@ -315,14 +334,18 @@ def label_events(events: EventTable, index: BoundaryIndex | None) -> tuple[Event
     stages require a country on every event.
     """
     if index is not None:
-        todo = np.flatnonzero(events.country < 0)
         countries = sorted(set(events.countries).union(index._codes))
-        country = np.array([*map(countries.index, events.countries), -1], dtype=np.int64)[events.country]
-        found = index._labels(events.lon[todo], events.lat[todo])
-        country[todo] = np.array([*map(countries.index, index._codes), -1], dtype=np.int64)[found]
+        dtype = _code_dtype(len(countries))
+        country = np.array([*map(countries.index, events.countries), -1], dtype=dtype)[events.country]
+        located = np.array([*map(countries.index, index._codes), -1], dtype=dtype)
+        step = BLOCK_ROWS << 4  # rows at a time, as other passes but longer: each block costs a pass per polygon
+        for start in range(0, len(events), step):  # each point's label is its own, so any blocks give the same
+            todo = start + np.flatnonzero(country[start : start + step] < 0)
+            country[todo] = located[index._labels(events.lon[todo], events.lat[todo])]
         events = replace(events, countries=countries, country=country)
-    labeled = events.take(events.country >= 0)
-    return labeled, len(events) - len(labeled)
+    keep = events.country >= 0
+    dropped = len(events) - int(np.count_nonzero(keep))
+    return (events.take(keep) if dropped else events), dropped  # nothing to drop: no copy of the table
 
 
 def load_boundaries(path: str) -> list[CountryBoundary]:

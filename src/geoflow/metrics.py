@@ -14,6 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import ingest
 from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
 from .residence import UserProfile
 from .sphere import DegenerateCenterError, haversine_many, mean_center
@@ -48,31 +49,55 @@ def user_gyration_radii(events: EventTable) -> dict[str, float]:
     Each user's sums run in trajectory order (ingest.build_trajectories),
     whatever the order of the rows. A user whose events share one point
     gets 0; when antipodal cancellation leaves the center undefined, the
-    user's first event is the anchor. Users come in id order.
+    user's first event is the anchor. Users come in id order, in groups of
+    whole users about 16 * ingest.BLOCK_ROWS rows long, which bounds the
+    transients: longer than other blocks, as each group pays a loop over the
+    steps of its longest trajectories.
     """
     t = events if _in_trajectory_order(events) else events.take(build_trajectories(events))
     offsets = runs(t.user)
+    block_users = np.searchsorted(offsets, np.arange(0, len(t), ingest.BLOCK_ROWS << 4), side="right") - 1
+    groups = np.unique(block_users).tolist() + [len(offsets) - 1]  # group: users groups[i]:groups[i + 1]
+    radii: dict[str, float] = {}
+    for a, b in zip(groups, groups[1:]):
+        lo, hi = offsets[a], offsets[b]
+        radii.update(_gyration(t.users, t.user[lo:hi], t.lat[lo:hi], t.lon[lo:hi], offsets[a : b + 1] - lo))
+    return radii
+
+
+def _gyration(
+    users: list[str], user: np.ndarray, lat: np.ndarray, lon: np.ndarray, offsets: np.ndarray
+) -> dict[str, float]:
+    """user_gyration_radii of rows in trajectory order, whose users' runs are rows offsets[k]:offsets[k + 1]."""
     first, n = offsets[:-1], np.diff(offsets)
     run = np.repeat(np.arange(len(n)), n)
-    phi, lam = np.radians(t.lat), np.radians(t.lon)
+    phi, lam = np.radians(lat), np.radians(lon)
     sums = _run_sums(np.stack((np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi))), offsets)
-    moved = np.bincount(run[(t.lat != t.lat[first][run]) | (t.lon != t.lon[first][run])], minlength=len(n)) > 0
-    center_lat, center_lon = t.lat[first], t.lon[first]  # the anchor unless the center is defined
+    moved = np.bincount(run[(lat != lat[first][run]) | (lon != lon[first][run])], minlength=len(n)) > 0
+    center_lat, center_lon = lat[first], lon[first]  # the anchor unless the center is defined
     for k in np.flatnonzero(moved).tolist():
         try:
             center_lat[k], center_lon[k] = mean_center(*sums[:, k].tolist(), int(n[k]))
         except DegenerateCenterError:
             pass
-    d = haversine_many(t.lat, t.lon, center_lat[run], center_lon[run])
-    totals = zip(t.user[first].tolist(), _run_sums(d * d, offsets).tolist(), n.tolist(), moved.tolist())
-    return {t.users[u]: (total / count) ** 0.5 if m else 0.0 for u, total, count, m in totals}
+    d = haversine_many(lat, lon, center_lat[run], center_lon[run])
+    totals = zip(user[first].tolist(), _run_sums(d * d, offsets).tolist(), n.tolist(), moved.tolist())
+    return {users[u]: (total / count) ** 0.5 if m else 0.0 for u, total, count, m in totals}
 
 
 def displacements(events: EventTable) -> tuple[np.ndarray, np.ndarray]:
-    """User and great-circle distance of each consecutive pair of one user's events, in trajectory order."""
+    """User and great-circle distance of each consecutive pair of one user's events, in trajectory order.
+
+    The distances are taken ingest.BLOCK_ROWS rows at a time, into one float64 array."""
     t = events if _in_trajectory_order(events) else events.take(build_trajectories(events))
-    pair = np.flatnonzero(t.user[1:] == t.user[:-1])
-    return t.user[pair], haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
+    same = t.user[1:] == t.user[:-1]
+    km = np.empty(np.count_nonzero(same))
+    done = 0
+    for start in range(0, len(same), ingest.BLOCK_ROWS):
+        pair = start + np.flatnonzero(same[start : start + ingest.BLOCK_ROWS])
+        km[done : done + len(pair)] = haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
+        done += len(pair)
+    return t.user[:-1][same], km
 
 
 def destination_diversity(country: str, profiles: Mapping[str, UserProfile]) -> int:
@@ -164,16 +189,21 @@ def daily_abroad_series(
     if np.any(events.country < 0):
         raise ValueError("every event needs a country label")
     n_days = 366 if calendar.isleap(year) else 365
-    start = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
+    year_start = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
     domain = sorted(set().union(*(profile.counts for profile in profiles.values())))
     position = {code: i for i, code in enumerate(domain)}
-    home = np.array([position[p.residence] if (p := profiles.get(u)) else -1 for u in events.users], dtype=np.int64)
-    home = home[events.user]
-    here = np.array([position.get(code, -1) for code in events.countries], dtype=np.int64)[events.country]
-    day = (events.timestamp - start) // 86400
-    mask = (home >= 0) & (here != home) & (0 <= day) & (day < n_days)
-    cell = ((home if direction == "outbound" else here) * n_days + day)[mask]
-    distinct = np.unique(cell * len(events.users) + events.user[mask])  # one per (country, day, user)
+    home_of = np.array([position[p.residence] if (p := profiles.get(u)) else -1 for u in events.users], np.int64)
+    here_of = np.array([position.get(code, -1) for code in events.countries], dtype=np.int64)
+    keys = [np.zeros(0, dtype=np.int64)]  # one per (country, day, user), a block of rows at a time
+    for start in range(0, len(events), ingest.BLOCK_ROWS):
+        rows = slice(start, start + ingest.BLOCK_ROWS)
+        user = events.user[rows]
+        home, here = home_of[user], here_of[events.country[rows]]
+        day = (events.timestamp[rows] - year_start) // 86400
+        mask = (home >= 0) & (here != home) & (0 <= day) & (day < n_days)
+        cell = ((home if direction == "outbound" else here) * n_days + day)[mask]
+        keys.append(np.unique(cell * len(events.users) + user[mask]))
+    distinct = np.unique(np.concatenate(keys))
     values = np.bincount(distinct // len(events.users), minlength=len(domain) * n_days)
     out: dict[str, DailySeries] = {}
     for code, row in zip(domain, values.reshape(len(domain), n_days).tolist()):

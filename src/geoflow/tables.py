@@ -8,9 +8,13 @@ byte-identical files. Nothing here stamps timestamps or machine state.
 from __future__ import annotations
 
 import json
+import mmap
 import os
+from array import array
 from contextlib import contextmanager, suppress
-from typing import IO, Any, Iterable, Iterator, Sequence
+from typing import IO, Any, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from . import ingest
 from .ingest import EventTable
@@ -28,15 +32,15 @@ def fmt(value: Any) -> str:
 
 
 @contextmanager
-def replacing(path: str) -> Iterator[IO[str]]:
-    """Open a sibling temp file for writing, then move it over `path`.
+def replacing(path: str, binary: bool = False) -> Iterator[IO[Any]]:
+    """Open a sibling temp file for writing (text, or bytes if `binary`), then move it over `path`.
 
     A reader never sees a half-written file: if the write fails, the temp
     file is removed and any previous `path` is left as it was.
     """
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -86,22 +90,82 @@ def read_json(path: str) -> Any:
 EVENT_HEADER = ["user_id", "timestamp", "lat", "lon", "source", "country"]
 
 
-def event_rows(events: EventTable) -> list[str]:
-    """Each event's event-table line, newline included, formatted a block at a time to bound transient objects."""
+class EventLines(NamedTuple):
+    """Rows `rows` of the event file at `path`, in that order; `ends` holds the offset past its header and past
+    each of its lines, as write_events or line_ends returns them."""
+
+    path: str
+    ends: np.ndarray
+    rows: np.ndarray
+
+
+def write_events(path: str, events: EventTable, copy: EventLines | None = None) -> np.ndarray:
+    """Write an event table; returns the offset past the header and past each row's line (int64, 8 B per row).
+
+    Each block of ingest.BLOCK_ROWS rows is formatted and encoded at once. Given `copy`, the lines of an earlier event
+    file that formatted these same events are copied instead, through a read-only map of that file; a file whose
+    size is not its last offset raises ValueError before anything is written.
+    """
+    if copy is None:
+        step = ingest.BLOCK_ROWS
+        blocks = (_format_rows(events, start, start + step).encode() for start in range(0, len(events), step))
+        return _write_blocks(path, len(events), blocks)
+    if len(copy.rows) != len(events):
+        raise ValueError(f"{len(copy.rows)} lines to copy for {len(events)} events")
+    with open(copy.path, "rb") as source:
+        size = os.fstat(source.fileno()).st_size
+        if size != copy.ends[-1]:
+            raise ValueError(f"{copy.path}: {size} bytes, but its lines end at byte {copy.ends[-1]}; rerun its stage")
+        with mmap.mmap(source.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            return _write_blocks(path, len(events), _copied_lines(mapped, copy.ends, copy.rows))
+
+
+def _copied_lines(mapped: mmap.mmap, ends: np.ndarray, rows: np.ndarray) -> Iterator[bytes]:
+    """The mapped lines of `rows`, a block at a time; each block's pages are given back to the cache after it."""
+    for start in range(0, len(rows), ingest.BLOCK_ROWS):
+        block = rows[start : start + ingest.BLOCK_ROWS]
+        yield b"".join(map(mapped.__getitem__, map(slice, ends[block].tolist(), ends[block + 1].tolist())))
+        if hasattr(mmap, "MADV_DONTNEED"):  # the pages stay cached; only this process's RSS drops
+            mapped.madvise(mmap.MADV_DONTNEED)
+
+
+def _write_blocks(path: str, n_rows: int, blocks: Iterable[bytes]) -> np.ndarray:
+    """The event header and then `blocks` of whole lines; the offsets are the line ends found in the encoded
+    bytes, so multi-byte names count in bytes."""
+    header = (",".join(EVENT_HEADER) + "\n").encode()
+    ends = np.empty(n_rows + 1, dtype=np.int64)
+    ends[0], written = len(header), 0
+    with replacing(path, binary=True) as fh:
+        fh.write(header)
+        for data in blocks:
+            fh.write(data)
+            line_ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + (ends[written] + 1)
+            ends[written + 1 : written + 1 + len(line_ends)] = line_ends
+            written += len(line_ends)
+    return ends
+
+
+def _format_rows(events: EventTable, start: int, stop: int) -> str:
+    """Rows start:stop of an event table as the lines of its file."""
     users, sources, countries = events.users, events.sources, events.countries + [""]
     columns = (events.user, events.timestamp, events.lat, events.lon, events.source, events.country)
-    rows: list[str] = []
-    for start in range(0, len(events), 1 << 14):
-        block = (column[start : start + (1 << 14)].tolist() for column in columns)
-        rows += [f"{users[u]},{t},{y!r},{x!r},{sources[s]},{countries[c]}\n" for u, t, y, x, s, c in zip(*block)]
-    return rows
+    block = (column[start:stop].tolist() for column in columns)
+    return "".join([f"{users[u]},{t},{y!r},{x!r},{sources[s]},{countries[c]}\n" for u, t, y, x, s, c in zip(*block)])
 
 
-def write_events(path: str, rows: Sequence[str]) -> None:
-    """An event table of rows as event_rows formats them."""
-    with replacing(path) as fh:
-        fh.write(",".join(EVENT_HEADER) + "\n")
-        fh.writelines(rows)
+def line_ends(path: str) -> np.ndarray:
+    """The offset past each line of a file, as write_events returns them, read 256 bytes per block row at a time.
+
+    A file that does not end with a line end raises ValueError: its last line could not be copied whole.
+    """
+    ends, offset = array("q"), 0
+    with open(path, "rb") as fh:
+        while data := fh.read(ingest.BLOCK_ROWS << 8):
+            ends.frombytes((np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + (offset + 1)).tobytes())
+            offset += len(data)
+    if not ends or ends[-1] != offset:
+        raise ValueError(f"{path}: the last line has no line end")
+    return np.frombuffer(ends, dtype=np.int64)
 
 
 def read_events(path: str) -> EventTable:

@@ -302,6 +302,20 @@ def test_table_source_filter_matches_the_object_filter(events, mode, coverage):
     assert list(stats.rankings) == list(want_stats.rankings)
 
 
+@pytest.mark.parametrize("mode", ["users", "events"])
+def test_table_source_filter_keys_do_not_overflow_narrow_codes(mode):
+    # 20,040 sources still take int16 codes, and country CC's key 2 * 20,040 + source passes 2**15.
+    countries = ["AA", "BB", "CC"]
+    rare = [ev(f"u{i % 700}", i, source=f"r{i:05d}", country=countries[i % 3]) for i in range(20_000)]
+    popular = [ev(f"u{i % 700}", i, source=f"p{i % 40:02d}", country=countries[i % 3]) for i in range(20_000)]
+    table = table_of(rare + popular)
+    assert table.source.dtype == np.int16 and table.country.dtype == np.int16
+    retained, keep, stats = clean.source_popularity_filter(table, 0.5, mode)
+    want_retained, want_kept, want_stats = source_popularity_filter(events_of(table), 0.5, mode)
+    assert (retained, events_of(table.take(keep)), stats) == (want_retained, want_kept, want_stats)
+    assert 0 < stats.events_after < stats.events_before
+
+
 def test_table_filters_reject_unlabeled_events():
     with pytest.raises(ValueError, match="country label"):
         clean.source_popularity_filter(table_of([ev("u", 1)]))

@@ -240,6 +240,65 @@ def test_stages_match_run_on_a_user_id_holding_a_carriage_return(tmp_path):
         assert (tmp_path / "stages" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
 
+def build_multibyte_world(base):
+    """A small world whose user ids and sources hold 2- to 4-byte UTF-8, so lines differ in chars and bytes."""
+    world = build_world(base, "world")
+    text = (world / "events.csv").read_text(encoding="utf-8")
+    text = text.replace("\nu00000", "\nü€𝄞").replace("\nu00001", "\n€u").replace(",app_web\n", ",app_wéb\n")
+    (world / "events.csv").write_text(text.replace(",app_mobile\n", ",应用𝄞\n"), encoding="utf-8")
+    return world
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_block_edges_change_no_byte(tmp_path, monkeypatch, block):
+    world = build_multibyte_world(tmp_path)
+    config = str(world / "config.json")
+    assert cli("run", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(tmp_path / "default")}) == 0
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block)
+    assert cli("run", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(tmp_path / "run")}) == 0
+    for stage in STAGES:
+        assert cli(stage, "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(tmp_path / "stages")}) == 0, stage
+    labeled = (tmp_path / "default" / "events_labeled.csv").read_text(encoding="utf-8")
+    assert "\nü€𝄞" in labeled and "\n€u" in labeled and ",app_wéb," in labeled and ",应用𝄞," in labeled
+    for name in RUN_ARTIFACTS:
+        want = (tmp_path / "default" / name).read_bytes()
+        assert (tmp_path / "run" / name).read_bytes() == want, name
+        assert (tmp_path / "stages" / name).read_bytes() == want, name
+
+
+@pytest.mark.parametrize("change", ["truncate", "extend"])
+def test_clean_refuses_a_labeled_file_changed_after_ingest(tmp_path, monkeypatch, capsys, change):
+    world = build_world(tmp_path, "world")
+    ingest_stage = cli_mod.stage_ingest
+
+    def ingest_then_change(ws):
+        ingest_stage(ws)
+        path = Path(ws.path("events_labeled.csv"))
+        data = path.read_bytes()
+        path.write_bytes(data[:-10] if change == "truncate" else data + data.splitlines(keepends=True)[-1])
+
+    monkeypatch.setattr(cli_mod, "stage_ingest", ingest_then_change)
+    assert cli("run", "--config", str(world / "config.json")) == 6
+    err = capsys.readouterr().err
+    assert "data error" in err and str(world / "artifacts" / "events_labeled.csv") in err
+    assert sorted(path.name for path in (world / "artifacts").iterdir()) == ["events_labeled.csv", "ingest_report.json"]
+
+
+def test_single_stage_clean_refuses_a_labeled_file_cut_mid_line(pipeline, tmp_path, capsys):
+    world, _ = pipeline
+    workdir = tmp_path / "artifacts"
+    workdir.mkdir()
+    labeled = (world / "artifacts" / "events_labeled.csv").read_bytes()
+    (workdir / "events_labeled.csv").write_bytes(labeled[:-1])  # the last row still parses, without its LF
+    settings = json.loads((world / "config.json").read_text())
+    settings["paths"]["workdir"] = str(workdir)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(settings))
+    assert cli("clean", "--config", str(config)) == 6
+    assert f"{workdir / 'events_labeled.csv'}: the last line has no line end" in capsys.readouterr().err
+    assert sorted(path.name for path in workdir.iterdir()) == ["events_labeled.csv"]
+
+
 def test_census_without_header_keeps_its_first_country(pipeline, tmp_path):
     world, config = pipeline
     census = tmp_path / "census.csv"

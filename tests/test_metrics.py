@@ -2,8 +2,10 @@
 
 import math
 import random
+import string
 from collections.abc import Mapping
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -317,6 +319,24 @@ def test_table_metrics_match_the_object_metrics(events, direction):
     series = metrics.daily_abroad_series(profiles, trajectories, direction)
     assert series == daily_abroad_series(profiles, objects, direction)
     assert list(series) == sorted(series)
+
+
+@pytest.mark.parametrize("direction", ["outbound", "inbound"])
+def test_table_daily_series_keys_do_not_overflow_narrow_codes(direction):
+    # 676 countries x 366 days x 10,000 users passes 2**31, and the user codes are int16.
+    codes = [a + b for a in string.ascii_uppercase for b in string.ascii_uppercase]
+    events = []
+    for u in range(10_000):
+        home, away = codes[u % 676], codes[(7 * u + 1) % 676]
+        day = Y2012 + u % 366 * 86400
+        events += [ev(f"u{u:05d}", day, country=home), ev(f"u{u:05d}", day + 1, country=home)]
+        events.append(ev(f"u{u:05d}", day + 2, country=away))
+    table = table_of(events)
+    assert table.user.dtype == np.int16 and len(table.countries) == 676
+    profiles = build_profiles(events)
+    series = metrics.daily_abroad_series(profiles, table, direction)
+    assert series == daily_abroad_series(profiles, events, direction)
+    assert sum(sum(s.values) for s in series.values()) == 10_000
 
 
 def test_gyration_of_an_antipodal_pair_anchors_at_the_first_event():

@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from geoflow import ingest, tables
 from geoflow.config import ConfigError, default_config, load_config
 from geoflow.ingest import GeoEvent
 from geoflow.tables import fmt, read_capitals, read_census, read_json, read_reference, read_rows, write_json, write_rows
-from helpers import read_events, write_events
+from helpers import read_events, table_of, write_events
 
 # ---------------------------------------------------------------- cells and rows
 
@@ -77,6 +79,41 @@ def test_events_round_trip_with_country(tmp_path):
     path = str(tmp_path / "ev.csv")
     write_events(path, events_fixture())
     assert read_events(path) == events_fixture()
+
+
+MULTIBYTE_EVENTS = [  # 1- to 4-byte UTF-8 in user ids and sources
+    GeoEvent("ü€𝄞", 100, -33.5, 18.25, "app_wéb", "ZA"),
+    GeoEvent("u1", 2000, 48.857142857142854, 2.3, "应用", "FR"),
+    GeoEvent("ü2", 150, 0.0, 180.0, "app_b", "FJ"),
+    GeoEvent("𝄞", 7, 1.0, -2.5, "𝄞app", "FJ"),
+    GeoEvent("u1", 9, 3.0, 4.0, "app_b", "FR"),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+def test_event_writer_offsets_are_byte_offsets(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block)
+    table = table_of(MULTIBYTE_EVENTS)
+    path = tmp_path / "labeled.csv"
+    ends = tables.write_events(str(path), table)
+    data = path.read_bytes()
+    assert ends.tolist() == tables.line_ends(str(path)).tolist() and ends[-1] == len(data)
+    assert [data[a:b].decode() for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())] == data.decode().splitlines(
+        keepends=True
+    )[1:]
+    rows = np.array([3, 0, 4])
+    copied = tmp_path / "copied.csv"
+    copied_ends = tables.write_events(str(copied), table.take(rows), tables.EventLines(str(path), ends, rows))
+    tables.write_events(str(tmp_path / "formatted.csv"), table.take(rows))
+    assert copied.read_bytes() == (tmp_path / "formatted.csv").read_bytes()
+    assert copied_ends.tolist() == tables.line_ends(str(copied)).tolist()
+
+
+def test_line_ends_need_a_final_line_end(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"user_id,timestamp,lat,lon,source,country\nu1,1,0.0,0.0,app,AA")
+    with pytest.raises(ValueError, match="no line end"):
+        tables.line_ends(str(path))
 
 
 def test_read_events_is_strict(tmp_path):
