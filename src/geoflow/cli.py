@@ -6,12 +6,12 @@ single-stage command reads the events and user profiles it needs back from
 the artifacts, while `run` hands them from stage to stage in memory, so it
 parses the event file once and builds the profiles once; both write the
 same bytes. What `run` holds between stages grows by a few bytes per event
-and no more: the event table, the byte offsets of the `events_labeled.csv`
-line ends from `ingest` to `clean` (which copies the kept lines out of that
-file instead of formatting them again), and the displacement and gyration
-samples as float64 arrays from `metrics` to `fit-powerlaw`. All randomness
-flows from the single `seed` config key, and no artifact embeds timestamps
-or machine state, so identical configs produce byte-identical outputs.
+and no more: the event table, and the displacement and gyration samples as
+float64 arrays from `metrics` to `fit-powerlaw`. `clean` copies the kept
+lines out of `events_labeled.csv` instead of formatting them again, at the
+line ends it finds by scanning that file. All randomness flows from the
+single `seed` config key, and no artifact embeds timestamps or machine
+state, so identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 usage error, 3 malformed config, 4 missing input
 file, 5 stage-order violation (a required intermediate artifact is
@@ -142,7 +142,6 @@ class Workspace:
 
 
 _LOADERS: dict[str, Callable[[Workspace], Any]] = {
-    "labeled line ends": lambda ws: tables.line_ends(ws.artifact("events_labeled.csv")),
     "profiles": lambda ws: residence_mod.build_profiles(ws.load("events_clean.csv")),
     "displacements.csv": lambda ws: np.array([float(km) for _, km in ws.read_rows("displacements.csv")]),
     "gyration.csv": lambda ws: np.array([float(km) for _, km in ws.read_rows("gyration.csv")]),
@@ -183,8 +182,8 @@ def stage_ingest(ws: Workspace) -> None:
         "errors_first_10": [[lineno, reason] for lineno, reason in report.errors],
     }
     del report  # the parsed table: only the labeled one is needed from here on
-    ends = tables.write_events(ws.path("events_labeled.csv"), labeled)
-    ws.held.update({"events_labeled.csv": labeled, "labeled line ends": ends})
+    tables.write_events(ws.path("events_labeled.csv"), labeled)
+    ws.held["events_labeled.csv"] = labeled
     tables.write_json(ws.path("ingest_report.json"), summary)
 
 
@@ -202,7 +201,8 @@ def stage_clean(ws: Workspace) -> None:
     events.select(keep)
     # The cleaned events are labeled rows in trajectory order: copy their lines, formatted once, from the
     # labeled file, now that the filters' copies of the table are freed.
-    labeled_path, ends = ws.artifact("events_labeled.csv"), ws.take("labeled line ends")
+    labeled_path = ws.artifact("events_labeled.csv")
+    ends = tables.line_ends(labeled_path)
     if len(ends) != n_labeled + 1:
         raise ValueError(f"{labeled_path}: {len(ends) - 1} lines after the header, but {n_labeled} events")
     tables.write_events(ws.path("events_clean.csv"), events, tables.EventLines(labeled_path, ends, order))

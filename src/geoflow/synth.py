@@ -323,25 +323,20 @@ def generate_events(
     return events, truth
 
 
-def world_boundaries(world: SynthWorld, half_deg: float = 2.0) -> list[CountryBoundary]:
-    """Square outlines around each capital, sized to contain all jitter."""
+def world_boundaries(world: SynthWorld) -> list[CountryBoundary]:
+    """Square outlines, 2 degrees from each capital to each side, sized to contain all jitter."""
     out: list[CountryBoundary] = []
     for c in sorted(world.countries, key=lambda x: x.code):
         lat, lon = c.capital
-        ring = [
-            (lon - half_deg, lat - half_deg),
-            (lon + half_deg, lat - half_deg),
-            (lon + half_deg, lat + half_deg),
-            (lon - half_deg, lat + half_deg),
-            (lon - half_deg, lat - half_deg),
-        ]
+        ring = [(lon - 2.0, lat - 2.0), (lon + 2.0, lat - 2.0), (lon + 2.0, lat + 2.0), (lon - 2.0, lat + 2.0)]
+        ring.append(ring[0])
         out.append(CountryBoundary(code=c.code, polygons=[[ring]]))
     return out
 
 
-def event_lines(events: Sequence[GeoEvent], header: bool = True) -> list[str]:
-    """Events rendered in the ingest line format (shortest float spellings)."""
-    lines = [EVENT_LINE_HEADER] if header else []
+def event_lines(events: Sequence[GeoEvent]) -> list[str]:
+    """Events rendered in the ingest line format (shortest float spellings), header first."""
+    lines = [EVENT_LINE_HEADER]
     for e in events:
         lines.append(f"{e.user_id},{e.timestamp},{e.lat!r},{e.lon!r},{e.source}")
     return lines
@@ -367,16 +362,13 @@ def make_world(
     gamma: float = 1.0,
     n_blocks: int = 1,
     block_boost: float = 1.0,
-    populations: Sequence[int] | None = None,
-    penetrations: Sequence[float] | None = None,
 ) -> SynthWorld:
     """Deterministic demo world: capitals on spread latitude bands.
 
     Codes run AA, AB, AC, ...; longitudes are evenly spaced and latitudes
     cycle five bands, keeping every capital pair hundreds of kilometers
-    apart. Defaults give populations spanning half an order of magnitude
-    and penetrations cycling 0.002 to 0.006. Blocks are contiguous runs of
-    roughly equal size.
+    apart. Populations span half an order of magnitude and penetrations
+    cycle 0.002 to 0.006. Blocks are contiguous runs of roughly equal size.
     """
     if n_countries < 1:
         raise ValueError("need at least one country")
@@ -392,14 +384,12 @@ def make_world(
         code = chr(ord("A") + i // 26) + chr(ord("A") + i % 26)
         lon = -170.0 + i * (335.0 / n_countries)
         lat = lat_bands[i % len(lat_bands)]
-        population = int(populations[i]) if populations is not None else 200_000 * (1 + i % 6)
-        penetration = float(penetrations[i]) if penetrations is not None else pen_cycle[i % len(pen_cycle)]
         countries.append(
             SynthCountry(
                 code=code,
-                population=population,
+                population=200_000 * (1 + i % 6),
                 capital=(lat, lon),
-                penetration=penetration,
+                penetration=pen_cycle[i % len(pen_cycle)],
                 block=i // per_block,
             )
         )

@@ -8,6 +8,7 @@ byte-identical files. Nothing here stamps timestamps or machine state.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 from array import array
@@ -92,24 +93,24 @@ EVENT_HEADER = ["user_id", "timestamp", "lat", "lon", "source", "country"]
 
 class EventLines(NamedTuple):
     """Rows `rows` of the event file at `path`, in that order; `ends` holds the offset past its header and past
-    each of its lines, as write_events or line_ends returns them."""
+    each of its lines, as line_ends returns them."""
 
     path: str
     ends: np.ndarray
     rows: np.ndarray
 
 
-def write_events(path: str, events: EventTable, copy: EventLines | None = None) -> np.ndarray:
-    """Write an event table; returns the offset past the header and past each row's line (int64, 8 B per row).
+def write_events(path: str, events: EventTable, copy: EventLines | None = None) -> None:
+    """Write an event table, each block of ingest.BLOCK_ROWS rows formatted and encoded at once.
 
-    Each block of ingest.BLOCK_ROWS rows is formatted and encoded at once. Given `copy`, the lines of an earlier event
-    file that formatted these same events are copied instead, through a read-only map of that file; a file whose
-    size is not its last offset raises ValueError before anything is written.
+    Given `copy`, the lines of an earlier event file that formatted these same events are copied instead, through
+    a read-only map of that file; a file whose size is not its last offset raises ValueError before anything is
+    written.
     """
     if copy is None:
         step = ingest.BLOCK_ROWS
         blocks = (_format_rows(events, start, start + step).encode() for start in range(0, len(events), step))
-        return _write_blocks(path, len(events), blocks)
+        return _write_blocks(path, blocks)
     if len(copy.rows) != len(events):
         raise ValueError(f"{len(copy.rows)} lines to copy for {len(events)} events")
     with open(copy.path, "rb") as source:
@@ -117,7 +118,7 @@ def write_events(path: str, events: EventTable, copy: EventLines | None = None) 
         if size != copy.ends[-1]:
             raise ValueError(f"{copy.path}: {size} bytes, but its lines end at byte {copy.ends[-1]}; rerun its stage")
         with mmap.mmap(source.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-            return _write_blocks(path, len(events), _copied_lines(mapped, copy.ends, copy.rows))
+            _write_blocks(path, _copied_lines(mapped, copy.ends, copy.rows))
 
 
 def _copied_lines(mapped: mmap.mmap, ends: np.ndarray, rows: np.ndarray) -> Iterator[bytes]:
@@ -129,20 +130,11 @@ def _copied_lines(mapped: mmap.mmap, ends: np.ndarray, rows: np.ndarray) -> Iter
             mapped.madvise(mmap.MADV_DONTNEED)
 
 
-def _write_blocks(path: str, n_rows: int, blocks: Iterable[bytes]) -> np.ndarray:
-    """The event header and then `blocks` of whole lines; the offsets are the line ends found in the encoded
-    bytes, so multi-byte names count in bytes."""
-    header = (",".join(EVENT_HEADER) + "\n").encode()
-    ends = np.empty(n_rows + 1, dtype=np.int64)
-    ends[0], written = len(header), 0
+def _write_blocks(path: str, blocks: Iterable[bytes]) -> None:
+    """The event header and then `blocks` of whole lines."""
     with replacing(path, binary=True) as fh:
-        fh.write(header)
-        for data in blocks:
-            fh.write(data)
-            line_ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + (ends[written] + 1)
-            ends[written + 1 : written + 1 + len(line_ends)] = line_ends
-            written += len(line_ends)
-    return ends
+        fh.write((",".join(EVENT_HEADER) + "\n").encode())
+        fh.writelines(blocks)
 
 
 def _format_rows(events: EventTable, start: int, stop: int) -> str:
@@ -154,7 +146,7 @@ def _format_rows(events: EventTable, start: int, stop: int) -> str:
 
 
 def line_ends(path: str) -> np.ndarray:
-    """The offset past each line of a file, as write_events returns them, read 256 bytes per block row at a time.
+    """The offset past each line of a file, its header's first, read 256 bytes per block row at a time.
 
     A file that does not end with a line end raises ValueError: its last line could not be copied whole.
     """
@@ -208,6 +200,17 @@ def _code_rows(path: str) -> list[tuple[str, list[str]]]:
     return list(out.items())
 
 
+def _number(path: str, code: str, cell: str, kind: type = float) -> Any:
+    """A code table's cell as a finite `kind`; any other cell raises ValueError naming the file and the code."""
+    try:
+        value = kind(cell)
+    except ValueError:
+        raise ValueError(f"{path}: code {code}: {cell.strip()!r} is not a number") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{path}: code {code}: {cell.strip()!r} is not finite")
+    return value
+
+
 def read_census(path: str) -> tuple[dict[str, int], dict[str, float]]:
     """Census table `code,population[,gdp_per_capita]` -> (populations, gdp)."""
     populations: dict[str, int] = {}
@@ -215,19 +218,22 @@ def read_census(path: str) -> tuple[dict[str, int], dict[str, float]]:
     for code, row in _code_rows(path):
         if len(row) not in (2, 3):
             raise ValueError(f"{path}: expected 2 or 3 fields, got {row}")
-        populations[code] = int(row[1])
+        populations[code] = _number(path, code, row[1], int)
         if len(row) == 3 and row[2].strip():
-            gdp[code] = float(row[2])
+            gdp[code] = _number(path, code, row[2])
     return populations, gdp
 
 
 def read_capitals(path: str) -> dict[str, tuple[float, float]]:
-    """Capitals table `code,lat,lon` -> code -> (lat, lon)."""
+    """Capitals table `code,lat,lon` -> code -> (lat, lon), in degrees: |lat| <= 90 and |lon| <= 180."""
     out: dict[str, tuple[float, float]] = {}
     for code, row in _code_rows(path):
         if len(row) != 3:
             raise ValueError(f"{path}: expected 3 fields, got {row}")
-        out[code] = (float(row[1]), float(row[2]))
+        lat, lon = _number(path, code, row[1]), _number(path, code, row[2])
+        if abs(lat) > 90.0 or abs(lon) > 180.0:
+            raise ValueError(f"{path}: code {code}: capital ({lat}, {lon}) is outside |lat| <= 90, |lon| <= 180")
+        out[code] = (lat, lon)
     return out
 
 
@@ -237,5 +243,5 @@ def read_reference(path: str, column: int = 1) -> dict[str, float]:
     for code, row in _code_rows(path):
         if column >= len(row):
             raise ValueError(f"{path}: row {row} has no column {column}")
-        out[code] = float(row[column])
+        out[code] = _number(path, code, row[column])
     return out

@@ -481,6 +481,35 @@ def test_duplicate_code_in_a_code_table_exits_six(pipeline, tmp_path, capsys, ke
     assert "code AA" in err and str(table) in err
 
 
+def test_bad_reference_value_is_its_legs_error(pipeline, tmp_path):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    reference = tmp_path / "reference.csv"
+    reference.write_text("code,arrivals,receipts\nAA,1.0,nan\nAB,3.0,4.0\n")
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), "GEOFLOW_PATHS_REFERENCE": str(reference)}
+    assert cli("validate", "--config", config, env=env) == 0
+    report = read_json(str(workdir / "validate.json"))
+    assert report["receipts"] == {"error": f"{reference}: code AA: 'nan' is not finite"}
+    assert "code AA" not in report["arrivals"].get("error", "")
+
+
+@pytest.mark.parametrize("row", ["AA,500,900", "AA,nan,inf", "AA,-90.5,0", "AA,0,180.5", "AA,1,east"])
+def test_capital_out_of_range_exits_six_writing_no_fit(pipeline, tmp_path, capsys, row):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    (workdir / "gravity_fit.json").unlink()
+    capitals = tmp_path / "capitals.csv"
+    header, _, *rest = (world / "capitals.csv").read_text().splitlines(keepends=True)
+    capitals.write_text("".join([header, row + "\n", *rest]))
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), "GEOFLOW_PATHS_CAPITALS": str(capitals)}
+    assert cli("fit-gravity", "--config", config, env=env) == 6
+    err = capsys.readouterr().err
+    assert f"{capitals}: code AA: " in err and "Traceback" not in err
+    assert not (workdir / "gravity_fit.json").exists()
+
+
 def test_workers_key_exits_three(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"workers": 1}))

@@ -106,9 +106,9 @@ def test_make_world_layout():
 
 
 def test_make_world_overrides_and_validation():
-    world = make_world(3, populations=[7, 8, 9], penetrations=[0.1, 0.2, 0.3])
-    assert [c.population for c in world.countries] == [7, 8, 9]
-    assert [c.penetration for c in world.countries] == [0.1, 0.2, 0.3]
+    world = make_world(7)
+    assert [c.population for c in world.countries] == [200_000 * k for k in (1, 2, 3, 4, 5, 6, 1)]
+    assert [c.penetration for c in world.countries] == [0.002, 0.003, 0.004, 0.005, 0.006, 0.002, 0.003]
     with pytest.raises(ValueError):
         make_world(0)
     with pytest.raises(ValueError):
@@ -380,7 +380,7 @@ def test_default_block_size_matches_scalar_generator_on_several_blocks():
 
 def test_boundaries_are_closed_squares_sorted_by_code():
     world = make_world(5, seed=4)
-    boundaries = world_boundaries(world, half_deg=1.5)
+    boundaries = world_boundaries(world)
     assert [b.code for b in boundaries] == sorted(c.code for c in world.countries)
     by_code = world.by_code()
     for b in boundaries:
@@ -390,8 +390,8 @@ def test_boundaries_are_closed_squares_sorted_by_code():
         lat, lon = by_code[b.code].capital
         lons = [x for x, _ in ring]
         lats = [y for _, y in ring]
-        assert min(lons) == lon - 1.5 and max(lons) == lon + 1.5
-        assert min(lats) == lat - 1.5 and max(lats) == lat + 1.5
+        assert min(lons) == lon - 2.0 and max(lons) == lon + 2.0
+        assert min(lats) == lat - 2.0 and max(lats) == lat + 2.0
 
 
 def test_event_lines_round_trip_through_parser(corpus):

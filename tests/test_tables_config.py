@@ -95,18 +95,22 @@ def test_event_writer_offsets_are_byte_offsets(tmp_path, monkeypatch, block):
     monkeypatch.setattr(ingest, "BLOCK_ROWS", block)
     table = table_of(MULTIBYTE_EVENTS)
     path = tmp_path / "labeled.csv"
-    ends = tables.write_events(str(path), table)
-    data = path.read_bytes()
-    assert ends.tolist() == tables.line_ends(str(path)).tolist() and ends[-1] == len(data)
+    tables.write_events(str(path), table)
+    data, ends = path.read_bytes(), tables.line_ends(str(path))
+    lines = data.splitlines(keepends=True)
+    assert ends.tolist() == np.cumsum([len(line) for line in lines]).tolist() and len(lines) == len(table) + 1
     assert [data[a:b].decode() for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())] == data.decode().splitlines(
         keepends=True
     )[1:]
     rows = np.array([3, 0, 4])
     copied = tmp_path / "copied.csv"
-    copied_ends = tables.write_events(str(copied), table.take(rows), tables.EventLines(str(path), ends, rows))
+    tables.write_events(str(copied), table.take(rows), tables.EventLines(str(path), ends, rows))
     tables.write_events(str(tmp_path / "formatted.csv"), table.take(rows))
     assert copied.read_bytes() == (tmp_path / "formatted.csv").read_bytes()
-    assert copied_ends.tolist() == tables.line_ends(str(copied)).tolist()
+    copied_data, copied_ends = copied.read_bytes(), tables.line_ends(str(copied))
+    assert [copied_data[a:b] for a, b in zip(copied_ends[:-1].tolist(), copied_ends[1:].tolist())] == [
+        lines[k + 1] for k in rows.tolist()
+    ]
 
 
 def test_line_ends_need_a_final_line_end(tmp_path):
@@ -169,6 +173,37 @@ def test_code_tables_reject_a_repeated_code(tmp_path, read, text):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"{path}: code AA appears on more than one row"):
         read(str(path))
+
+
+@pytest.mark.parametrize(
+    "read, text, cell",
+    [
+        (read_census, "code,population\nAA,abc\n", "'abc' is not a number"),
+        (read_census, "code,population\nAA,1.5\n", "'1.5' is not a number"),
+        (read_census, "code,population,gdp_per_capita\nAA,100,x\n", "'x' is not a number"),
+        (read_census, "code,population,gdp_per_capita\nAA,100,nan\n", "'nan' is not finite"),
+        (read_capitals, "code,lat,lon\nAA,nan,inf\n", "'nan' is not finite"),
+        (read_capitals, "code,lat,lon\nAA,1.0,-inf\n", "'-inf' is not finite"),
+        (read_capitals, "code,lat,lon\nAA,1.0,\n", "'' is not a number"),
+        (read_capitals, "code,lat,lon\nAA,90.5,0\n", "outside |lat| <= 90"),
+        (read_capitals, "code,lat,lon\nAA,0,-181\n", "outside |lat| <= 90, |lon| <= 180"),
+        (read_reference, "code,arrivals\nAA,abc\n", "'abc' is not a number"),
+        (read_reference, "code,arrivals\nAA,1e999\n", "'1e999' is not finite"),
+        (read_reference, "AA,nan\n", "'nan' is not finite"),
+    ],
+)
+def test_code_tables_name_the_file_and_code_of_a_bad_value(tmp_path, read, text, cell):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as caught:
+        read(str(path))
+    assert str(caught.value).startswith(f"{path}: code AA: ") and cell in str(caught.value)
+
+
+def test_capitals_on_the_range_bounds_are_kept(tmp_path):
+    path = tmp_path / "capitals.csv"
+    path.write_text("code,lat,lon\nAA,90,-180\nAB,-90.0,180.0\n")
+    assert read_capitals(str(path)) == {"AA": (90.0, -180.0), "AB": (-90.0, 180.0)}
 
 
 def test_code_tables_without_header_keep_their_first_row(tmp_path):
