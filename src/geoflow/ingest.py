@@ -4,15 +4,22 @@ The event line format is UTF-8 CSV `user_id,timestamp,lat,lon,source[,country]`
 with an optional header (detected by a non-numeric second field). Country
 labeling is point-in-polygon against a supplied boundary set; events that
 arrive pre-labeled keep their label and skip the geometry entirely.
+
+An event file is parsed a block of BLOCK_ROWS lines at a time. A block that
+is printable ASCII with the same 5 or 6 fields on every line, and whose
+fields all pass the line checks, is read a column at a time with the same
+int and float builtins; any other block goes whole to the line loop, so
+both give the same table, errors and counts.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -153,7 +160,137 @@ def _sorted_codes(vocab: dict[str, int], codes: array) -> tuple[list[str], np.nd
     return names, renumber[np.frombuffer(codes, dtype=np.intc)]
 
 
-def parse_events(stream: Iterable[str] | Iterable[bytes]) -> ParseReport:
+def _coded(column: list[str], distinct: dict[str, Any], code: Callable[[str], int]) -> np.ndarray:
+    """`column` as C-int codes: `distinct` holds each of its fields once, in first-seen order, and `code` is called
+    on each in that order."""
+    for field in distinct:
+        distinct[field] = code(field)
+    return np.fromiter(map(distinct.__getitem__, column), np.intc, len(column))
+
+
+def _blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of a binary file, BLOCK_ROWS lines at a time: each block ends at an LF, and the last one holds what
+    is left, LF-ended or not. No read is shorter than the partial line before it, so a long line costs linear time."""
+    rest = b""
+    while data := fh.read(max(BLOCK_ROWS << 8, len(rest))):
+        data, start = rest + data, 0
+        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)[BLOCK_ROWS - 1 :: BLOCK_ROWS] + 1
+        for end in ends.tolist():
+            yield data[start:end]
+            start = end
+        rest = data[start:]
+    if rest:
+        yield rest
+
+
+class _Columns:
+    """What parse_events has read so far: first-seen vocabularies, columns and counts. The line loop and the block
+    path append to the same ones, so any split of the lines between the two builds the same report."""
+
+    def __init__(self) -> None:
+        self.users: dict[str, int] = {}  # name -> first-seen code; likewise sources and countries
+        self.sources: dict[str, int] = {}
+        self.countries: dict[str, int] = {}
+        # First-seen codes are C ints (int32): more than 2**31 names of one kind would take more lines than that.
+        self.columns = tuple(array(kind) for kind in "iqddii")  # user, timestamp, lat, lon, source, country
+        self.errors: list[tuple[int, str]] = []
+        self.n_lines = self.n_malformed = 0
+        self.header_skipped = False
+
+    def lines(self, lines: Iterable[str] | Iterable[bytes]) -> None:
+        """The line loop: each line decoded, split and checked on its own; a malformed one is counted, and the
+        first MAX_ERRORS keep their line number and reason."""
+        users, sources, countries, errors = self.users, self.sources, self.countries, self.errors
+        user, timestamp, lat, lon, source, country = self.columns
+        lineno = self.n_lines
+        for lineno, line in enumerate(lines, start=lineno + 1):
+            try:
+                line = (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
+                if not line.strip():
+                    raise ValueError("blank line")
+                parts = line.split(",")
+                if lineno == 1 and _looks_like_header(parts):
+                    self.header_skipped = True
+                    continue
+                user_id, ts, lat_deg, lon_deg, source_name, code = _parse_line(parts)
+            except ValueError as exc:
+                self.n_malformed += 1
+                if len(errors) < MAX_ERRORS:
+                    errors.append((lineno, "invalid UTF-8" if isinstance(exc, UnicodeDecodeError) else str(exc)))
+                continue
+            user.append(users.setdefault(user_id, len(users)))
+            timestamp.append(ts)
+            lat.append(lat_deg)
+            lon.append(lon_deg)
+            source.append(sources.setdefault(source_name, len(sources)))
+            country.append(-1 if code is None else countries.setdefault(code, len(countries)))
+        self.n_lines = lineno
+
+    def block(self, data: bytes) -> None:
+        """Whole lines of a binary file, the last maybe without its LF: a column at a time if the block path takes
+        them, else through the line loop."""
+        if not self._block_path(data):
+            lines = data.split(b"\n")
+            self.lines(lines if lines[-1] else lines[:-1])
+
+    def _block_path(self, data: bytes) -> bool:
+        """Append the rows of whole lines a column at a time if every guard holds; else change nothing and return
+        False. The guards, cheapest first, hold only where the line loop would accept every line, and the same
+        int and float builtins read the same text there, so the columns are the line loop's bit for bit."""
+        if not data.endswith(b"\n"):
+            data += b"\n"  # the file's last line, which the line loop reads the same without its LF
+        byte = np.frombuffer(data, dtype=np.uint8)
+        lf = byte == 10
+        ends = np.flatnonzero(lf)
+        # Printable ASCII and LF only: decoding cannot fail, no CR ends a field, and strip() removes only spaces.
+        if byte.max() > 126 or np.count_nonzero(byte < 32) != len(ends):
+            return False
+        # Every line has `width` fields, 5 on all or 6 on all (so none is blank): each width-th comma or LF is an LF.
+        separators = np.flatnonzero(lf | (byte == 44))
+        width = len(separators) // len(ends)
+        if width not in (5, 6) or len(separators) != width * len(ends) or (separators[width - 1 :: width] != ends).any():
+            return False
+        fields = data.decode("ascii").replace("\n", ",").split(",")
+        fields.pop()  # the empty field after the last LF
+        names, stamps, lats, lons, apps = (fields[k::width] for k in range(5))
+        labels = fields[5::6] if width == 6 else []
+        try:  # a number the line loop rejects raises ValueError here too; int64 overflow raises OverflowError
+            timestamp = np.fromiter(map(int, stamps), np.int64, len(ends))
+            lat = np.fromiter(map(float, lats), np.float64, len(ends))
+            lon = np.fromiter(map(float, lons), np.float64, len(ends))
+        except (ValueError, OverflowError):
+            return False
+        if timestamp.min() < 0 or not ((np.abs(lat) <= 90.0).all() and (np.abs(lon) <= 180.0).all()):  # NaN fails
+            return False
+        distinct_names, distinct_labels = dict.fromkeys(names), dict.fromkeys(labels)  # each distinct field once
+        if not all(map(str.strip, distinct_names)):  # an empty user id
+            return False
+        if not all(not code or len(code) == 2 and code.isalpha() for code in map(str.strip, distinct_labels)):
+            return False
+        users, sources, countries = self.users, self.sources, self.countries
+        user = _coded(names, distinct_names, lambda u: users.setdefault(u.strip(), len(users)))
+        source = _coded(apps, dict.fromkeys(apps), lambda s: sources.setdefault(s.strip(), len(sources)))
+        country = np.full(len(ends), -1, dtype=np.intc)
+        if labels:
+            label = lambda c: countries.setdefault(code, len(countries)) if (code := c.strip().upper()) else -1
+            country = _coded(labels, distinct_labels, label)
+        lon = np.where(lon == -180.0, 180.0, lon)  # normalize_lon's one change to an in-range longitude
+        for column, values in zip(self.columns, (user, timestamp, lat, lon, source, country)):
+            column.frombytes(values.tobytes())  # each has its array's item type
+        self.n_lines += len(ends)
+        return True
+
+    def report(self) -> ParseReport:
+        user, timestamp, lat, lon, source, country = self.columns
+        user_ids, user_codes = _sorted_codes(self.users, user)
+        source_names, source_codes = _sorted_codes(self.sources, source)
+        country_codes, country_positions = _sorted_codes(self.countries, country)
+        numeric = (np.frombuffer(timestamp, dtype=np.int64), np.frombuffer(lat), np.frombuffer(lon))
+        events = EventTable(user_ids, source_names, country_codes, user_codes, *numeric, source_codes, country_positions)
+        return ParseReport(events, self.errors, self.n_lines, self.header_skipped, self.n_malformed)
+
+
+def parse_events(stream: Iterable[str] | Iterable[bytes] | BinaryIO) -> ParseReport:
     """Parse a line-delimited event stream into an EventTable, streaming rows into compact columns.
 
     Every well-formed line yields exactly one row, in input order. Malformed
@@ -161,43 +298,19 @@ def parse_events(stream: Iterable[str] | Iterable[bytes]) -> ParseReport:
     MAX_ERRORS keep their 1-based line number and reason:
     len(events) + n_malformed + header == total lines. Lines given as bytes
     are decoded as UTF-8 one by one, so an undecodable line is one malformed line.
+
+    An iterable of lines goes through the line loop. A binary file (`open(path, "rb")`, io.BytesIO) sends its line 1
+    there, and the rest a block of BLOCK_ROWS lines at a time through the block path; a block that the block path
+    does not take whole goes through the line loop instead. The report is the same either way.
     """
-    users: dict[str, int] = {}  # name -> first-seen code; likewise sources and countries
-    sources: dict[str, int] = {}
-    countries: dict[str, int] = {}
-    # First-seen codes are C ints (int32): more than 2**31 names of one kind would take more lines than that.
-    user, timestamp, lat, lon, source, country = (array(kind) for kind in "iqddii")
-    errors: list[tuple[int, str]] = []
-    n_lines = n_malformed = 0
-    header_skipped = False
-    for lineno, line in enumerate(stream, start=1):
-        n_lines = lineno
-        try:
-            line = (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
-            if not line.strip():
-                raise ValueError("blank line")
-            parts = line.split(",")
-            if lineno == 1 and _looks_like_header(parts):
-                header_skipped = True
-                continue
-            user_id, ts, lat_deg, lon_deg, source_name, code = _parse_line(parts)
-        except ValueError as exc:
-            n_malformed += 1
-            if len(errors) < MAX_ERRORS:
-                errors.append((lineno, "invalid UTF-8" if isinstance(exc, UnicodeDecodeError) else str(exc)))
-            continue
-        user.append(users.setdefault(user_id, len(users)))
-        timestamp.append(ts)
-        lat.append(lat_deg)
-        lon.append(lon_deg)
-        source.append(sources.setdefault(source_name, len(sources)))
-        country.append(-1 if code is None else countries.setdefault(code, len(countries)))
-    user_ids, user_codes = _sorted_codes(users, user)
-    source_names, source_codes = _sorted_codes(sources, source)
-    country_codes, country_positions = _sorted_codes(countries, country)
-    numeric = (np.frombuffer(timestamp, dtype=np.int64), np.frombuffer(lat), np.frombuffer(lon))
-    events = EventTable(user_ids, source_names, country_codes, user_codes, *numeric, source_codes, country_positions)
-    return ParseReport(events, errors, n_lines, header_skipped, n_malformed)
+    columns = _Columns()
+    if isinstance(stream, io.BufferedIOBase):
+        columns.lines(islice(stream, 1))  # header detection stays with the line loop
+        for data in _blocks(stream):
+            columns.block(data)
+    else:
+        columns.lines(stream)
+    return columns.report()
 
 
 # ---------------------------------------------------------------------------

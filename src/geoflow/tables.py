@@ -161,8 +161,8 @@ def line_ends(path: str) -> np.ndarray:
 
 
 def read_events(path: str) -> EventTable:
-    """Strict read of a previously written event table (no malformed rows)."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    """Strict read of a previously written event table (no malformed rows); a bad line raises ValueError naming it."""
+    with open(path, "rb") as fh:
         report = ingest.parse_events(fh)
     if report.errors:
         lineno, reason = report.errors[0]

@@ -463,6 +463,21 @@ def test_data_errors_exit_six(pipeline, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_bad_byte_in_a_labeled_file_names_its_line(pipeline, tmp_path, capsys):
+    world, _ = pipeline
+    workdir = tmp_path / "artifacts"
+    workdir.mkdir()
+    lines = (world / "artifacts" / "events_labeled.csv").read_bytes().split(b"\n")
+    lines[3] = lines[3][:2] + b"\xff" + lines[3][2:]
+    (workdir / "events_labeled.csv").write_bytes(b"\n".join(lines))
+    settings = json.loads((world / "config.json").read_text())
+    settings["paths"]["workdir"] = str(workdir)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(settings))
+    assert cli("clean", "--config", str(config)) == 6
+    assert capsys.readouterr().err == f"geoflow: data error: {workdir / 'events_labeled.csv'}:4: invalid UTF-8\n"
+
+
 @pytest.mark.parametrize("key, stage", [("census", "run"), ("capitals", "run"), ("reference", "validate")])
 def test_duplicate_code_in_a_code_table_exits_six(pipeline, tmp_path, capsys, key, stage):
     world, config = pipeline

@@ -1,7 +1,10 @@
 """Event parsing, boundary validation, and country lookup."""
 
+import importlib.util
+import io
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -460,6 +463,96 @@ def test_table_parser_counts_undecodable_bytes():
     report = ingest.parse_events([b"u,1,0,0,web", b"\xff,2,0,0,web", b"v,3,0,0,web,de"])
     assert (report.n_malformed, report.errors) == (1, [(2, "invalid UTF-8")])
     assert events_of(report.events) == [ev("u", 1, source="web"), ev("v", 3, source="web", country="DE")]
+
+
+# ---------------------------------------------------------------- block path
+
+
+def _perfbench_malformed():
+    """The 10 kinds of malformed line the benchmark's rugged workload injects."""
+    spec = importlib.util.spec_from_file_location("inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [module._malformed(kind, "u7", 1330000000, "app_web").encode() for kind in range(10)]
+
+
+# Whole lines the block path must leave to the line loop.
+HOSTILE = [
+    b"u1,5,1.0,2.0,web\r", b"u1\r,5,1.0,2.0,web,de\r", b"u1,5\r,1.0,2.0,web",  # CR
+    b"u1,5,1.0,2.0,\tweb", b"\tu1,5,1.0,2.0,web,DE", b"u1,5,1.0,2.0,web,\x1fde", b"u\x001,5,1.0,2.0,web",
+    "\u00fc,5,1.0,2.0,web".encode(), "u1,5,1.0,2.0,w\u00e9b,de".encode(), "u1,5,1.0,2.0,web,\u00c4\u00d6".encode(),
+    "u1,\uff15,1.0,2.0,web".encode(), "u1,5,1.0,2.0,web,\u00df\u00df".encode(),
+    b"u\xff,5,1.0,2.0,web", b"u1,5,1.0,2.0,web,d\xc3",  # invalid UTF-8
+    b"", b"   ", b"u1,5,1.0,2.0", b"u1,5,1.0,2.0,web,DE,", b"u1,,,,,,,", b"user_id,timestamp,lat,lon,source",
+    *_perfbench_malformed(),
+]
+# Lines of 5 or 6 fields, each field canonical or an odd spelling that either path must read the same way.
+FIELD_LINES = st.builds(
+    lambda *fields: ",".join(field for field in fields if field is not None).encode(),
+    st.sampled_from(["u1", "u2", "u10", "a b", " u1 ", "u2 ", "", " "]),
+    st.one_of(
+        st.integers(0, 2**63 - 1).map(str),
+        st.sampled_from(["+5", "1_000", " 7 ", "-0", "-1", str(2**63), f"-{2**63}", "5.0", "nan", "x"]),
+    ),
+    st.one_of(
+        st.floats(-90.0, 90.0).map(repr),
+        st.sampled_from(["-0.0", "90", "-90.0", "1_0.5", " 1.5", "nan", "inf", "90.5", "1e1", "-1E-300", ""]),
+    ),
+    st.one_of(
+        st.floats(-180.0, 180.0).map(repr),
+        st.sampled_from(["-180.0", "-180", "-1.8e2", "180", "-0.0", "180.5", "-inf", "0x1"]),
+    ),
+    st.sampled_from(["web", "app_mobile", "", " web ", "a b"]),
+    st.sampled_from([None, None, "", "DE", "fr", " fr ", "d", "d1", "  ", "D E"]),
+)
+
+
+def report_bits(report):
+    """Everything a ParseReport holds, with each column as its dtype and bytes."""
+    e = report.events
+    columns = [(c.dtype.str, c.tobytes()) for c in (e.user, e.timestamp, e.lat, e.lon, e.source, e.country)]
+    counts = (report.n_lines, report.header_skipped, report.n_malformed)
+    return columns, e.users, e.sources, e.countries, report.errors, counts
+
+
+@given(
+    st.lists(st.one_of(FIELD_LINES, FIELD_LINES, FIELD_LINES, st.sampled_from(HOSTILE)), max_size=30),
+    st.sampled_from([1, 3, ingest.BLOCK_ROWS]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_block_path_matches_the_line_loop(lines, rows, header, last_lf):
+    """Whichever blocks take the block path, a binary file parses exactly as its lines do in the line loop."""
+    data = b"\n".join([b"user_id,timestamp,lat,lon,source"] * header + lines) + b"\n" * last_lf
+    want = ingest.parse_events(io.BytesIO(data).readlines())
+    with mock.patch.object(ingest, "BLOCK_ROWS", rows):
+        got = ingest.parse_events(io.BytesIO(data))
+    assert report_bits(got) == report_bits(want)
+
+
+def test_block_path_checks_the_fields_of_each_line():
+    """Lines of 7 and 5 fields hold 12 fields, two valid rows of 6 if they were read as one run of fields."""
+    report = ingest.parse_events(io.BytesIO(b"u0,1,0.0,0.0,web,\nu1,5,1.0,2.0,web,DE,u2\n5,1.0,2.0,web,fr\n"))
+    assert (len(report.events), report.n_malformed) == (1, 2)
+    assert report.errors == [(2, "expected 5 or 6 fields, got 7"), (3, "timestamp not an integer: '1.0'")]
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_canonical_lines_take_the_block_path(header):
+    """Only line 1, and then only the block of a malformed line, reach the line loop's _parse_line."""
+    rows = ingest.BLOCK_ROWS
+    lines = [f"u{i % 7},{i},{i % 90}.5,{-i % 180}.25,web,{'DE' if i % 3 else ''}\n" for i in range(2 * rows + 10)]
+    lines[:header] = ["user_id,timestamp,lat,lon,source,country\n"] * header
+    for bad, calls in ((None, 1 - header), (rows + 5, 1 - header + rows)):  # a row of the second block
+        if bad is not None:
+            lines[bad - 1] = "u1,5,95.5,2.0,web,\n"
+        data = "".join(lines).encode()
+        with mock.patch.object(ingest, "_parse_line", wraps=ingest._parse_line) as spy:
+            got = ingest.parse_events(io.BytesIO(data))
+        assert spy.call_count == calls
+        assert report_bits(got) == report_bits(ingest.parse_events(lines))
+        assert got.errors == ([] if bad is None else [(bad, "latitude out of range: 95.5")])
 
 
 @given(st.lists(st.tuples(st.floats(-5.0, 25.0), st.floats(-5.0, 15.0), st.sampled_from([None, "AA", "ZZ"])), max_size=40))
