@@ -257,14 +257,10 @@ def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
 
 
 def _write_km(ws: Workspace, name: str, users: Sequence[str], codes: np.ndarray, km: np.ndarray) -> None:
-    """A user_id,km artifact, row k naming users[codes[k]], a block of columns at a time: write_rows' bytes
-    without a fmt call per cell."""
-    with tables.replacing(ws.path(name)) as fh:
-        fh.write(",".join(_KM_HEADER) + "\n")
-        for start in range(0, len(km), ingest_mod.BLOCK_ROWS):
-            stop = start + ingest_mod.BLOCK_ROWS
-            names = map(users.__getitem__, codes[start:stop].tolist())
-            fh.writelines(map("{},{}\n".format, names, map(repr, km[start:stop].tolist())))
+    """A user_id,km artifact, row k naming users[codes[k]]: write_rows' bytes, from the columns."""
+    with tables.replacing(ws.path(name), binary=True) as fh:
+        fh.write((",".join(_KM_HEADER) + "\n").encode())
+        fh.writelines(tables.csv_blocks([(users, codes), km]))
 
 
 def stage_metrics(ws: Workspace) -> None:
@@ -436,7 +432,7 @@ def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
         year=config["year"],
     )
     events_path = os.path.join(out_dir, "events.csv")
-    with tables.replacing(events_path) as fh:
+    with tables.replacing(events_path, binary=True) as fh:
         synth_mod.write_event_lines(fh, blocks)
     boundaries = synth_mod.world_boundaries(world)
     features = []
@@ -493,13 +489,33 @@ def cmd_run(ws: Workspace, args: argparse.Namespace) -> None:
             command.handler(ws, args)
 
 
+# Row counts of ingest_report.json and cleaning_stats.json that must balance: each total is the sum of its parts.
+_CONSERVATION = [
+    ("n_lines", ("n_events", "n_malformed", "header_skipped")),
+    ("n_events", ("n_labeled", "n_unlocatable_dropped")),
+    ("n_labeled", ("speed_removed", "events_before")),
+]
+
+
+def _check_conservation(counts: dict[str, Any]) -> None:
+    """Raise ValueError naming the first identity of _CONSERVATION that the counts break."""
+    for total, parts in _CONSERVATION:
+        values = [counts[name] for name in (total, *parts)]
+        identity = f"{total} = {' + '.join(parts)}"
+        if not all(isinstance(value, int) for value in values):
+            raise ValueError(f"{identity}: {values} are not all counts")
+        if values[0] != sum(values[1:]):
+            raise ValueError(f"{identity} does not hold: {values[0]} != {sum(values[1:])}")
+
+
 def cmd_report(ws: Workspace) -> str:
     lines = ["PIPELINE REPORT", ""]
     add = lines.append
     ingest_report = tables.read_json(ws.artifact("ingest_report.json"))
+    cleaning = tables.read_json(ws.artifact("cleaning_stats.json"))
+    _check_conservation({**ingest_report, **cleaning})
     add(f"[ingest_report.json] lines={ingest_report['n_lines']} events={ingest_report['n_events']} "
         f"malformed={ingest_report['n_malformed']} unlocatable={ingest_report['n_unlocatable_dropped']}")
-    cleaning = tables.read_json(ws.artifact("cleaning_stats.json"))
     add(f"[cleaning_stats.json] speed_removed={cleaning['speed_removed']} "
         f"user_survival={cleaning['user_fraction']:.6g} event_survival={cleaning['event_fraction']:.6g}")
     stats = _country_stats(ws)

@@ -17,6 +17,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import tables
 from .ingest import CountryBoundary, GeoEvent
 from .models import capital_distances
 from .sphere import haversine_many
@@ -342,15 +343,13 @@ def event_lines(events: Sequence[GeoEvent]) -> list[str]:
     return lines
 
 
-def write_event_lines(fh: IO[str], blocks: Iterable[EventBlock]) -> None:
+def write_event_lines(fh: IO[bytes], blocks: Iterable[EventBlock]) -> None:
     """The event_lines of the blocks' events, header first, each block written once it is drawn."""
-    fh.write(EVENT_LINE_HEADER + "\n")
+    fh.write((EVENT_LINE_HEADER + "\n").encode())
     for block in blocks:
-        lines: list[str] = []
-        rows = zip(block.users, block.sources, block.timestamp.tolist(), block.lat.tolist(), block.lon.tolist())
-        for user, source, ts, ys, xs in rows:
-            lines += [f"{user},{t},{y!r},{x!r},{source}\n" for t, y, x in zip(ts, ys, xs)]
-        fh.writelines(lines)
+        rows = np.repeat(np.arange(len(block.users)), block.timestamp.shape[1])
+        columns = [block.timestamp.ravel(), block.lat.ravel(), block.lon.ravel()]
+        fh.writelines(tables.csv_blocks([(block.users, rows), *columns, (block.sources, rows)]))
 
 
 def make_world(

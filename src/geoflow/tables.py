@@ -3,6 +3,21 @@
 All writers emit LF newlines, a fixed header, rows in a defined order, and
 shortest round-trip float spellings, so identical inputs produce
 byte-identical files. Nothing here stamps timestamps or machine state.
+
+Per-event files (events, displacements, gyration radii) are written from
+columns by csv_blocks, a block of ingest.BLOCK_ROWS rows at a time, each
+block as one NUL-padded uint8 matrix with a row per line. Floats get repr's
+text without a repr call per value: the shortest round-trip digits come
+from the e2 < 0 branch of Ryu (Adams, PLDI 2018) as array passes, which
+covers 2**-14 <= |x| < 2**50 (biased exponents 1009 to 1072) and is used
+for 0.0 and 1e-4 <= |x| < 2**50, where repr takes the fixed form. Each
+floor of m * 5**i / 2**q is exact in 64-bit integers: a float64 estimate
+of it is off by less than 2**10 and q <= 46, so the true remainder lies
+inside (-2**63, 2**63) and its low 64 bits, which wrap-around arithmetic
+gives exactly, are its value. A block holding any other float (NaN,
+infinities, subnormals, |x| < 1e-4 or >= 2**50), a name with a NUL, or a
+name longer than _MAX_NAME_BYTES is written line by line with repr
+instead. Tests pin both paths to repr's bytes.
 """
 
 from __future__ import annotations
@@ -58,9 +73,17 @@ def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) 
 
 
 def _split_lines(path: str) -> list[list[str]]:
-    """The fields of each nonblank line. Lines end at LF only, as ingest reads them; a CR before it is dropped."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()]
+    """The fields of each nonblank line. Lines end at LF only, as ingest reads them; a CR before it is dropped.
+
+    A byte that is not UTF-8 raises ValueError naming the file and its line, as for events."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8") from None
+    rows = [line.rstrip("\r").split(",") for line in text.split("\n") if line.strip()]
     if not rows:
         raise ValueError(f"{path}: empty table")
     return rows
@@ -85,6 +108,162 @@ def read_json(path: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
+# CSV lines from columns
+# ---------------------------------------------------------------------------
+
+# A column of csv_blocks: an integer array, a float64 array, or a vocabulary with the int codes of its rows.
+Column = np.ndarray | tuple[Sequence[str], np.ndarray]
+
+_MAX_NAME_BYTES = 64  # a longer name sends its block to the line-at-a-time path
+_U64 = np.uint64
+_P10 = np.array([10**k for k in range(20)], dtype=_U64)  # 10**19 < 2**64 < 10**20
+# "0000" to "9999" as one uint32 each, so that a gather writes four digits at once.
+_QUAD_TEXT = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+_QUAD_TEXT = _QUAD_TEXT.reshape(-1).view(np.uint32)
+# _QUAD_MASK[16 + k] clears the first k bytes of a four-digit group: none for k <= 0, all for k >= 4.
+_QUAD_MASK = np.frombuffer(b"\xff" * 68 + b"\0\xff\xff\xff\0\0\xff\xff\0\0\0\xff" + b"\0" * 80, dtype=np.uint32)
+
+# Ryu's e2 < 0 constants for each biased exponent 1009..1072: x = mv * 2**e2 with mv = 4 * mantissa and
+# e2 = exponent - 1077, q = floor(-e2 * log10(5)) - 1, i = -e2 - q, and the digits start at 10**(q + e2).
+_RYU = [(e, (e * 732923 >> 20) - 1) for e in range(68, 4, -1)]  # (-e2, q)
+_Q = np.array([q for _, q in _RYU], dtype=np.int64)
+_Q_MASK = np.array([2**q - 1 for _, q in _RYU], dtype=_U64)
+_POW5 = np.array([5 ** (e - q) for e, q in _RYU], dtype=_U64)  # at most 5**22 < 2**53
+_SCALE = np.array([5 ** (e - q) / 2**q for e, q in _RYU])  # exact
+_E10 = np.array([q - e for e, q in _RYU], dtype=np.int64)
+
+
+def csv_blocks(columns: Sequence[Column]) -> Iterator[bytes]:
+    """The CSV lines of the columns' rows (cells joined by commas, each line ended by LF), ingest.BLOCK_ROWS
+    rows at a time: the bytes of f"{name},{integer},{float!r}\\n" per row, without a str call per cell."""
+    size = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    for start in range(0, size, ingest.BLOCK_ROWS):
+        cut = slice(start, start + ingest.BLOCK_ROWS)
+        yield _csv_block([(c[0], c[1][cut]) if isinstance(c, tuple) else c[cut] for c in columns])
+
+
+def _csv_block(columns: list[Column]) -> bytes:
+    """One block's lines: every row's cells side by side in a NUL-padded uint8 matrix, less the NULs; or, when
+    some cell cannot go in it, one format call per row."""
+    rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    parts: list[np.ndarray] = []
+    for column in columns:
+        if isinstance(column, tuple):
+            text = _name_text(*column)
+        elif column.dtype.kind == "f":
+            text = _float_text(column)
+        else:
+            text = _int_text(column)
+        if text is None:
+            cells = [map(c[0].__getitem__, c[1].tolist()) if isinstance(c, tuple) else map(repr, c.tolist())
+                     for c in columns]
+            return "".join(map(("{}," * (len(columns) - 1) + "{}\n").format, *cells)).encode()
+        parts += [*text, np.full((rows, 1), ord(","), dtype=np.uint8)]
+    parts[-1] = np.full((rows, 1), ord("\n"), dtype=np.uint8)
+    lines = np.concatenate(parts, axis=1)
+    return lines[lines != 0].tobytes()
+
+
+def _name_text(names: Sequence[str], codes: np.ndarray) -> list[np.ndarray] | None:
+    """names[code] of each row, NUL-padded; None if one holds a NUL or is longer than _MAX_NAME_BYTES."""
+    used, inverse = np.unique(codes, return_inverse=True)
+    encoded = [names[code].encode() for code in used.tolist()]
+    width = max(map(len, encoded))
+    if width > _MAX_NAME_BYTES or b"\0" in b"".join(encoded):
+        return None
+    table = np.array(encoded, dtype=f"S{max(width, 1)}")
+    return [table[inverse].view(np.uint8).reshape(len(codes), -1)]
+
+
+def _int_text(values: np.ndarray) -> list[np.ndarray]:
+    """Each integer in decimal, NUL-padded on the left."""
+    bits = values.astype(np.int64).view(_U64)
+    negative = values < 0
+    magnitude = np.where(negative, ~bits + _U64(1), bits)  # two's complement: 2**63 for -2**63
+    return _sign(negative) + [_digits(magnitude, _length(magnitude))]
+
+
+def _float_text(values: np.ndarray) -> list[np.ndarray] | None:
+    """repr of each float, NUL-padded; None unless every value is 0.0 or has 1e-4 <= |x| < 2**50."""
+    size = np.abs(values)
+    zero = size == 0
+    if not (((size >= 1e-4) & (size < 2.0**50)) | zero).all():
+        return None
+    digits, exponent = _shortest(np.where(zero, 1.0, size))
+    digits[zero] = 0  # 1.0's exponent is 0, as 0.0's is
+    point = _P10[np.minimum(np.maximum(-exponent, 0), 17)]  # up to 20 digits follow the point, but d < 10**17
+    whole = digits // point
+    fraction = digits - whole * point
+    whole *= _P10[np.maximum(exponent, 0)]
+    return _sign(np.signbit(values)) + [
+        _digits(whole, _length(whole)),
+        np.full((len(values), 1), ord("."), dtype=np.uint8),
+        _digits(fraction, np.maximum(-exponent, 1)),  # zero-padded to the digits after the point
+    ]
+
+
+def _sign(negative: np.ndarray) -> list[np.ndarray]:
+    """A column of "-" or NUL, if any row is negative."""
+    return [(negative * ord("-")).astype(np.uint8)[:, None]] if negative.any() else []
+
+
+def _length(values: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each value, 1 for 0."""
+    return np.maximum(np.searchsorted(_P10, values, side="right"), 1)
+
+
+def _digits(values: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Each value right-aligned in decimal, zero-padded to `width` digits and NUL-padded beyond them; every
+    value is below 10**width."""
+    columns = int(width.max())
+    quads = -(-columns // 4)
+    blank = 4 * quads - width + 16  # the NUL bytes before each value, plus _QUAD_MASK's offset
+    text = np.empty((len(values), quads), dtype=np.uint32)
+    for quad in range(quads - 1, -1, -1):
+        rest = values // _U64(10_000)
+        text[:, quad] = _QUAD_TEXT[(values - rest * _U64(10_000)).view(np.int64)] & _QUAD_MASK[blank - 4 * quad]
+        values = rest
+    return text.view(np.uint8)[:, 4 * quads - columns :]
+
+
+def _shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) with d * 10**e the shortest decimal that reads back as each value, the nearest to it when
+    several are shortest and the one with even d on a tie, as repr chooses; for 2**-14 <= x < 2**50.
+
+    Ryu's e2 < 0 branch: vr, vp and vm are floor(m * 5**i / 2**q) for m the value and its upper and lower
+    rounding bounds. Digits go while vp and vm still differ once divided by 10; the last one removed rounds."""
+    bits = values.view(_U64)
+    row = (bits >> _U64(52)).astype(np.intp) - 1009
+    mantissa = bits & _U64((1 << 52) - 1)
+    q, pow5 = _Q[row], _POW5[row]
+    mv = (mantissa | _U64(1 << 52)) << _U64(2)
+    product = mv * pow5  # the low 64 bits of m * 5**i
+    estimate = (mv.astype(np.float64) * _SCALE[row]).astype(_U64)
+    vr = estimate.view(np.int64) + ((product - (estimate << q.view(_U64))).view(np.int64) >> q)
+    remainder = (product & _Q_MASK[row]).view(np.int64)  # (m * 5**i) % 2**q; 0 iff vr is exact
+    pow5 = pow5.view(np.int64)
+    vp = (vr + ((remainder + (pow5 << 1)) >> q)).view(_U64)  # m + 2
+    vm = (vr + ((remainder - (pow5 << (mantissa != 0))) >> q)).view(_U64)  # m - 2, or m - 1 on a power of 2
+    vr = vr.view(_U64)
+    # Ryu removes the k digits below the last 10**k with vp // 10**k > vm // 10**k. That holds for each
+    # 10**k <= vp - vm, often for the next power, and for higher ones only where a round number lies between
+    # vm and vp: those few rows try every power.
+    removed = np.searchsorted(_P10, vp - vm, side="right") - 1
+    power = _P10[removed + 1]
+    removed += (vm // power + _U64(1)) * power <= vp  # a multiple of the next power lies in (vm, vp]
+    power = _P10[removed + 1]
+    more = np.flatnonzero((vm // power + _U64(1)) * power <= vp)  # vp < 2**62 < 10**19, so removed + 1 <= 19
+    removed[more] = (vp[more, None] // _P10 > vm[more, None] // _P10).sum(axis=1) - 1
+    step = _P10[removed - 1]
+    kept = vr // step  # all but the last removed digit gone
+    digits = kept // _U64(10)
+    last = kept - digits * _U64(10)
+    tie = (last == 5) & (kept * step == vr) & (remainder == 0) & (digits & _U64(1) == 0)
+    digits += ((vm >= digits * step * _U64(10)) | ((last >= 5) & ~tie)).astype(_U64)
+    return digits, _E10[row] + removed
+
+
+# ---------------------------------------------------------------------------
 # Event files
 # ---------------------------------------------------------------------------
 
@@ -101,16 +280,16 @@ class EventLines(NamedTuple):
 
 
 def write_events(path: str, events: EventTable, copy: EventLines | None = None) -> None:
-    """Write an event table, each block of ingest.BLOCK_ROWS rows formatted and encoded at once.
+    """Write an event table, a block of ingest.BLOCK_ROWS rows at a time (csv_blocks; a country code of -1 is empty).
 
     Given `copy`, the lines of an earlier event file that formatted these same events are copied instead, through
     a read-only map of that file; a file whose size is not its last offset raises ValueError before anything is
     written.
     """
     if copy is None:
-        step = ingest.BLOCK_ROWS
-        blocks = (_format_rows(events, start, start + step).encode() for start in range(0, len(events), step))
-        return _write_blocks(path, blocks)
+        columns = [(events.users, events.user), events.timestamp, events.lat, events.lon,
+                   (events.sources, events.source), (events.countries + [""], events.country)]
+        return _write_blocks(path, csv_blocks(columns))
     if len(copy.rows) != len(events):
         raise ValueError(f"{len(copy.rows)} lines to copy for {len(events)} events")
     with open(copy.path, "rb") as source:
@@ -135,14 +314,6 @@ def _write_blocks(path: str, blocks: Iterable[bytes]) -> None:
     with replacing(path, binary=True) as fh:
         fh.write((",".join(EVENT_HEADER) + "\n").encode())
         fh.writelines(blocks)
-
-
-def _format_rows(events: EventTable, start: int, stop: int) -> str:
-    """Rows start:stop of an event table as the lines of its file."""
-    users, sources, countries = events.users, events.sources, events.countries + [""]
-    columns = (events.user, events.timestamp, events.lat, events.lon, events.source, events.country)
-    block = (column[start:stop].tolist() for column in columns)
-    return "".join([f"{users[u]},{t},{y!r},{x!r},{sources[s]},{countries[c]}\n" for u, t, y, x, s, c in zip(*block)])
 
 
 def line_ends(path: str) -> np.ndarray:

@@ -194,6 +194,26 @@ def test_report_file_matches_stdout(pipeline, capsys):
     assert (world / "artifacts" / "report.txt").read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("name, key, delta", [
+    ("ingest_report.json", "n_lines", 1),
+    ("ingest_report.json", "n_unlocatable_dropped", 1),
+    ("cleaning_stats.json", "speed_removed", -1),
+])
+def test_report_exits_six_on_counts_that_do_not_balance(pipeline, tmp_path, capsys, name, key, delta):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    doc = read_json(str(workdir / name))
+    doc[key] += delta
+    (workdir / name).write_text(json.dumps(doc))
+    (workdir / "report.txt").unlink(missing_ok=True)
+    assert cli("report", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("geoflow: data error: ") and key in err and "does not hold" in err
+    assert "Traceback" not in err
+    assert not (workdir / "report.txt").exists()
+
+
 def test_validate_against_scaled_reference(pipeline):
     world, config = pipeline
     rows = (world / "artifacts" / "balances.csv").read_text().splitlines()[1:]
@@ -476,6 +496,74 @@ def test_bad_byte_in_a_labeled_file_names_its_line(pipeline, tmp_path, capsys):
     config.write_text(json.dumps(settings))
     assert cli("clean", "--config", str(config)) == 6
     assert capsys.readouterr().err == f"geoflow: data error: {workdir / 'events_labeled.csv'}:4: invalid UTF-8\n"
+
+
+def test_bad_byte_in_a_census_names_its_line(pipeline, tmp_path, capsys):
+    world, config = pipeline
+    census = tmp_path / "census.csv"
+    census.write_bytes(b"code,population\nA\xffA,100\n")
+    workdir = tmp_path / "artifacts"
+    workdir.mkdir()
+    shutil.copy(world / "artifacts" / "events_clean.csv", workdir / "events_clean.csv")
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), "GEOFLOW_PATHS_CENSUS": str(census)}
+    assert cli("profile", "--config", config, env=env) == 6
+    assert capsys.readouterr().err == f"geoflow: data error: {census}:2: invalid UTF-8\n"
+
+
+def _f_string_lines(header, *columns):
+    """The header, then the cells of each row joined by commas: repr for floats, the value itself otherwise."""
+    rows = (",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n" for row in zip(*columns))
+    return (",".join(header) + "\n" + "".join(rows)).encode()
+
+
+# Events the column formatter cannot write, each added to a small world pre-labeled with AA as two events of a
+# user of its own (one for the subnormal latitude), with what must then be in the named artifact.
+FALLBACK_TRIGGERS = {
+    "subnormal latitude": (["subnormal,{t},5e-324,20.0,{source},AA"], "events_labeled.csv", b",5e-324,20.0,"),
+    "5e-05 km displacement": (
+        ["near,{t},10.0,20.0,{source},AA", "near,{t2},10.00000045,20.0,{source},AA"], "displacements.csv", b"e-05\n"
+    ),
+    "NUL in a user id": (
+        ["nul\0user,{t},10.0,20.0,{source},AA", "nul\0user,{t2},10.0,20.0,{source},AA"],
+        "displacements.csv",
+        b"\nnul\0user,0.0\n",
+    ),
+    "long user id": (
+        ["u" * 100_000 + ",{t},10.0,20.0,{source},AA", "u" * 100_000 + ",{t2},10.5,20.0,{source},AA"],
+        "displacements.csv",
+        b"\n" + b"u" * 100_000 + b",",
+    ),
+}
+
+
+@pytest.mark.parametrize("trigger", FALLBACK_TRIGGERS)
+def test_each_fallback_trigger_writes_the_f_string_bytes(tmp_path, trigger):
+    lines, artifact, marker = FALLBACK_TRIGGERS[trigger]
+    world = build_world(tmp_path, "world")
+    text = (world / "events.csv").read_text(encoding="utf-8")
+    first = text.splitlines()[1].split(",")
+    source = Counter(line.split(",")[4] for line in text.splitlines()[1:]).most_common(1)[0][0]
+    t = int(first[1])
+    extra = "".join(line.format(t=t, t2=t + 3600, source=source) + "\n" for line in lines)
+    (world / "events.csv").write_text(text + extra, encoding="utf-8")
+    workdir = tmp_path / "artifacts"
+    assert cli("run", "--config", str(world / "config.json"), env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 0
+    assert marker in (workdir / artifact).read_bytes()
+
+    with open(world / "events.csv", "rb") as fh:
+        parsed = ingest.parse_events(fh).events
+    index = ingest.BoundaryIndex(ingest.load_boundaries(str(world / "boundaries.geojson")))
+    e, _ = ingest.label_events(parsed, index)
+    columns = [e.user, e.timestamp, e.lat, e.lon, e.source, e.country]
+    names = [e.users, None, None, None, e.sources, e.countries + [""]]
+    cells = [[vocab[k] for k in c.tolist()] if vocab else c.tolist() for vocab, c in zip(names, columns)]
+    assert (workdir / "events_labeled.csv").read_bytes() == _f_string_lines(tables.EVENT_HEADER, *cells)
+    clean = tables.read_events(str(workdir / "events_clean.csv"))
+    users, km = metrics.displacements(clean)
+    want = _f_string_lines(["user_id", "km"], [clean.users[u] for u in users.tolist()], km.tolist())
+    assert (workdir / "displacements.csv").read_bytes() == want
+    radii = metrics.user_gyration_radii(clean)
+    assert (workdir / "gyration.csv").read_bytes() == _f_string_lines(["user_id", "km"], radii, radii.values())
 
 
 @pytest.mark.parametrize("key, stage", [("census", "run"), ("capitals", "run"), ("reference", "validate")])

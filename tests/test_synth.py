@@ -360,11 +360,11 @@ def test_block_generator_draws_what_the_scalar_one_does(kwargs, block_users):
     with mock.patch.object(synth, "_BLOCK_USERS", block_users):
         events, truth = generate_events(**kwargs)
         written_truth, blocks = event_blocks(**kwargs)
-        out = io.StringIO()
+        out = io.BytesIO()
         write_event_lines(out, blocks)
     assert event_lines(events) == expected
     assert truth == expected_truth == written_truth
-    assert out.getvalue() == "\n".join(expected) + "\n"
+    assert out.getvalue().decode() == "\n".join(expected) + "\n"
 
 
 def test_default_block_size_matches_scalar_generator_on_several_blocks():
