@@ -1,6 +1,6 @@
 """From cleaned events to residences, penetration rates, and mobility metrics."""
 
-import statistics
+import numpy as np
 
 from geoflow.ingest import BoundaryIndex, build_trajectories, label_events, parse_events
 from geoflow.metrics import (
@@ -18,9 +18,11 @@ index = BoundaryIndex(world_boundaries(world))
 labeled, _ = label_events(parse_events(event_lines(events)).events, index)
 trajectories = labeled.take(build_trajectories(labeled))
 
-profiles = build_profiles(labeled)
-hits = sum(1 for uid, p in profiles.items() if p.residence == truth.residences[uid])
-print(f"residence assignment: {hits}/{len(profiles)} match the planted truth")
+profiles = build_profiles(labeled)  # columns by user code over the events' vocabularies
+has = np.flatnonzero(profiles.residence >= 0)  # the users with an event
+homes = [profiles.countries[c] for c in profiles.residence[has].tolist()]
+hits = sum(home == truth.residences[profiles.users[u]] for u, home in zip(has.tolist(), homes))
+print(f"residence assignment: {hits}/{len(has)} match the planted truth")
 
 census = {c.code: c.population for c in world.countries}
 stats = compute_country_stats(profiles, census, min_penetration=0.0, min_residents=1)
@@ -29,7 +31,7 @@ for code in sorted(stats):
     s = stats[code]
     print(f"  {code}  residents={s.residents:>3}  penetration={s.penetration:.5f}  included={s.included}")
 
-radii = user_gyration_radii(trajectories)
+radii = user_gyration_radii(trajectories)  # by user code, like the profiles
 mobility = build_mobility_profiles(profiles, radii)
 print("\nmobility by residence country:")
 for code in sorted(mobility):
@@ -39,8 +41,9 @@ for code in sorted(mobility):
         f"  mean_r_g={m.mean_radius_km:,.0f} km  destinations={m.countries_visited}"
     )
 
-stay_home = sum(1 for r in radii.values() if r < 100.0)
-print(f"\nradius of gyration: median {statistics.median(radii.values()):,.1f} km; "
+radii = radii[has]
+stay_home = int(np.count_nonzero(radii < 100.0))
+print(f"\nradius of gyration: median {np.median(radii):,.1f} km; "
       f"{stay_home}/{len(radii)} users stay within 100 km")
 
 _, hops = displacements(trajectories)

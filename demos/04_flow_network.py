@@ -5,7 +5,6 @@ estimates, and the balance sheet they imply.
 from geoflow.ingest import BoundaryIndex, label_events, parse_events
 from geoflow.network import (
     build_flow_network,
-    global_balance,
     inflow_outflow_balance,
     normalize_and_filter,
     top_k_flows,
@@ -38,6 +37,3 @@ print("\nnet receivers and senders (estimated people):")
 for code in sorted(balances, key=lambda c: -balances[c].balance):
     b = balances[code]
     print(f"  {code}  in={b.inflow:>12,.0f}  out={b.outflow:>12,.0f}  net={b.balance:>+12,.0f}")
-
-# the signed sum over all countries cancels exactly, by construction
-print(f"\nglobal balance: {global_balance(network)}")

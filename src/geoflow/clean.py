@@ -42,7 +42,7 @@ def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tup
         gap = t.timestamp[pair + 1] - t.timestamp[pair]
         ok = np.where(gap == 0, dist == 0.0, dist * 3600.0 <= max_speed_kmh * gap)
         offending.append(np.searchsorted(offsets, pair[~ok], side="right") - 1)
-    for k in np.unique(np.concatenate(offending)).tolist():
+    for k in np.flatnonzero(np.bincount(np.concatenate(offending))).tolist():
         start, end = offsets[k], offsets[k + 1]
         lat, lon, ts = (column[start:end].tolist() for column in (t.lat, t.lon, t.timestamp))
         last = 0
@@ -122,8 +122,8 @@ def source_popularity_filter(
     stats = CleaningStats(
         retained_sources=retained_ordered,
         rankings=rankings,
-        users_before=len(np.unique(events.user)),
-        users_after=len(np.unique(events.user[keep])),
+        users_before=int(np.count_nonzero(np.bincount(events.user))),
+        users_after=int(np.count_nonzero(np.bincount(events.user[keep]))),
         events_before=len(events),
         events_after=int(np.count_nonzero(keep)),
     )

@@ -6,12 +6,14 @@ single-stage command reads the events and user profiles it needs back from
 the artifacts, while `run` hands them from stage to stage in memory, so it
 parses the event file once and builds the profiles once; both write the
 same bytes. What `run` holds between stages grows by a few bytes per event
-and no more: the event table, and the displacement and gyration samples as
-float64 arrays from `metrics` to `fit-powerlaw`. `clean` copies the kept
-lines out of `events_labeled.csv` instead of formatting them again, at the
-line ends it finds by scanning that file. All randomness flows from the
-single `seed` config key, and no artifact embeds timestamps or machine
-state, so identical configs produce byte-identical outputs.
+and a few tens per user: the event table, the profiles as columns (one
+residence.UserTable) from `profile` to `network`, and the displacement and
+gyration samples as float64 arrays from `metrics` to `fit-powerlaw`.
+`clean` copies the kept lines out of `events_labeled.csv` instead of
+formatting them again, at the line ends it finds by scanning that file.
+All randomness flows from the single `seed` config key, and no artifact
+embeds timestamps or machine state, so identical configs produce
+byte-identical outputs.
 
 Exit codes: 0 success, 2 usage error, 3 malformed config, 4 missing input
 file, 5 stage-order violation (a required intermediate artifact is
@@ -237,8 +239,10 @@ def stage_profile(ws: Workspace) -> None:
         min_penetration=ws.config["residence"]["min_penetration"],
         min_residents=ws.config["residence"]["min_residents"],
     )
-    ws.write_records("profiles.csv", (profiles[u] for u in sorted(profiles)))
-    ws.write_records("country_stats.csv", (stats[c] for c in sorted(stats)))
+    has = np.flatnonzero(profiles.residence >= 0)  # the users with an event, in id order
+    _write_columns(ws, "profiles.csv", [(profiles.users, has), (profiles.countries, profiles.residence[has]),
+                                        profiles.total_events[has], profiles.distinct_countries[has]])
+    ws.write_records("country_stats.csv", stats.values())
 
 
 def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
@@ -256,11 +260,11 @@ def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
     return out
 
 
-def _write_km(ws: Workspace, name: str, users: Sequence[str], codes: np.ndarray, km: np.ndarray) -> None:
-    """A user_id,km artifact, row k naming users[codes[k]]: write_rows' bytes, from the columns."""
+def _write_columns(ws: Workspace, name: str, columns: Sequence[tables.Column]) -> None:
+    """A CSV artifact with a row per row of the columns (tables.csv_blocks): write_rows' bytes."""
     with tables.replacing(ws.path(name), binary=True) as fh:
-        fh.write((",".join(_KM_HEADER) + "\n").encode())
-        fh.writelines(tables.csv_blocks([(users, codes), km]))
+        fh.write((",".join(ARTIFACTS[name].header) + "\n").encode())
+        fh.writelines(tables.csv_blocks(columns))
 
 
 def stage_metrics(ws: Workspace) -> None:
@@ -268,16 +272,16 @@ def stage_metrics(ws: Workspace) -> None:
     events = ws.take("events_clean.csv")
     radii = metrics_mod.user_gyration_radii(events)
     mobility = metrics_mod.build_mobility_profiles(profiles, radii, ws.config["metrics"]["gyration_over"])
-    ws.write_records("mobility_profiles.csv", (mobility[c] for c in sorted(mobility)))
+    ws.write_records("mobility_profiles.csv", mobility.values())
     for direction in ("outbound", "inbound"):
         series = metrics_mod.daily_abroad_series(profiles, events, direction, year=ws.config["year"])
         rows = ([s.code, day, *pair] for s in series.values() for day, pair in enumerate(zip(s.values, s.normalized)))
         ws.write_rows(f"daily_{direction}.csv", rows)
     users, km = metrics_mod.displacements(events)
-    _write_km(ws, "displacements.csv", events.users, users, km)
-    radii_km = np.fromiter(radii.values(), dtype=np.float64, count=len(radii))
-    _write_km(ws, "gyration.csv", list(radii), np.arange(len(radii)), radii_km)  # in user id order
-    ws.held.update({"displacements.csv": km, "gyration.csv": radii_km})
+    _write_columns(ws, "displacements.csv", [(events.users, users), km])
+    has = np.flatnonzero(profiles.residence >= 0)  # the users with an event, in id order
+    _write_columns(ws, "gyration.csv", [(events.users, has), radii[has]])
+    ws.held.update({"displacements.csv": km, "gyration.csv": radii[has]})
 
 
 def stage_network(ws: Workspace) -> None:

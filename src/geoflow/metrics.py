@@ -1,5 +1,5 @@
-"""Mobility measures: mobile-user flags, gyration radii, displacements,
-destination diversity, and daily abroad-activity series.
+"""Mobility measures: gyration radii, displacements, per-country mobility
+profiles, and daily abroad-activity series.
 
 All geometry is spherical. Daily series use UTC calendar days of a single
 analysis year and are normalized so the busiest day reads 100.
@@ -10,19 +10,13 @@ from __future__ import annotations
 import calendar
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Mapping
 
 import numpy as np
 
 from . import ingest
 from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
-from .residence import UserProfile
+from .residence import UserTable
 from .sphere import DegenerateCenterError, haversine_many, mean_center
-
-
-def is_mobile(profile: UserProfile) -> bool:
-    """True iff the user was seen in a country other than their residence."""
-    return profile.distinct_countries >= 2
 
 
 def _run_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -43,8 +37,9 @@ def _run_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return sums
 
 
-def user_gyration_radii(events: EventTable) -> dict[str, float]:
-    """Per-user radius of gyration: RMS great-circle distance of every event from the center of mass.
+def user_gyration_radii(events: EventTable) -> np.ndarray:
+    """Per-user radius of gyration by user code (NaN for a user with no event): RMS great-circle distance of
+    every event from the center of mass.
 
     Each user's sums run in trajectory order (ingest.build_trajectories),
     whatever the order of the rows. A user whose events share one point
@@ -57,18 +52,16 @@ def user_gyration_radii(events: EventTable) -> dict[str, float]:
     t = events if _in_trajectory_order(events) else events.take(build_trajectories(events))
     offsets = runs(t.user)
     block_users = np.searchsorted(offsets, np.arange(0, len(t), ingest.BLOCK_ROWS << 4), side="right") - 1
-    groups = np.unique(block_users).tolist() + [len(offsets) - 1]  # group: users groups[i]:groups[i + 1]
-    radii: dict[str, float] = {}
+    groups = np.flatnonzero(np.bincount(block_users)).tolist() + [len(offsets) - 1]  # users groups[i]:groups[i + 1]
+    radii = np.full(len(events.users), np.nan)
     for a, b in zip(groups, groups[1:]):
         lo, hi = offsets[a], offsets[b]
-        radii.update(_gyration(t.users, t.user[lo:hi], t.lat[lo:hi], t.lon[lo:hi], offsets[a : b + 1] - lo))
+        radii[t.user[offsets[a:b]]] = _gyration(t.lat[lo:hi], t.lon[lo:hi], offsets[a : b + 1] - lo)
     return radii
 
 
-def _gyration(
-    users: list[str], user: np.ndarray, lat: np.ndarray, lon: np.ndarray, offsets: np.ndarray
-) -> dict[str, float]:
-    """user_gyration_radii of rows in trajectory order, whose users' runs are rows offsets[k]:offsets[k + 1]."""
+def _gyration(lat: np.ndarray, lon: np.ndarray, offsets: np.ndarray) -> list[float]:
+    """The radius of each run of rows offsets[k]:offsets[k + 1], one user's rows in trajectory order."""
     first, n = offsets[:-1], np.diff(offsets)
     run = np.repeat(np.arange(len(n)), n)
     phi, lam = np.radians(lat), np.radians(lon)
@@ -81,8 +74,8 @@ def _gyration(
         except DegenerateCenterError:
             pass
     d = haversine_many(lat, lon, center_lat[run], center_lon[run])
-    totals = zip(user[first].tolist(), _run_sums(d * d, offsets).tolist(), n.tolist(), moved.tolist())
-    return {users[u]: (total / count) ** 0.5 if m else 0.0 for u, total, count, m in totals}
+    totals = zip(_run_sums(d * d, offsets).tolist(), n.tolist(), moved.tolist())
+    return [(total / count) ** 0.5 if m else 0.0 for total, count, m in totals]  # pow, not np.sqrt: repr's bits
 
 
 def displacements(events: EventTable) -> tuple[np.ndarray, np.ndarray]:
@@ -100,15 +93,6 @@ def displacements(events: EventTable) -> tuple[np.ndarray, np.ndarray]:
     return t.user[:-1][same], km
 
 
-def destination_diversity(country: str, profiles: Mapping[str, UserProfile]) -> int:
-    """Distinct foreign countries appearing in any resident's event counts."""
-    visited: set[str] = set()
-    for profile in profiles.values():
-        if profile.residence == country:
-            visited.update(c for c in profile.counts if c != country)
-    return len(visited)
-
-
 @dataclass(slots=True)
 class MobilityProfile:
     """Country-level mobility summary."""
@@ -121,34 +105,35 @@ class MobilityProfile:
 
 
 def build_mobility_profiles(
-    profiles: Mapping[str, UserProfile],
-    radii: Mapping[str, float],
+    profiles: UserTable,
+    radii: np.ndarray,
     gyration_over: str = "all",
 ) -> dict[str, MobilityProfile]:
-    """One MobilityProfile per residence country.
+    """One MobilityProfile per residence country, in code order.
 
-    mean_radius_km averages the per-user gyration radii (as from
-    user_gyration_radii) over all residents, or over mobile residents only
-    when gyration_over="mobile" (0 when the selected set is empty).
+    mean_radius_km averages the gyration radii by user code (as from
+    user_gyration_radii) over all residents, or over mobile residents (seen
+    in two countries or more) only when gyration_over="mobile", adding them
+    in user code order (0 when the selected set is empty). countries_visited
+    counts the distinct countries other than it that its residents saw.
     """
     if gyration_over not in ("all", "mobile"):
         raise ValueError(f"gyration_over must be 'all' or 'mobile', got {gyration_over!r}")
-    by_country: dict[str, list[UserProfile]] = {}
-    for profile in profiles.values():
-        by_country.setdefault(profile.residence, []).append(profile)
+    n = len(profiles.countries)
+    home, mobile = profiles.residence, profiles.distinct_countries >= 2
+    pool = np.flatnonzero(home >= 0 if gyration_over == "all" else mobile)
+    pool = pool[np.argsort(home[pool], kind="stable")]  # by residence, in user code order within each
+    size = np.bincount(home[pool], minlength=n)
+    sums = _run_sums(radii[pool], np.r_[0, np.cumsum(size)])
+    columns = (
+        np.bincount(home[home >= 0], minlength=n), np.bincount(home[mobile], minlength=n), size, sums,
+        np.bincount(profiles.flows()[0], minlength=n),
+    )
     out: dict[str, MobilityProfile] = {}
-    for code in sorted(by_country):
-        residents = by_country[code]
-        mobile = [p for p in residents if is_mobile(p)]
-        pool = residents if gyration_over == "all" else mobile
-        sample = [radii[p.user_id] for p in pool if p.user_id in radii]
-        out[code] = MobilityProfile(
-            code=code,
-            n_residents=len(residents),
-            mobility_rate=len(mobile) / len(residents),
-            mean_radius_km=sum(sample) / len(sample) if sample else 0.0,
-            countries_visited=destination_diversity(code, dict(enumerate(residents))),
-        )
+    for c, residents, n_mobile, k, total, visited in zip(range(n), *(column.tolist() for column in columns)):
+        if residents:
+            code = profiles.countries[c]
+            out[code] = MobilityProfile(code, residents, n_mobile / residents, total / k if k else 0.0, visited)
     return out
 
 
@@ -171,7 +156,7 @@ def _normalize(values: list[int]) -> list[float]:
 
 
 def daily_abroad_series(
-    profiles: Mapping[str, UserProfile],
+    profiles: UserTable,
     events: EventTable,
     direction: str,
     year: int = 2012,
@@ -182,18 +167,21 @@ def daily_abroad_series(
     outside C that day. Inbound series of C: distinct non-residents with at
     least one event in C that day. Users are counted once per day however
     many qualifying events they post. Events outside the year, and of users
-    without a profile, are ignored; profiles built from the events cover all their countries.
+    without a residence, are ignored. The profiles must be over the events'
+    vocabularies; built from the events, they cover all their countries.
     """
     if direction not in ("outbound", "inbound"):
         raise ValueError(f"direction must be 'outbound' or 'inbound', got {direction!r}")
     if np.any(events.country < 0):
         raise ValueError("every event needs a country label")
+    if profiles.users != events.users or profiles.countries != events.countries:
+        raise ValueError("the profiles are over other user or country vocabularies than the events")
     n_days = 366 if calendar.isleap(year) else 365
     year_start = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
-    domain = sorted(set().union(*(profile.counts for profile in profiles.values())))
-    position = {code: i for i, code in enumerate(domain)}
-    home_of = np.array([position[p.residence] if (p := profiles.get(u)) else -1 for u in events.users], np.int64)
-    here_of = np.array([position.get(code, -1) for code in events.countries], dtype=np.int64)
+    seen = np.bincount(profiles.country, minlength=len(profiles.countries)) > 0
+    domain = [profiles.countries[c] for c in np.flatnonzero(seen).tolist()]
+    here_of = np.where(seen, np.cumsum(seen) - 1, -1)  # position in domain by country code
+    home_of = np.r_[here_of, -1][profiles.residence]  # a residence of -1 reads the -1 after the countries
     keys = [np.zeros(0, dtype=np.int64)]  # one per (country, day, user), a block of rows at a time
     for start in range(0, len(events), ingest.BLOCK_ROWS):
         rows = slice(start, start + ingest.BLOCK_ROWS)
@@ -202,8 +190,8 @@ def daily_abroad_series(
         day = (events.timestamp[rows] - year_start) // 86400
         mask = (home >= 0) & (here != home) & (0 <= day) & (day < n_days)
         cell = ((home if direction == "outbound" else here) * n_days + day)[mask]
-        keys.append(np.unique(cell * len(events.users) + user[mask]))
-    distinct = np.unique(np.concatenate(keys))
+        keys.append(np.unique(cell * len(events.users) + user[mask], return_counts=True)[0])
+    distinct = np.unique(np.concatenate(keys), return_counts=True)[0]
     values = np.bincount(distinct // len(events.users), minlength=len(domain) * n_days)
     out: dict[str, DailySeries] = {}
     for code, row in zip(domain, values.reshape(len(domain), n_days).tolist()):

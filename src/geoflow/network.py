@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .metrics import is_mobile
-from .residence import CountryStats, UserProfile
+import numpy as np
+
+from .residence import CountryStats, UserTable
 
 
 @dataclass(slots=True)
@@ -33,44 +34,25 @@ class FlowNetwork:
     mobile_residents: dict[str, int]  # outgoing population per node
     normalized: bool = False
 
-    def weight(self, origin: str, destination: str, kind: str = "raw") -> float:
-        edge = self.edges.get((origin, destination))
-        if edge is None:
-            return 0.0
-        if kind == "raw":
-            return float(edge.raw_weight)
-        if edge.est_weight is None:
-            raise ValueError("est weights not set; normalize first")
-        return edge.est_weight
 
-
-def build_flow_network(profiles: Mapping[str, UserProfile]) -> FlowNetwork:
+def build_flow_network(profiles: UserTable) -> FlowNetwork:
     """Edges (residence -> visited country) weighted by distinct users.
 
     A user visiting the same country repeatedly still counts once per edge;
     a user visiting two countries feeds two edges. Every country seen in
     any profile becomes a node, even without incident edges.
     """
-    weights: dict[tuple[str, str], int] = {}
-    mobile: dict[str, int] = {}
-    nodes: set[str] = set()
-    for profile in profiles.values():
-        nodes.update(profile.counts)
-        home = profile.residence
-        if is_mobile(profile):
-            mobile[home] = mobile.get(home, 0) + 1
-        for country in profile.counts:
-            if country != home:
-                key = (home, country)
-                weights[key] = weights.get(key, 0) + 1
+    names = profiles.countries
+    nodes = np.flatnonzero(np.bincount(profiles.country, minlength=len(names)))
+    mobile = np.bincount(profiles.residence[profiles.distinct_countries >= 2], minlength=len(names))
     edges = {
-        key: FlowEdge(origin=key[0], destination=key[1], raw_weight=w)
-        for key, w in sorted(weights.items())
+        (names[o], names[d]): FlowEdge(origin=names[o], destination=names[d], raw_weight=w)
+        for o, d, w in zip(*(column.tolist() for column in profiles.flows()))
     }
     return FlowNetwork(
-        nodes=sorted(nodes),
+        nodes=[names[c] for c in nodes.tolist()],
         edges=edges,
-        mobile_residents={c: mobile.get(c, 0) for c in sorted(nodes)},
+        mobile_residents={names[c]: m for c, m in zip(nodes.tolist(), mobile[nodes].tolist())},
     )
 
 
@@ -144,23 +126,6 @@ def inflow_outflow_balance(network: FlowNetwork) -> dict[str, BalanceEntry]:
         outflow = math.fsum(outflows[code])
         out[code] = BalanceEntry(code=code, inflow=inflow, outflow=outflow, balance=inflow - outflow)
     return out
-
-
-def global_balance(network: FlowNetwork) -> float:
-    """Sum of all per-country balances, compensated to avoid rounding drift.
-
-    Every edge enters once as inflow (+) and once as outflow (-), so the
-    exact sum is zero; summing the signed terms in one compensated pass
-    returns exactly 0.0 rather than accumulating per-country rounding.
-    """
-    if not network.normalized:
-        raise ValueError("balance requires a normalized network")
-    terms: list[float] = []
-    for _, edge in sorted(network.edges.items()):
-        weight = _est_weight(edge)
-        terms.append(weight)
-        terms.append(-weight)
-    return math.fsum(terms)
 
 
 def top_k_flows(network: FlowNetwork, k: int = 30, weight: str = "est") -> list[FlowEdge]:

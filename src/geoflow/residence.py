@@ -1,7 +1,8 @@
 """Residence assignment and per-country penetration statistics.
 
-A user's residence is the country holding the plurality of their events.
-Country statistics relate resident counts to census populations and flag
+A user's residence is the country holding the plurality of their events;
+a tie goes to the country seen first, then to code order. Country
+statistics relate resident counts to census populations and flag
 countries that clear the inclusion thresholds.
 """
 
@@ -16,18 +17,27 @@ from .ingest import EventTable, runs
 
 
 @dataclass(slots=True)
-class UserProfile:
-    """Per-user event footprint over the analysis year."""
+class UserTable:
+    """Per-user event footprints as columns over an event table's `users` and `countries` vocabularies.
 
-    user_id: str
-    counts: dict[str, int]  # country -> event count
-    first_seen: dict[str, int]  # country -> earliest timestamp there
-    residence: str
-    distinct_countries: int
+    Per user code: the residence's country code (-1 for a user with no event), the event count and the
+    number of distinct countries. Per distinct (user, country) pair, in code order: the two codes."""
 
-    @property
-    def total_events(self) -> int:
-        return sum(self.counts.values())
+    users: list[str]
+    countries: list[str]
+    residence: np.ndarray
+    total_events: np.ndarray
+    distinct_countries: np.ndarray
+    user: np.ndarray
+    country: np.ndarray
+
+    def flows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each distinct (residence, visited) pair with visited != residence, in code order, and its user count."""
+        n = len(self.countries)
+        home = self.residence[self.user].astype(np.int64)
+        away = home != self.country
+        keys, users = np.unique(home[away] * n + self.country[away], return_counts=True)
+        return keys // n, keys % n, users
 
 
 @dataclass(slots=True)
@@ -43,55 +53,42 @@ class CountryStats:
     reason: str = ""  # empty when included
 
 
-def assign_residence(counts: Mapping[str, int], first_seen: Mapping[str, int]) -> str:
-    """Country with the most events; ties to earliest activity, then code order."""
-    if not counts:
-        raise ValueError("empty counts")
-    best = max(counts.values())
-    tied = [c for c, n in counts.items() if n == best]
-    if len(tied) > 1:
-        earliest = min(first_seen[c] for c in tied)
-        tied = [c for c in tied if first_seen[c] == earliest]
-    return min(tied)
-
-
-def build_profiles(events: EventTable) -> dict[str, UserProfile]:
-    """Aggregate labeled events into per-user profiles with residence assigned, in user id order."""
+def build_profiles(events: EventTable) -> UserTable:
+    """The UserTable of labeled events, over their vocabularies."""
     if np.any(events.country < 0):
         raise ValueError("every event needs a country label")
     order = np.lexsort((events.timestamp, events.country, events.user))
     offsets = runs(events.user[order], events.country[order])
     first = order[offsets[:-1]]  # each (user, country)'s earliest event
-    counts: dict[str, dict[str, int]] = {}
-    first_seen: dict[str, dict[str, int]] = {}
-    columns = (events.user[first], events.country[first], np.diff(offsets), events.timestamp[first])
-    for u, c, n, ts in zip(*(column.tolist() for column in columns)):
-        counts.setdefault(events.users[u], {})[events.countries[c]] = n
-        first_seen.setdefault(events.users[u], {})[events.countries[c]] = ts
-    return {u: UserProfile(u, c, first_seen[u], assign_residence(c, first_seen[u]), len(c)) for u, c in counts.items()}
+    user, country = events.user[first], events.country[first]
+    best = np.lexsort((country, events.timestamp[first], -np.diff(offsets), user))
+    best = best[runs(user[best])[:-1]]  # each user's pair by (most events, first seen, code)
+    n = len(events.users)
+    residence = np.full(n, -1, dtype=events.country.dtype)
+    residence[user[best]] = country[best]
+    totals = np.bincount(events.user, minlength=n), np.bincount(user, minlength=n)  # events, countries
+    return UserTable(events.users, events.countries, residence, *totals, user, country)
 
 
 def compute_country_stats(
-    profiles: Mapping[str, UserProfile],
+    profiles: UserTable,
     census: Mapping[str, int],
     gdp_per_capita: Mapping[str, float] | None = None,
     min_penetration: float = 0.0005,
     min_residents: int = 10_000,
 ) -> dict[str, CountryStats]:
-    """Penetration and inclusion flags for every country seen in any profile.
+    """Penetration and inclusion flags for every country seen in any profile, in code order.
 
     Covers both residence countries and visited-only countries (the latter
     have zero residents and are naturally excluded). Countries missing from
     the census, or with nonpositive population, are excluded with a reason.
     """
-    residents: dict[str, int] = {}
-    seen: set[str] = set()
-    for profile in profiles.values():
-        seen.update(profile.counts)
-        residents[profile.residence] = residents.get(profile.residence, 0) + 1
+    n = len(profiles.countries)
+    seen = np.flatnonzero(np.bincount(profiles.country, minlength=n))
+    residents = np.bincount(profiles.residence[profiles.residence >= 0], minlength=n)
     out: dict[str, CountryStats] = {}
-    for code in sorted(seen):
-        n_res = residents.get(code, 0)
+    for c, n_res in zip(seen.tolist(), residents[seen].tolist()):
+        code = profiles.countries[c]
         population = census.get(code)
         gdp = gdp_per_capita.get(code) if gdp_per_capita else None
         reasons: list[str] = []

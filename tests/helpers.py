@@ -29,9 +29,10 @@ from geoflow.ingest import (
     _parse_line,
     load_boundaries,
 )
-from geoflow.metrics import DailySeries, _normalize, is_mobile
+from geoflow.metrics import DailySeries, MobilityProfile, _normalize
 from geoflow.models import _LOG_BIN_BASE
-from geoflow.residence import UserProfile, assign_residence
+from geoflow.network import FlowEdge, FlowNetwork
+from geoflow.residence import CountryStats
 from geoflow.sphere import DegenerateCenterError, from_unit_vector, haversine_km
 from geoflow.synth import (
     _MAX_FOREIGN_EVENTS,
@@ -330,9 +331,10 @@ def reference_hierarchical_partition(
 
 
 # ---------------------------------------------------------------------------
-# Object-based event pipeline: one GeoEvent per event, one Python step per
-# event. The package's columnar EventTable layers must agree with these
-# exactly, row for row and bit for bit.
+# Object-based event pipeline: one GeoEvent per event and one UserProfile
+# per user, one Python step per event. The package's columnar EventTable
+# and UserTable layers must agree with these exactly, row for row and bit
+# for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -517,6 +519,121 @@ def apply_source_filter(events: list[GeoEvent], retained: dict[str, set[str]]) -
         if event.source in retained.get(event.country, ()):
             out.append(event)
     return out
+
+
+@dataclass(slots=True)
+class UserProfile:
+    """Per-user event footprint over the analysis year."""
+
+    user_id: str
+    counts: dict[str, int]  # country -> event count
+    first_seen: dict[str, int]  # country -> earliest timestamp there
+    residence: str
+    distinct_countries: int
+
+    @property
+    def total_events(self) -> int:
+        return sum(self.counts.values())
+
+
+def assign_residence(counts: Mapping[str, int], first_seen: Mapping[str, int]) -> str:
+    """Country with the most events; ties to earliest activity, then code order."""
+    if not counts:
+        raise ValueError("empty counts")
+    best = max(counts.values())
+    tied = [c for c, n in counts.items() if n == best]
+    if len(tied) > 1:
+        earliest = min(first_seen[c] for c in tied)
+        tied = [c for c in tied if first_seen[c] == earliest]
+    return min(tied)
+
+
+def is_mobile(profile: UserProfile) -> bool:
+    """True iff the user was seen in a country other than their residence."""
+    return profile.distinct_countries >= 2
+
+
+def destination_diversity(country: str, profiles: Mapping[str, UserProfile]) -> int:
+    """Distinct foreign countries appearing in any resident's event counts."""
+    visited: set[str] = set()
+    for profile in profiles.values():
+        if profile.residence == country:
+            visited.update(c for c in profile.counts if c != country)
+    return len(visited)
+
+
+def compute_country_stats(
+    profiles: Mapping[str, UserProfile],
+    census: Mapping[str, int],
+    gdp_per_capita: Mapping[str, float] | None = None,
+    min_penetration: float = 0.0005,
+    min_residents: int = 10_000,
+) -> dict[str, CountryStats]:
+    """Penetration and inclusion flags for every country seen in any profile, one profile at a time."""
+    residents: dict[str, int] = {}
+    seen: set[str] = set()
+    for profile in profiles.values():
+        seen.update(profile.counts)
+        residents[profile.residence] = residents.get(profile.residence, 0) + 1
+    out: dict[str, CountryStats] = {}
+    for code in sorted(seen):
+        n_res = residents.get(code, 0)
+        population = census.get(code)
+        reasons: list[str] = []
+        penetration = 0.0
+        if population is None:
+            reasons.append("no census")
+        elif population <= 0:
+            reasons.append(f"nonpositive population {population}")
+        else:
+            penetration = n_res / population
+            if penetration < min_penetration:
+                reasons.append(f"penetration {penetration:.6g} below {min_penetration:.6g}")
+            if n_res < min_residents:
+                reasons.append(f"residents {n_res} below {min_residents}")
+        gdp = gdp_per_capita.get(code) if gdp_per_capita else None
+        out[code] = CountryStats(code, n_res, population, penetration, not reasons, gdp, "; ".join(reasons))
+    return out
+
+
+def build_mobility_profiles(
+    profiles: Mapping[str, UserProfile], radii: Mapping[str, float], gyration_over: str = "all"
+) -> dict[str, MobilityProfile]:
+    """One MobilityProfile per residence country, its radius sample summed in user id order."""
+    by_country: dict[str, list[UserProfile]] = {}
+    for profile in profiles.values():
+        by_country.setdefault(profile.residence, []).append(profile)
+    out: dict[str, MobilityProfile] = {}
+    for code in sorted(by_country):
+        residents = by_country[code]
+        mobile = [p for p in residents if is_mobile(p)]
+        pool = residents if gyration_over == "all" else mobile
+        sample = [radii[p.user_id] for p in pool if p.user_id in radii]
+        out[code] = MobilityProfile(
+            code=code,
+            n_residents=len(residents),
+            mobility_rate=len(mobile) / len(residents),
+            mean_radius_km=sum(sample) / len(sample) if sample else 0.0,
+            countries_visited=destination_diversity(code, profiles),
+        )
+    return out
+
+
+def build_flow_network(profiles: Mapping[str, UserProfile]) -> FlowNetwork:
+    """Edges (residence -> visited country) weighted by distinct users, one profile at a time."""
+    weights: dict[tuple[str, str], int] = {}
+    mobile: dict[str, int] = {}
+    nodes: set[str] = set()
+    for profile in profiles.values():
+        nodes.update(profile.counts)
+        home = profile.residence
+        if is_mobile(profile):
+            mobile[home] = mobile.get(home, 0) + 1
+        for country in profile.counts:
+            if country != home:
+                weights[(home, country)] = weights.get((home, country), 0) + 1
+    edges = {key: FlowEdge(origin=key[0], destination=key[1], raw_weight=w) for key, w in sorted(weights.items())}
+    return FlowNetwork(nodes=sorted(nodes), edges=edges, mobile_residents={c: mobile.get(c, 0) for c in sorted(nodes)})
 
 
 def build_profiles(events: list[GeoEvent]) -> dict[str, UserProfile]:

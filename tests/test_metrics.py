@@ -1,24 +1,27 @@
 """Mobility measures: gyration radii, displacements, daily abroad series."""
 
+import dataclasses
 import math
 import random
 import string
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geoflow import ingest, metrics
-from geoflow.metrics import build_mobility_profiles, destination_diversity, is_mobile
+import helpers
+from geoflow import ingest, metrics, network, residence
+from geoflow.metrics import build_mobility_profiles
 from geoflow.sphere import EARTH_RADIUS_KM, haversine_km
 from helpers import (
     Y2012,
     build_profiles,
     daily_abroad_series,
+    destination_diversity,
     displacements,
     ev,
+    is_mobile,
     mobility_rate,
     radius_of_gyration,
     rotate_points,
@@ -117,6 +120,12 @@ def make_profiles(user_events):
     return build_profiles(user_events)
 
 
+def user_table(events):
+    """The UserTable of some events, and their gyration radii by user code."""
+    table = table_of(events)
+    return residence.build_profiles(table), metrics.user_gyration_radii(table)
+
+
 def test_is_mobile_needs_two_countries():
     profiles = make_profiles(
         [ev("home", 1, country="AA"), ev("roam", 1, country="AA"), ev("roam", 2, country="BB")]
@@ -146,6 +155,7 @@ def test_destination_diversity_counts_distinct_foreign_countries():
     ]
     profiles = make_profiles(events)
     assert destination_diversity("AA", profiles) == 2  # BB and CC
+    assert build_mobility_profiles(*user_table(events))["AA"].countries_visited == 2
 
 
 def test_build_mobility_profiles_rates_and_means():
@@ -155,8 +165,7 @@ def test_build_mobility_profiles_rates_and_means():
         ev("u2", 1, 0.0, 0.0, country="AA"),
         ev("u2", 2, 0.0, 0.0, country="BB"),
     ]
-    profiles = make_profiles(events)
-    out = build_mobility_profiles(profiles, user_gyration_radii(events))
+    out = build_mobility_profiles(*user_table(events))
     aa = out["AA"]
     assert aa.n_residents == 2
     assert aa.mobility_rate == 0.5
@@ -173,47 +182,13 @@ def test_build_mobility_profiles_mobile_only_mean():
         ev("u2", 1, 0.0, 0.0, country="AA"),
         ev("u2", 2, 0.0, 0.0, country="BB"),
     ]
-    profiles = make_profiles(events)
-    out = build_mobility_profiles(profiles, user_gyration_radii(events), gyration_over="mobile")
+    out = build_mobility_profiles(*user_table(events), gyration_over="mobile")
     assert out["AA"].mean_radius_km == pytest.approx(0.0, abs=1e-9)  # only u2 is mobile
 
 
 def test_build_mobility_profiles_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        build_mobility_profiles({}, user_gyration_radii([]), gyration_over="everyone")
-
-
-class CountingProfiles(Mapping):
-    """Read-only profile mapping that counts full scans (keys, values or items)."""
-
-    def __init__(self, data):
-        self.data = data
-        self.scans = 0
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-    def __iter__(self):
-        self.scans += 1
-        return iter(self.data)
-
-    def __len__(self):
-        return len(self.data)
-
-
-@pytest.mark.parametrize("n_countries", [1, 6])
-def test_mobility_profiles_scan_the_profiles_once(n_countries):
-    events = []
-    for c in range(n_countries):
-        home, away = f"C{c}", f"C{(c + 1) % n_countries}"
-        for u in range(3):
-            user = f"{home}-{u}"
-            events += [ev(user, 1, country=home), ev(user, 2, country=home), ev(user, 3 + u, country=away)]
-    profiles = make_profiles(events)
-    want = build_mobility_profiles(profiles, user_gyration_radii(events))
-    counting = CountingProfiles(profiles)
-    assert build_mobility_profiles(counting, user_gyration_radii(events)) == want
-    assert counting.scans == 1
+        build_mobility_profiles(*user_table([]), gyration_over="everyone")
 
 
 # ---------------------------------------------------------------- daily series
@@ -303,22 +278,68 @@ def test_unknown_direction_rejected():
 # ---------------------------------------------------------------- columnar metrics
 
 
-@given(event_lists(), st.sampled_from(["outbound", "inbound"]))
-def test_table_metrics_match_the_object_metrics(events, direction):
+CENSUS = {"AA": 4, "BB": 0}  # CC has no census row
+
+
+def plain(records):
+    """True if no field of the records is a numpy scalar, whose repr reads np.float64(...) under NumPy 2."""
+    return all(type(value).__module__ == "builtins" for record in records for value in dataclasses.astuple(record))
+
+
+@given(event_lists(), st.integers(-90_000, 200_000))
+def test_table_metrics_match_the_object_metrics(events, cutoff):
+    """The user chain over columns, from the profiles to the flow network, against the object oracles.
+
+    Events after the cutoff leave the table but not its vocabularies, so some users have no event."""
     table = table_of(events)
+    table = table.take(table.timestamp <= Y2012 + cutoff)
     trajectories = table.take(ingest.build_trajectories(table))
     objects = events_of(trajectories)
-    radii = metrics.user_gyration_radii(trajectories)
-    want = user_gyration_radii(objects)
-    assert radii == want and list(radii) == list(want)  # bit for bit, in user id order
+    profiles, want = residence.build_profiles(table), build_profiles(objects)
+    has = np.flatnonzero(profiles.residence >= 0)
+    assert [profiles.users[u] for u in has.tolist()] == list(want)
+    assert [profiles.countries[c] for c in profiles.residence[has].tolist()] == [p.residence for p in want.values()]
+    assert profiles.total_events[has].tolist() == [p.total_events for p in want.values()]
+    assert profiles.distinct_countries[has].tolist() == [p.distinct_countries for p in want.values()]
+    assert profiles.total_events.sum() == len(table)
+    pairs = [(profiles.users[u], profiles.countries[c]) for u, c in zip(profiles.user.tolist(), profiles.country.tolist())]
+    assert pairs == [(u, c) for u, p in want.items() for c in sorted(p.counts)]
+    stats = residence.compute_country_stats(profiles, CENSUS, {"AA": 1.5}, min_penetration=0.5, min_residents=2)
+    assert stats == helpers.compute_country_stats(want, CENSUS, {"AA": 1.5}, 0.5, 2) and list(stats) == sorted(stats)
+    assert plain(stats.values())
+
+    radii, want_radii = metrics.user_gyration_radii(trajectories), user_gyration_radii(objects)
+    assert radii[has].tolist() == list(want_radii.values())  # bit for bit, in user id order
+    assert np.isnan(np.delete(radii, has)).all()
+    for gyration_over in ("all", "mobile"):
+        mobility = metrics.build_mobility_profiles(profiles, radii, gyration_over)
+        assert mobility == helpers.build_mobility_profiles(want, want_radii, gyration_over)
+        assert list(mobility) == sorted(mobility) and plain(mobility.values())
+    flows = network.build_flow_network(profiles)
+    assert flows == helpers.build_flow_network(want) and list(flows.edges) == sorted(flows.edges)
+    assert plain(flows.edges.values()) and all(type(m) is int for m in flows.mobile_residents.values())
+    for direction in ("outbound", "inbound"):
+        series = metrics.daily_abroad_series(profiles, trajectories, direction)
+        assert series == daily_abroad_series(want, objects, direction) and list(series) == sorted(series)
+
     users, km = metrics.displacements(trajectories)
     oracle = build_trajectories(objects)
     want_km = [(user, d) for user in sorted(oracle) for d in displacements(oracle[user])]
     assert list(zip([trajectories.users[u] for u in users.tolist()], km.tolist())) == want_km
-    profiles = build_profiles(objects)
-    series = metrics.daily_abroad_series(profiles, trajectories, direction)
-    assert series == daily_abroad_series(profiles, objects, direction)
-    assert list(series) == sorted(series)
+
+
+def test_daily_series_reject_profiles_over_other_vocabularies():
+    events = resident_events("u1", "AA") + resident_events("u2", "BB") + [ev("u2", day_ts(1), country="AA")]
+    table = table_of(events)
+    for other in (table_of(events[3:]), table_of(events[:3])):  # by code, u2 would read u1's row or none
+        with pytest.raises(ValueError, match="vocabularies"):
+            metrics.daily_abroad_series(residence.build_profiles(other), table, "outbound")
+
+
+def test_daily_series_of_a_user_without_events_and_no_country():
+    table = table_of([ev("u", 1)])
+    table = table.take(np.zeros(1, dtype=bool))  # the names stay: one user, no country
+    assert metrics.daily_abroad_series(residence.build_profiles(table), table, "outbound") == {}
 
 
 @pytest.mark.parametrize("direction", ["outbound", "inbound"])
@@ -333,17 +354,16 @@ def test_table_daily_series_keys_do_not_overflow_narrow_codes(direction):
         events.append(ev(f"u{u:05d}", day + 2, country=away))
     table = table_of(events)
     assert table.user.dtype == np.int16 and len(table.countries) == 676
-    profiles = build_profiles(events)
-    series = metrics.daily_abroad_series(profiles, table, direction)
-    assert series == daily_abroad_series(profiles, events, direction)
+    series = metrics.daily_abroad_series(residence.build_profiles(table), table, direction)
+    assert series == daily_abroad_series(build_profiles(events), events, direction)
     assert sum(sum(s.values) for s in series.values()) == 10_000
 
 
 def test_gyration_of_an_antipodal_pair_anchors_at_the_first_event():
     trajectories = table_of([ev("u", 1, 0.0, 0.0), ev("u", 2, 0.0, 180.0), ev("v", 1, 5.0, 5.0)])
     radii = metrics.user_gyration_radii(trajectories)
-    assert radii == {"u": radius_of_gyration([(0.0, 0.0), (0.0, 180.0)]), "v": 0.0}
-    assert radii["u"] == pytest.approx(HALF_TURN_KM / math.sqrt(2.0))
+    assert radii.tolist() == [radius_of_gyration([(0.0, 0.0), (0.0, 180.0)]), 0.0]  # u, v
+    assert radii[0] == pytest.approx(HALF_TURN_KM / math.sqrt(2.0))
 
 
 @given(event_lists())
@@ -351,8 +371,7 @@ def test_table_metrics_order_the_rows_themselves(events):
     table = table_of(events)
     trajectories = table.take(ingest.build_trajectories(table))
     radii = metrics.user_gyration_radii(table)
-    want = metrics.user_gyration_radii(trajectories)
-    assert radii == want and list(radii) == list(want)
+    assert radii.tolist() == metrics.user_gyration_radii(trajectories).tolist()
     for got, want_column in zip(metrics.displacements(table), metrics.displacements(trajectories)):
         assert got.tolist() == want_column.tolist()
 
@@ -368,4 +387,4 @@ def test_gyration_of_a_few_long_trajectories_among_short_ones():
     rng.shuffle(events)
     radii = metrics.user_gyration_radii(table_of(events))
     want = user_gyration_radii(sorted(events, key=lambda e: (e.user_id, e.timestamp)))  # trajectory order
-    assert radii == want and list(radii) == list(want)
+    assert radii.tolist() == list(want.values())

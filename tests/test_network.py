@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geoflow import residence
 from geoflow.network import (
     build_flow_network,
-    global_balance,
     inflow_outflow_balance,
     normalize_and_filter,
     top_k_flows,
 )
 from geoflow.residence import compute_country_stats
-from helpers import build_profiles, ev
+from helpers import ev, table_of
 
 
 def profiles_from(visits):
@@ -23,7 +23,7 @@ def profiles_from(visits):
     for user, countries in visits.items():
         for i, country in enumerate(countries):
             events.append(ev(user, i + 1, country=country))
-    return build_profiles(events)
+    return residence.build_profiles(table_of(events))
 
 
 # ---------------------------------------------------------------- construction
@@ -39,7 +39,7 @@ def test_edge_counts_distinct_visitors():
     )
     # u3's plurality is BB, so only u1 and u2 contribute to AA->BB
     network = build_flow_network(profiles)
-    assert network.weight("AA", "BB", "raw") == 2
+    assert network.edges[("AA", "BB")].raw_weight == 2
     assert network.normalized is False
 
 
@@ -47,14 +47,14 @@ def test_repeat_visits_count_once():
     profiles = profiles_from({"u1": ["AA", "AA", "BB", "BB"]})
     # u1: 2 events in AA, 2 in BB, tie -> earlier first seen -> AA
     network = build_flow_network(profiles)
-    assert network.weight("AA", "BB", "raw") == 1
+    assert network.edges[("AA", "BB")].raw_weight == 1
 
 
 def test_multiple_destinations_create_multiple_edges():
     profiles = profiles_from({"u1": ["AA", "AA", "BB", "CC"]})
     network = build_flow_network(profiles)
-    assert network.weight("AA", "BB", "raw") == 1
-    assert network.weight("AA", "CC", "raw") == 1
+    assert network.edges[("AA", "BB")].raw_weight == 1
+    assert network.edges[("AA", "CC")].raw_weight == 1
     assert ("BB", "CC") not in network.edges
 
 
@@ -122,9 +122,9 @@ def test_est_weight_divides_by_origin_penetration():
     network = build_flow_network(profiles)
     normalized = normalize_and_filter(network, stats, min_outgoing=1, min_penetration=0.0)
     # 50 travelers / (50 residents / 5000 census) = 5000 estimated people
-    assert normalized.weight("AA", "BB", "est") == pytest.approx(5000.0)
+    assert normalized.edges[("AA", "BB")].est_weight == pytest.approx(5000.0)
     # 10 travelers / (10/5000) = 5000 as well
-    assert normalized.weight("BB", "AA", "est") == pytest.approx(5000.0)
+    assert normalized.edges[("BB", "AA")].est_weight == pytest.approx(5000.0)
     assert normalized.normalized is True
 
 
@@ -185,8 +185,8 @@ def test_balance_entries_are_inflow_minus_outflow():
     network = normalized_fixture()
     balances = inflow_outflow_balance(network)
     aa, bb = balances["AA"], balances["BB"]
-    est_ab = network.weight("AA", "BB", "est")
-    est_ba = network.weight("BB", "AA", "est")
+    est_ab = network.edges[("AA", "BB")].est_weight
+    est_ba = network.edges[("BB", "AA")].est_weight
     assert aa.outflow == pytest.approx(est_ab)
     assert aa.inflow == pytest.approx(est_ba)
     assert aa.balance == pytest.approx(est_ba - est_ab)
@@ -198,12 +198,6 @@ def test_balances_require_normalized_network():
     network = build_flow_network(profiles)
     with pytest.raises(ValueError):
         inflow_outflow_balance(network)
-    with pytest.raises(ValueError):
-        global_balance(network)
-
-
-def test_global_balance_is_exactly_zero():
-    assert global_balance(normalized_fixture()) == 0.0
 
 
 @given(
@@ -217,8 +211,8 @@ def test_global_balance_is_exactly_zero():
         unique_by=lambda t: t[0],
     )
 )
-def test_global_balance_exact_zero_for_arbitrary_est_weights(rows):
-    """Signed compensated total cancels exactly, whatever the float weights."""
+def test_balances_resum_to_zero_for_arbitrary_est_weights(rows):
+    """Every edge is one country's inflow and another's outflow, whatever the float weights."""
     from geoflow.network import FlowEdge, FlowNetwork
 
     edges = {
@@ -231,7 +225,6 @@ def test_global_balance_exact_zero_for_arbitrary_est_weights(rows):
         mobile_residents={c: 1 for c in nodes},
         normalized=True,
     )
-    assert global_balance(network) == 0.0
     balances = inflow_outflow_balance(network)
     # and the per-country entries re-sum to ~zero (float path, loose bound)
     assert math.fsum(b.balance for b in balances.values()) == pytest.approx(
@@ -290,7 +283,5 @@ def test_missing_est_weight_is_a_value_error():
     network.normalized = True  # claims normalization but carries no est weights
     with pytest.raises(ValueError, match="no est weight"):
         inflow_outflow_balance(network)
-    with pytest.raises(ValueError, match="no est weight"):
-        global_balance(network)
     with pytest.raises(ValueError, match="no est weight"):
         top_k_flows(network, weight="est")

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geoflow import residence
-from geoflow.residence import assign_residence, compute_country_stats
-from helpers import build_profiles, ev, event_lists, table_of
+from geoflow.residence import compute_country_stats
+from helpers import assign_residence, build_profiles, ev, table_of
 
 
 # ---------------------------------------------------------------- assignment
@@ -136,7 +136,7 @@ def profiles_for(counts_by_user):
         for country in countries:
             ts += 1
             events.append(ev(user, ts, country=country))
-    return build_profiles(events)
+    return residence.build_profiles(table_of(events))
 
 
 def test_included_country():
@@ -239,13 +239,28 @@ def test_tightening_thresholds_never_adds_countries(resident_counts, pens, mins)
     assert included_tight <= included_loose
 
 
-@given(event_lists())
-def test_table_profiles_match_the_object_profiles(events):
-    got = residence.build_profiles(table_of(events))
-    want = build_profiles(events)
-    assert got == want and list(got) == list(want)
-
-
 def test_table_profiles_reject_unlabeled_events():
     with pytest.raises(ValueError, match="country label"):
         residence.build_profiles(table_of([ev("u", 1)]))
+
+
+def test_table_profiles_are_columns_by_user_code():
+    table = table_of(events_fixture() + [ev("u3", 40, country="CC")])
+    profiles = residence.build_profiles(table.take(table.user != 2))  # u3's one event goes, its name stays
+    assert profiles.users == ["u1", "u2", "u3"] and profiles.countries == ["AA", "BB", "CC"]
+    assert profiles.residence.tolist() == [0, 1, -1]
+    assert profiles.total_events.tolist() == [3, 1, 0]
+    assert profiles.distinct_countries.tolist() == [2, 1, 0]
+    assert list(zip(profiles.user.tolist(), profiles.country.tolist())) == [(0, 0), (0, 1), (1, 1)]
+    assert [column.tolist() for column in profiles.flows()] == [[0], [1], [1]]  # u1: AA -> BB
+
+
+def test_table_residence_breaks_ties_as_assign_residence():
+    events = [
+        ev("count", 1, country="BB"), ev("count", 2, country="AA"), ev("count", 3, country="AA"),
+        ev("first", 5, country="AA"), ev("first", 4, country="BB"), ev("first", 6, country="CC"),
+        ev("code", 7, country="CC"), ev("code", 7, country="BB"),
+    ]
+    profiles = residence.build_profiles(table_of(events))
+    got = dict(zip(profiles.users, (profiles.countries[c] for c in profiles.residence.tolist())))
+    assert got == {"count": "AA", "first": "BB", "code": "BB"}
