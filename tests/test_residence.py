@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from geoflow import residence
 from geoflow.residence import compute_country_stats
-from helpers import assign_residence, build_profiles, ev, table_of
+from helpers import assign_residence, build_profiles, ev, event_lists, table_of
 
 
 # ---------------------------------------------------------------- assignment
@@ -237,6 +237,17 @@ def test_tightening_thresholds_never_adds_countries(resident_counts, pens, mins)
     included_loose = {c for c, s in loose.items() if s.included}
     included_tight = {c for c, s in tight.items() if s.included}
     assert included_tight <= included_loose
+
+
+@given(event_lists())
+def test_table_profiles_match_the_object_profiles(events):
+    got, want = residence.build_profiles(table_of(events)), build_profiles(events)
+    assert got.users == list(want)  # every user of the table has events, in id order
+    assert [got.countries[c] for c in got.residence.tolist()] == [p.residence for p in want.values()]
+    assert got.total_events.tolist() == [p.total_events for p in want.values()]
+    assert got.distinct_countries.tolist() == [p.distinct_countries for p in want.values()]
+    pairs = [(got.users[u], got.countries[c]) for u, c in zip(got.user.tolist(), got.country.tolist())]
+    assert pairs == [(u, c) for u, p in want.items() for c in sorted(p.counts)]
 
 
 def test_table_profiles_reject_unlabeled_events():
