@@ -17,13 +17,19 @@ np.cumsum and weighted np.bincount add sequentially and keep that order;
 BLAS products, np.sum and np.add.reduceat add pairwise or blocked, so they
 are not used for these sums. Scores use math.fsum, which is exact in any
 order. An edge of weight zero still makes its endpoints neighbours.
+
+Restart r visits nodes in the orders np.random.default_rng([seed, r])
+gives, and sub-network seeds are SeedSequence words, drawn by a pure-Python
+copy of those streams (PCG64: O'Neill 2014). Importing numpy.random costs
+5 MiB of code pages, and NEP 19 lets numpy change them. Tests pin the copy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -36,6 +42,58 @@ GAIN_EPS = 1e-12
 # A community splits in the hierarchy only if its internal partition
 # scores above this, filtering float-noise "improvements" over Q=0.
 SPLIT_EPS = 1e-9
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _xorshift(value: int) -> int:
+    value &= _M32
+    return value ^ value >> 16
+
+
+def _seed_words(entropy: Iterable[int], n_words: int) -> list[int]:
+    """SeedSequence(entropy).generate_state(n_words); an integer is its little-endian 32-bit words, 0 one word."""
+    words = [v >> s & _M32 for v in entropy for s in range(0, max(v.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value, const = value ^ const, const * 0x931E8875 & _M32
+        return _xorshift(value * const)
+
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _xorshift(0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src]))
+    for w, dst in itertools.product(words[4:], range(4)):  # words past the pool mix in after the cross-mix
+        pool[dst] = _xorshift(0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(w))
+    consts = [0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _M32 for i in range(n_words + 1)]
+    return [_xorshift((pool[i % 4] ^ consts[i]) * consts[i + 1]) for i in range(n_words)]
+
+
+def _draws(entropy: Iterable[int]) -> Iterator[int]:
+    """The 32-bit draws of np.random.default_rng(entropy): each 64-bit PCG64 output, low half first."""
+    w = _seed_words(entropy, 8)  # little-endian pairs: seed high, seed low, increment high, increment low
+    seed = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    inc = ((w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32) << 1 & _M128 | 1
+    state = ((inc + seed) * _PCG_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        x, r = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> r | x << 64 - r) & _M64
+        yield x & _M32
+        yield x >> 32
+
+
+def _permutation(draws: Iterator[int], n: int) -> list[int]:
+    """Generator.permutation(n): Fisher-Yates from the top, each index by masked rejection."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):  # n < 2**32, so every index takes 32-bit draws
+        mask = (1 << i.bit_length()) - 1  # the smallest all-ones mask >= i
+        while (j := next(draws) & mask) > i:
+            pass
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 @dataclass(slots=True)
@@ -152,7 +210,7 @@ def _gains(g: _Graph, i, a, dlink: np.ndarray, s_out_c: np.ndarray, s_in_c: np.n
     return (dlink - (g.s_out[i] * (s_in_c - s_ia) + g.s_in[i] * (s_out_c - s_oa)) / g.total) / g.total
 
 
-def _sweep(g: _Graph, comm: np.ndarray, s_out_c: np.ndarray, s_in_c: np.ndarray, order: np.ndarray) -> bool:
+def _sweep(g: _Graph, comm: np.ndarray, s_out_c: np.ndarray, s_in_c: np.ndarray, order: list[int]) -> bool:
     """One greedy pass of best-gain single-node moves; True if any node moved."""
     moved = False
     for i in order:
@@ -189,14 +247,14 @@ def _aggregate(g: _Graph, comm: np.ndarray) -> tuple[_Graph, np.ndarray]:
     return _Graph(w, _sums(dense[:, None] * k + dense, g.near, k, k) > 0), dense
 
 
-def _one_restart(g: _Graph, rng: np.random.Generator) -> np.ndarray:
+def _one_restart(g: _Graph, draws: Iterator[int]) -> np.ndarray:
     """Greedy sweeps with aggregation until no move improves modularity; returns dense ids."""
     membership = np.arange(g.n)  # original node -> current super-node
     while True:
         comm = np.arange(g.n)
         s_out_c, s_in_c = g.s_out.copy(), g.s_in.copy()
         any_move = False
-        while _sweep(g, comm, s_out_c, s_in_c, rng.permutation(g.n)):
+        while _sweep(g, comm, s_out_c, s_in_c, _permutation(draws, g.n)):
             any_move = True
         if not any_move:
             break
@@ -249,7 +307,7 @@ def _best(g: _Graph, seed: int, restarts: int) -> tuple[np.ndarray, float]:
     best_comm, best_q = np.zeros(g.n, dtype=np.intp), 0.0
     if g.total > 0.0:
         for restart in range(restarts):
-            comm = _refine(g, _one_restart(g, np.random.default_rng([seed, restart])))
+            comm = _refine(g, _one_restart(g, _draws([seed, restart])))
             q = _q_of(g, comm)
             if q > best_q:
                 best_comm, best_q = comm, q
@@ -271,10 +329,6 @@ def optimize_partition(
     one-community partition acting as restart number minus one.
     """
     return hierarchical_partition(graph, max_levels=1, seed=seed, restarts=restarts, nodes=nodes).levels[0]
-
-
-def _sub_seed(seed: int, level: int, parent: int) -> int:
-    return int(np.random.SeedSequence([seed, level, parent]).generate_state(1)[0])
 
 
 def hierarchical_partition(
@@ -314,7 +368,7 @@ def hierarchical_partition(
             comm[m] = next_id
             if len(m) >= min_split_size:
                 sub = _Graph(g.w[np.ix_(m, m)], g.near[np.ix_(m, m)])
-                split, sub_q = _best(sub, _sub_seed(seed, level, cid), restarts)
+                split, sub_q = _best(sub, _seed_words([seed, level, cid], 1)[0], restarts)
                 if sub_q > SPLIT_EPS:
                     comm[m] += split
             next_id = int(comm[m].max()) + 1

@@ -167,8 +167,8 @@ def daily_abroad_series(
     outside C that day. Inbound series of C: distinct non-residents with at
     least one event in C that day. Users are counted once per day however
     many qualifying events they post. Events outside the year, and of users
-    without a residence, are ignored. The profiles must be over the events'
-    vocabularies; built from the events, they cover all their countries.
+    without a residence, are ignored, and inbound ones in a country with no
+    series (no profile covers it). The profiles are over the events' vocabularies.
     """
     if direction not in ("outbound", "inbound"):
         raise ValueError(f"direction must be 'outbound' or 'inbound', got {direction!r}")
@@ -188,8 +188,9 @@ def daily_abroad_series(
         user = events.user[rows]
         home, here = home_of[user], here_of[events.country[rows]]
         day = (events.timestamp[rows] - year_start) // 86400
-        mask = (home >= 0) & (here != home) & (0 <= day) & (day < n_days)
-        cell = ((home if direction == "outbound" else here) * n_days + day)[mask]
+        series_row = home if direction == "outbound" else here  # -1: a country with no series
+        mask = (home >= 0) & (series_row >= 0) & (here != home) & (0 <= day) & (day < n_days)
+        cell = (series_row * n_days + day)[mask]
         keys.append(np.unique(cell * len(events.users) + user[mask], return_counts=True)[0])
     distinct = np.unique(np.concatenate(keys), return_counts=True)[0]
     values = np.bincount(distinct // len(events.users), minlength=len(domain) * n_days)

@@ -865,3 +865,40 @@ def test_run_does_not_import_numpy_ma(tmp_path):
     if before == "True":
         pytest.skip("import numpy alone loads numpy.ma here")
     assert (code, after) == ("0", "False")
+
+
+def geoflow_env(**extra):
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("GEOFLOW_", "OPENBLAS_"))}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(geoflow.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env | extra
+
+
+def test_run_does_not_import_numpy_random(tmp_path):
+    # Visit orders come from community's own copy of the streams; numpy.random is 5 MiB of code pages.
+    world = build_world(tmp_path, "world")
+    script = (
+        "import sys; import numpy; before = 'numpy.random' in sys.modules; from geoflow import cli; "
+        f"code = cli.main(['run', '--config', {str(world / 'config.json')!r}]); "
+        "print(before, code, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=geoflow_env())
+    assert proc.returncode == 0, proc.stderr
+    before, code, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("import numpy alone loads numpy.random here")
+    assert (code, after) == ("0", "False")
+
+
+def thread_count(module, **extra):
+    script = f"import os; import {module}; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=geoflow_env(**extra))
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
+def test_geoflow_starts_one_blas_thread_unless_told_otherwise():
+    # numpy's OpenBLAS starts a worker per CPU on import; the pipeline is single-threaded.
+    assert thread_count("geoflow.cli") == 1
+    # A user's own setting wins: as many threads as numpy alone starts under it (two with OpenBLAS on two or more cores).
+    assert thread_count("geoflow.cli", OPENBLAS_NUM_THREADS="2") == thread_count("numpy", OPENBLAS_NUM_THREADS="2")

@@ -426,3 +426,17 @@ def test_edgeless_network_is_flat_at_every_depth(max_levels):
     assert [level.assignment for level in hierarchy.levels] == [{"a": 0, "b": 0, "c": 0, "d": 0}] * max_levels
     assert [level.q for level in hierarchy.levels] == [0.0] * max_levels
     assert hierarchy.parents == [{0: None}] + [{0: 0}] * (max_levels - 1)
+
+
+@given(
+    entropy=st.lists(st.integers(0, 2**200), min_size=2, max_size=4),
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+)
+def test_visit_orders_match_numpy_streams(entropy, sizes):
+    """The pure-Python streams give numpy's permutations, call after call on one generator, and its seed words.
+
+    An odd number of 32-bit draws leaves the high half of a 64-bit draw buffered for the next call, and
+    seeds past 2**96 make more than four entropy words, which mix in after the pool's cross-mix."""
+    draws, rng = community._draws(entropy), np.random.default_rng(entropy)
+    assert [community._permutation(draws, n) for n in sizes] == [rng.permutation(n).tolist() for n in sizes]
+    assert community._seed_words(entropy, 1) == [int(np.random.SeedSequence(entropy).generate_state(1)[0])]

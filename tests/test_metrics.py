@@ -342,6 +342,15 @@ def test_daily_series_of_a_user_without_events_and_no_country():
     assert metrics.daily_abroad_series(residence.build_profiles(table), table, "outbound") == {}
 
 
+def test_inbound_series_skip_a_country_no_profile_covers():
+    table = table_of(resident_events("u1", "AA", n=2) + [ev("u1", day_ts(5), country="BB")])
+    profiles = residence.build_profiles(table.take(table.country == table.countries.index("AA")))
+    inbound = metrics.daily_abroad_series(profiles, table, "inbound")  # BB has no series row to count in
+    assert list(inbound) == ["AA"] and sum(inbound["AA"].values) == 0
+    outbound = metrics.daily_abroad_series(profiles, table, "outbound")  # the trip still counts for AA
+    assert list(outbound) == ["AA"] and outbound["AA"].values[5] == 1 and sum(outbound["AA"].values) == 1
+
+
 @pytest.mark.parametrize("direction", ["outbound", "inbound"])
 def test_table_daily_series_keys_do_not_overflow_narrow_codes(direction):
     # 676 countries x 366 days x 10,000 users passes 2**31, and the user codes are int16.
