@@ -52,8 +52,8 @@ short = sum(1 for d in hops if d < 100.0)
 print(f"displacements: {len(hops):,} hops, {short / len(hops):.1%} under 100 km "
       f"(longest {max(hops):,.0f} km)")
 
-series = daily_abroad_series(profiles, labeled, "outbound", year=2012)
-code, s = next(iter(sorted(series.items())))
-peak = max(range(len(s.values)), key=lambda d: s.values[d])
-print(f"\ndaily outbound series for {code}: {sum(s.values)} user-days abroad, "
-      f"peak {s.values[peak]} users on day {peak} (normalized {s.normalized[peak]:.0f})")
+countries, outbound, inbound = daily_abroad_series(profiles, labeled, year=2012)  # a row per country, a column per day
+counts = outbound[0]
+peak = int(counts.argmax())
+print(f"\ndaily series for {countries[0]}: {counts.sum()} user-days abroad, "
+      f"peak {counts[peak]} users on day {peak}; {inbound[0].sum()} visitor-days")

@@ -125,6 +125,10 @@ class Workspace:
     def write_rows(self, name: str, rows: Any) -> None:
         tables.write_rows(self.path(name), ARTIFACTS[name].header, rows)
 
+    def write_columns(self, name: str, columns: Sequence[tables.Column]) -> None:
+        """A row per row of the columns (tables.csv_blocks), in write_rows' bytes."""
+        tables.write_blocks(self.path(name), ARTIFACTS[name].header, tables.csv_blocks(columns))
+
     def write_records(self, name: str, records: Iterable[Any]) -> None:
         """One row per record: under each header column, the record's attribute of that name."""
         header = ARTIFACTS[name].header
@@ -240,8 +244,8 @@ def stage_profile(ws: Workspace) -> None:
         min_residents=ws.config["residence"]["min_residents"],
     )
     has = np.flatnonzero(profiles.residence >= 0)  # the users with an event, in id order
-    _write_columns(ws, "profiles.csv", [(profiles.users, has), (profiles.countries, profiles.residence[has]),
-                                        profiles.total_events[has], profiles.distinct_countries[has]])
+    ws.write_columns("profiles.csv", [(profiles.users, has), (profiles.countries, profiles.residence[has]),
+                                      profiles.total_events[has], profiles.distinct_countries[has]])
     ws.write_records("country_stats.csv", stats.values())
 
 
@@ -260,27 +264,21 @@ def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
     return out
 
 
-def _write_columns(ws: Workspace, name: str, columns: Sequence[tables.Column]) -> None:
-    """A CSV artifact with a row per row of the columns (tables.csv_blocks): write_rows' bytes."""
-    with tables.replacing(ws.path(name), binary=True) as fh:
-        fh.write((",".join(ARTIFACTS[name].header) + "\n").encode())
-        fh.writelines(tables.csv_blocks(columns))
-
-
 def stage_metrics(ws: Workspace) -> None:
     profiles = ws.load("profiles")  # first: without held profiles, this loads the events taken below
     events = ws.take("events_clean.csv")
     radii = metrics_mod.user_gyration_radii(events)
     mobility = metrics_mod.build_mobility_profiles(profiles, radii, ws.config["metrics"]["gyration_over"])
     ws.write_records("mobility_profiles.csv", mobility.values())
-    for direction in ("outbound", "inbound"):
-        series = metrics_mod.daily_abroad_series(profiles, events, direction, year=ws.config["year"])
-        rows = ([s.code, day, *pair] for s in series.values() for day, pair in enumerate(zip(s.values, s.normalized)))
-        ws.write_rows(f"daily_{direction}.csv", rows)
+    countries, outbound, inbound = metrics_mod.daily_abroad_series(profiles, events, year=ws.config["year"])
+    rows, days = np.divmod(np.arange(outbound.size), outbound.shape[1])  # the country and day of each count
+    for direction, counts in (("outbound", outbound), ("inbound", inbound)):
+        normalized = 100.0 * counts / np.maximum(counts.max(axis=1, keepdims=True), 1)  # an all-zero row reads 0.0
+        ws.write_columns(f"daily_{direction}.csv", [(countries, rows), days, counts.ravel(), normalized.ravel()])
     users, km = metrics_mod.displacements(events)
-    _write_columns(ws, "displacements.csv", [(events.users, users), km])
+    ws.write_columns("displacements.csv", [(events.users, users), km])
     has = np.flatnonzero(profiles.residence >= 0)  # the users with an event, in id order
-    _write_columns(ws, "gyration.csv", [(events.users, has), radii[has]])
+    ws.write_columns("gyration.csv", [(events.users, has), radii[has]])
     ws.held.update({"displacements.csv": km, "gyration.csv": radii[has]})
 
 

@@ -1,8 +1,9 @@
 """Mobility measures: gyration radii, displacements, per-country mobility
 profiles, and daily abroad-activity series.
 
-All geometry is spherical. Daily series use UTC calendar days of a single
-analysis year and are normalized so the busiest day reads 100.
+All geometry is spherical. Daily series count users per country and UTC
+calendar day of one analysis year, both directions from one block pass over
+the events; the metrics stage scales each country's busiest day to 100.
 """
 
 from __future__ import annotations
@@ -137,31 +138,11 @@ def build_mobility_profiles(
     return out
 
 
-@dataclass(slots=True)
-class DailySeries:
-    """Daily distinct-user counts for one country and direction."""
-
-    code: str
-    direction: str  # "outbound" (residents abroad) or "inbound" (visitors here)
-    year: int
-    values: list[int]  # one count per UTC calendar day of the year
-    normalized: list[float]  # values scaled so max reads 100 (all-zero stays zero)
-
-
-def _normalize(values: list[int]) -> list[float]:
-    peak = max(values) if values else 0
-    if peak == 0:
-        return [0.0 for _ in values]
-    return [100.0 * v / peak for v in values]
-
-
 def daily_abroad_series(
-    profiles: UserTable,
-    events: EventTable,
-    direction: str,
-    year: int = 2012,
-) -> dict[str, DailySeries]:
-    """Per-country daily counts of users active outside their residence.
+    profiles: UserTable, events: EventTable, year: int = 2012
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Per-country daily counts of users active outside their residence: the series countries, in code order,
+    and the outbound and inbound counts as int64 arrays, a row per country and a column per UTC calendar day.
 
     Outbound series of C: distinct residents of C with at least one event
     outside C that day. Inbound series of C: distinct non-residents with at
@@ -170,8 +151,6 @@ def daily_abroad_series(
     without a residence, are ignored, and inbound ones in a country with no
     series (no profile covers it). The profiles are over the events' vocabularies.
     """
-    if direction not in ("outbound", "inbound"):
-        raise ValueError(f"direction must be 'outbound' or 'inbound', got {direction!r}")
     if np.any(events.country < 0):
         raise ValueError("every event needs a country label")
     if profiles.users != events.users or profiles.countries != events.countries:
@@ -182,19 +161,17 @@ def daily_abroad_series(
     domain = [profiles.countries[c] for c in np.flatnonzero(seen).tolist()]
     here_of = np.where(seen, np.cumsum(seen) - 1, -1)  # position in domain by country code
     home_of = np.r_[here_of, -1][profiles.residence]  # a residence of -1 reads the -1 after the countries
-    keys = [np.zeros(0, dtype=np.int64)]  # one per (country, day, user), a block of rows at a time
+    n_users = len(events.users)
+    keys = ([np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)])  # outbound, inbound: (country, day, user)
     for start in range(0, len(events), ingest.BLOCK_ROWS):
         rows = slice(start, start + ingest.BLOCK_ROWS)
         user = events.user[rows]
         home, here = home_of[user], here_of[events.country[rows]]
         day = (events.timestamp[rows] - year_start) // 86400
-        series_row = home if direction == "outbound" else here  # -1: a country with no series
-        mask = (home >= 0) & (series_row >= 0) & (here != home) & (0 <= day) & (day < n_days)
-        cell = (series_row * n_days + day)[mask]
-        keys.append(np.unique(cell * len(events.users) + user[mask], return_counts=True)[0])
-    distinct = np.unique(np.concatenate(keys), return_counts=True)[0]
-    values = np.bincount(distinct // len(events.users), minlength=len(domain) * n_days)
-    out: dict[str, DailySeries] = {}
-    for code, row in zip(domain, values.reshape(len(domain), n_days).tolist()):
-        out[code] = DailySeries(code=code, direction=direction, year=year, values=row, normalized=_normalize(row))
-    return out
+        away = (home >= 0) & (here != home) & (0 <= day) & (day < n_days)
+        for out, series_row in zip(keys, (home, here)):  # a series row of -1: a country with no series
+            mask = away & (series_row >= 0)
+            out.append(np.unique((series_row * n_days + day)[mask] * n_users + user[mask], return_counts=True)[0])
+    cells = (np.unique(np.concatenate(out), return_counts=True)[0] // n_users for out in keys)  # a cell per user-day
+    outbound, inbound = (np.bincount(cell, minlength=len(domain) * n_days).reshape(-1, n_days) for cell in cells)
+    return domain, outbound, inbound

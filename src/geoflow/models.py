@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import ingest
 from .sphere import haversine_km
 
 
@@ -42,10 +43,6 @@ class GravityFit:
     n_missing_distance: int = 0
 
 
-# Samples a power-law fit turns into Python floats at a time: bounds that transient whatever the sample count.
-_BLOCK_SAMPLES = 4096
-
-
 def fit_power_law(samples: Sequence[float] | np.ndarray, xmin: float) -> PowerLawFit:
     """Maximum-likelihood exponent of a continuous power-law tail.
 
@@ -59,7 +56,8 @@ def fit_power_law(samples: Sequence[float] | np.ndarray, xmin: float) -> PowerLa
     if len(ratios) < 2:
         raise ValueError(f"need >= 2 samples at or above xmin, got {len(ratios)}")
     # Scalar math.log: numpy 2.4's np.log differs in the last bit on 42 of 201k tail samples of four synth worlds.
-    blocks = (ratios[i : i + _BLOCK_SAMPLES].tolist() for i in range(0, len(ratios), _BLOCK_SAMPLES))
+    # ingest.BLOCK_ROWS samples at a time become Python floats: that bounds the transient whatever the count.
+    blocks = (ratios[i : i + ingest.BLOCK_ROWS].tolist() for i in range(0, len(ratios), ingest.BLOCK_ROWS))
     log_sum = math.fsum(map(math.log, chain.from_iterable(blocks)))
     if log_sum <= 0.0:
         raise ValueError("degenerate tail: all samples equal xmin")

@@ -39,7 +39,7 @@ _CAP_KM = 50.0  # jitter offsets are clamped to this length
 # Users drawn as one block of arrays: enough to amortize the array passes,
 # few enough that a block's transients stay small at any world size.
 _BLOCK_USERS = 1024
-EVENT_LINE_HEADER = "user_id,timestamp,lat,lon,source"
+EVENT_LINE_HEADER = ",".join(tables.EVENT_HEADER[:5])  # the event file's header, less the country label
 
 
 @dataclass(slots=True)

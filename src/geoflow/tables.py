@@ -4,9 +4,10 @@ All writers emit LF newlines, a fixed header, rows in a defined order, and
 shortest round-trip float spellings, so identical inputs produce
 byte-identical files. Nothing here stamps timestamps or machine state.
 
-Per-event files (events, displacements, gyration radii) are written from
-columns by csv_blocks, a block of ingest.BLOCK_ROWS rows at a time, each
-block as one NUL-padded uint8 matrix with a row per line. Floats get repr's
+Per-event, per-user and per-country-day files (events, displacements,
+gyration radii, profiles, daily series) are written from columns by
+csv_blocks, a block of ingest.BLOCK_ROWS rows at a time, each block as
+one NUL-padded uint8 matrix with a row per line. Floats get repr's
 text without a repr call per value: the shortest round-trip digits come
 from the e2 < 0 branch of Ryu (Adams, PLDI 2018) as array passes, which
 covers 2**-14 <= |x| < 2**50 (biased exponents 1009 to 1072) and is used
@@ -70,6 +71,13 @@ def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) 
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(cell) for cell in row) + "\n")
+
+
+def write_blocks(path: str, header: Sequence[str], blocks: Iterable[bytes]) -> None:
+    """A CSV file: the header line, then `blocks` of whole lines, as csv_blocks yields them."""
+    with replacing(path, binary=True) as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(blocks)
 
 
 def _split_lines(path: str) -> list[list[str]]:
@@ -289,7 +297,7 @@ def write_events(path: str, events: EventTable, copy: EventLines | None = None) 
     if copy is None:
         columns = [(events.users, events.user), events.timestamp, events.lat, events.lon,
                    (events.sources, events.source), (events.countries + [""], events.country)]
-        return _write_blocks(path, csv_blocks(columns))
+        return write_blocks(path, EVENT_HEADER, csv_blocks(columns))
     if len(copy.rows) != len(events):
         raise ValueError(f"{len(copy.rows)} lines to copy for {len(events)} events")
     with open(copy.path, "rb") as source:
@@ -297,7 +305,7 @@ def write_events(path: str, events: EventTable, copy: EventLines | None = None) 
         if size != copy.ends[-1]:
             raise ValueError(f"{copy.path}: {size} bytes, but its lines end at byte {copy.ends[-1]}; rerun its stage")
         with mmap.mmap(source.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-            _write_blocks(path, _copied_lines(mapped, copy.ends, copy.rows))
+            write_blocks(path, EVENT_HEADER, _copied_lines(mapped, copy.ends, copy.rows))
 
 
 def _copied_lines(mapped: mmap.mmap, ends: np.ndarray, rows: np.ndarray) -> Iterator[bytes]:
@@ -307,13 +315,6 @@ def _copied_lines(mapped: mmap.mmap, ends: np.ndarray, rows: np.ndarray) -> Iter
         yield b"".join(map(mapped.__getitem__, map(slice, ends[block].tolist(), ends[block + 1].tolist())))
         if hasattr(mmap, "MADV_DONTNEED"):  # the pages stay cached; only this process's RSS drops
             mapped.madvise(mmap.MADV_DONTNEED)
-
-
-def _write_blocks(path: str, blocks: Iterable[bytes]) -> None:
-    """The event header and then `blocks` of whole lines."""
-    with replacing(path, binary=True) as fh:
-        fh.write((",".join(EVENT_HEADER) + "\n").encode())
-        fh.writelines(blocks)
 
 
 def line_ends(path: str) -> np.ndarray:

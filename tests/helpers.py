@@ -29,7 +29,7 @@ from geoflow.ingest import (
     _parse_line,
     load_boundaries,
 )
-from geoflow.metrics import DailySeries, MobilityProfile, _normalize
+from geoflow.metrics import MobilityProfile
 from geoflow.models import _LOG_BIN_BASE
 from geoflow.network import FlowEdge, FlowNetwork
 from geoflow.residence import CountryStats
@@ -714,6 +714,24 @@ def displacements(trajectory: Trajectory) -> list[float]:
     """Great-circle distances between consecutive events; empty for n <= 1."""
     evs = trajectory.events
     return [haversine_km((a.lat, a.lon), (b.lat, b.lon)) for a, b in zip(evs, evs[1:])]
+
+
+@dataclass(slots=True)
+class DailySeries:
+    """Daily distinct-user counts for one country and direction."""
+
+    code: str
+    direction: str  # "outbound" (residents abroad) or "inbound" (visitors here)
+    year: int
+    values: list[int]  # one count per UTC calendar day of the year
+    normalized: list[float]  # values scaled so max reads 100 (all-zero stays zero)
+
+
+def _normalize(values: list[int]) -> list[float]:
+    peak = max(values) if values else 0
+    if peak == 0:
+        return [0.0 for _ in values]
+    return [100.0 * v / peak for v in values]
 
 
 def daily_abroad_series(

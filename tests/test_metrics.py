@@ -1,17 +1,21 @@
 """Mobility measures: gyration radii, displacements, daily abroad series."""
 
+import calendar
 import dataclasses
 import math
+import os
 import random
 import string
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
-from geoflow import ingest, metrics, network, residence
+from geoflow import cli, ingest, metrics, network, residence
 from geoflow.metrics import build_mobility_profiles
 from geoflow.sphere import EARTH_RADIUS_KM, haversine_km
 from helpers import (
@@ -318,9 +322,8 @@ def test_table_metrics_match_the_object_metrics(events, cutoff):
     flows = network.build_flow_network(profiles)
     assert flows == helpers.build_flow_network(want) and list(flows.edges) == sorted(flows.edges)
     assert plain(flows.edges.values()) and all(type(m) is int for m in flows.mobile_residents.values())
-    for direction in ("outbound", "inbound"):
-        series = metrics.daily_abroad_series(profiles, trajectories, direction)
-        assert series == daily_abroad_series(want, objects, direction) and list(series) == sorted(series)
+    series = table_daily_series(profiles, trajectories)
+    assert series == oracle_daily_series(want, objects) and series[0] == sorted(series[0])
 
     users, km = metrics.displacements(trajectories)
     oracle = build_trajectories(objects)
@@ -328,31 +331,43 @@ def test_table_metrics_match_the_object_metrics(events, cutoff):
     assert list(zip([trajectories.users[u] for u in users.tolist()], km.tolist())) == want_km
 
 
+def table_daily_series(profiles, events, year=2012):
+    """metrics.daily_abroad_series as lists, once its arrays' types and shapes are checked."""
+    countries, outbound, inbound = metrics.daily_abroad_series(profiles, events, year)
+    shape = (len(countries), 366 if calendar.isleap(year) else 365)
+    assert outbound.dtype == inbound.dtype == np.int64 and outbound.shape == inbound.shape == shape
+    return countries, outbound.tolist(), inbound.tolist()
+
+
+def oracle_daily_series(profiles, events, year=2012):
+    """The oracle's series in the form of table_daily_series: the countries, then each direction's counts."""
+    outbound, inbound = (daily_abroad_series(profiles, events, d, year) for d in ("outbound", "inbound"))
+    return list(outbound), [s.values for s in outbound.values()], [s.values for s in inbound.values()]
+
+
 def test_daily_series_reject_profiles_over_other_vocabularies():
     events = resident_events("u1", "AA") + resident_events("u2", "BB") + [ev("u2", day_ts(1), country="AA")]
     table = table_of(events)
     for other in (table_of(events[3:]), table_of(events[:3])):  # by code, u2 would read u1's row or none
         with pytest.raises(ValueError, match="vocabularies"):
-            metrics.daily_abroad_series(residence.build_profiles(other), table, "outbound")
+            metrics.daily_abroad_series(residence.build_profiles(other), table)
 
 
 def test_daily_series_of_a_user_without_events_and_no_country():
     table = table_of([ev("u", 1)])
     table = table.take(np.zeros(1, dtype=bool))  # the names stay: one user, no country
-    assert metrics.daily_abroad_series(residence.build_profiles(table), table, "outbound") == {}
+    assert table_daily_series(residence.build_profiles(table), table) == ([], [], [])
 
 
 def test_inbound_series_skip_a_country_no_profile_covers():
     table = table_of(resident_events("u1", "AA", n=2) + [ev("u1", day_ts(5), country="BB")])
     profiles = residence.build_profiles(table.take(table.country == table.countries.index("AA")))
-    inbound = metrics.daily_abroad_series(profiles, table, "inbound")  # BB has no series row to count in
-    assert list(inbound) == ["AA"] and sum(inbound["AA"].values) == 0
-    outbound = metrics.daily_abroad_series(profiles, table, "outbound")  # the trip still counts for AA
-    assert list(outbound) == ["AA"] and outbound["AA"].values[5] == 1 and sum(outbound["AA"].values) == 1
+    countries, (outbound,), (inbound,) = table_daily_series(profiles, table)
+    assert countries == ["AA"] and sum(inbound) == 0  # BB has no series row to count in
+    assert outbound[5] == 1 and sum(outbound) == 1  # the trip still counts for AA
 
 
-@pytest.mark.parametrize("direction", ["outbound", "inbound"])
-def test_table_daily_series_keys_do_not_overflow_narrow_codes(direction):
+def test_table_daily_series_keys_do_not_overflow_narrow_codes():
     # 676 countries x 366 days x 10,000 users passes 2**31, and the user codes are int16.
     codes = [a + b for a in string.ascii_uppercase for b in string.ascii_uppercase]
     events = []
@@ -363,9 +378,41 @@ def test_table_daily_series_keys_do_not_overflow_narrow_codes(direction):
         events.append(ev(f"u{u:05d}", day + 2, country=away))
     table = table_of(events)
     assert table.user.dtype == np.int16 and len(table.countries) == 676
-    series = metrics.daily_abroad_series(residence.build_profiles(table), table, direction)
-    assert series == daily_abroad_series(build_profiles(events), events, direction)
-    assert sum(sum(s.values) for s in series.values()) == 10_000
+    _, outbound, inbound = series = table_daily_series(residence.build_profiles(table), table)
+    assert series == oracle_daily_series(build_profiles(events), events)
+    assert sum(map(sum, outbound)) == sum(map(sum, inbound)) == 10_000
+
+
+@st.composite
+def daily_counts(draw):
+    """Outbound and inbound counts of the same few countries: each row all zero, or a few days of up to 2**53."""
+    n = draw(st.integers(0, 3))
+    pair = np.zeros((2, n, 366), dtype=np.int64)
+    for row in pair.reshape(-1, 366):
+        days = draw(st.lists(st.integers(0, 365), max_size=4))
+        row[days] = draw(st.lists(st.sampled_from([1, 2**53]) | st.integers(0, 2**53), min_size=len(days),
+                                  max_size=len(days)))
+    return pair
+
+
+@example(np.array([[[1, 2**53, 3] + [0] * 363], [[0] * 366]]))  # 100 / 2**53 < 1e-4, and an all-zero row
+@given(daily_counts())
+def test_daily_files_normalize_as_python_does(pair):
+    """The metrics stage writes each count and 100.0 * count / peak of its row bit for bit, an all-zero row as 0.0."""
+    table = table_of([ev("u", Y2012, country="AA")])
+    countries = [f"C{i}" for i in range(pair.shape[1])]
+    with tempfile.TemporaryDirectory() as workdir, \
+            mock.patch.object(metrics, "daily_abroad_series", lambda *args, **kwargs: (countries, *pair)):
+        ws = cli.Workspace({"paths": {"workdir": workdir}, "metrics": {"gyration_over": "all"}, "year": 2012})
+        ws.held.update({"profiles": residence.build_profiles(table), "events_clean.csv": table})
+        cli.stage_metrics(ws)
+        for name, counts in zip(("daily_outbound.csv", "daily_inbound.csv"), pair.tolist()):
+            want = ["code,day,count,normalized"]
+            for code, row in zip(countries, counts):
+                peak = max(row)
+                want += [f"{code},{day},{v},{(100.0 * v / peak if peak else 0.0)!r}" for day, v in enumerate(row)]
+            with open(os.path.join(workdir, name), encoding="utf-8") as fh:
+                assert fh.read() == "\n".join(want) + "\n"
 
 
 def test_gyration_of_an_antipodal_pair_anchors_at_the_first_event():
