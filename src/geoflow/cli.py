@@ -42,7 +42,6 @@ from . import tables
 from .config import ConfigError, load_config
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_MISSING_INPUT = 4
 EXIT_STAGE_ORDER = 5
@@ -295,7 +294,7 @@ def stage_network(ws: Workspace) -> None:
     ws.write_records("edges.csv", (net.edges[k] for k in sorted(net.edges)))
     balances = network_mod.inflow_outflow_balance(net)
     ws.write_records("balances.csv", (balances[c] for c in sorted(balances)))
-    top = network_mod.top_k_flows(net, k=ws.config["network"]["top_k"], weight="est")
+    top = network_mod.top_k_flows(net, k=ws.config["network"]["top_k"])
     ws.write_rows(
         "top_flows.csv",
         ([i + 1, e.origin, e.destination, e.raw_weight, e.est_weight] for i, e in enumerate(top)),
@@ -598,7 +597,8 @@ _EPILOG = """exit codes:
   0  success
   2  usage error
   3  malformed config (bad JSON, unknown key, wrong type or range)
-  4  missing input file (events, boundaries, census, capitals, reference, config)
+  4  missing input file (events, boundaries, census, capitals, reference, config),
+     or a path that cannot be read or written
   5  stage-order violation (needed artifact not produced yet)
   6  data error (malformed rows, degenerate fits, empty networks, ...)
 
@@ -624,22 +624,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        COMMANDS[args.command].handler(Workspace(load_config(args.config)), args)
     except ConfigError as exc:
         print(f"geoflow: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"geoflow: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    try:
-        COMMANDS[args.command].handler(Workspace(config), args)
     except StageOrderError as exc:
         print(f"geoflow: stage order: {exc}", file=sys.stderr)
         return EXIT_STAGE_ORDER
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, or a path that cannot be read or written
         print(f"geoflow: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except (ValueError, KeyError) as exc:

@@ -121,7 +121,7 @@ def _parse_env_value(raw: str, template: Any) -> Any:
         return raw
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return raw
 
 
@@ -185,8 +185,10 @@ def load_config(path: str | None = None, env: Mapping[str, str] | None = None) -
                 overrides = json.load(fh)
         except OSError as exc:
             raise FileNotFoundError(f"config file not readable: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file is not valid JSON: {path}: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config file nests too deeply: {path}") from exc
         if not isinstance(overrides, dict):
             raise ConfigError("config root must be a JSON object")
         _merge(config, overrides)

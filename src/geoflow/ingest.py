@@ -430,13 +430,10 @@ class BoundaryIndex:
                     label[block[_contains(group_edges, x[block], y[block])]] = k
         return label
 
-    def locate_many(self, lons: Sequence[float], lats: Sequence[float]) -> list[str | None]:
-        """Country code containing each (lon, lat) point, or None (open ocean)."""
-        return [self._codes[k] if k >= 0 else None for k in self._labels(lons, lats).tolist()]
-
     def locate(self, lon: float, lat: float) -> str | None:
         """Country code containing (lon, lat), or None (open ocean)."""
-        return self.locate_many([lon], [lat])[0]
+        k = int(self._labels([lon], [lat])[0])
+        return self._codes[k] if k >= 0 else None
 
 
 def label_events(events: EventTable, index: BoundaryIndex | None) -> tuple[EventTable, int]:
@@ -469,7 +466,10 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
     suppliers must pre-split them.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (RecursionError, ValueError) as exc:  # nested too deeply, not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from exc
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise ValueError("boundary file must be a GeoJSON FeatureCollection with a list of features")

@@ -1,14 +1,16 @@
 """Mobility measures: gyration radii, displacements, per-country mobility
 profiles, and daily abroad-activity series.
 
-All geometry is spherical. Daily series count users per country and UTC
-calendar day of one analysis year, both directions from one block pass over
-the events; the metrics stage scales each country's busiest day to 100.
+All geometry is spherical. Gyration centers are columns over all users, with
+libm's arctangents, hypotenuses and roots (numpy's bits differ). Daily series
+count users per country and UTC day of one analysis year, both directions in
+one block pass; the metrics stage scales each country's busiest day to 100.
 """
 
 from __future__ import annotations
 
 import calendar
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -17,7 +19,7 @@ import numpy as np
 from . import ingest
 from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
 from .residence import UserTable
-from .sphere import DegenerateCenterError, haversine_many, mean_center
+from .sphere import haversine_many
 
 
 def _run_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -61,22 +63,29 @@ def user_gyration_radii(events: EventTable) -> np.ndarray:
     return radii
 
 
-def _gyration(lat: np.ndarray, lon: np.ndarray, offsets: np.ndarray) -> list[float]:
-    """The radius of each run of rows offsets[k]:offsets[k + 1], one user's rows in trajectory order."""
+def _gyration(lat: np.ndarray, lon: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The radius of each run of rows offsets[k]:offsets[k + 1], one user's rows in trajectory order. The center
+    is the 3-D mean projected onto the sphere, where the run moved and the mean's norm is not below 1e-12."""
     first, n = offsets[:-1], np.diff(offsets)
     run = np.repeat(np.arange(len(n)), n)
     phi, lam = np.radians(lat), np.radians(lon)
     sums = _run_sums(np.stack((np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi))), offsets)
     moved = np.bincount(run[(lat != lat[first][run]) | (lon != lon[first][run])], minlength=len(n)) > 0
+    mx, my, mz = sums / n
+    defined = np.flatnonzero(moved & ~(np.sqrt(mx * mx + my * my + mz * mz) < 1e-12))
+    x, y, z = mx[defined], my[defined], mz[defined]
     center_lat, center_lon = lat[first], lon[first]  # the anchor unless the center is defined
-    for k in np.flatnonzero(moved).tolist():
-        try:
-            center_lat[k], center_lon[k] = mean_center(*sums[:, k].tolist(), int(n[k]))
-        except DegenerateCenterError:
-            pass
+    center_lat[defined] = _libm(math.atan2, z, _libm(math.hypot, x, y)) * (180.0 / math.pi)  # math.degrees' product
+    east = _libm(math.atan2, y, x) * (180.0 / math.pi)
+    center_lon[defined] = np.where(east == -180.0, 180.0, east)  # normalize_lon's one change to an arctangent
     d = haversine_many(lat, lon, center_lat[run], center_lon[run])
-    totals = zip(_run_sums(d * d, offsets).tolist(), n.tolist(), moved.tolist())
-    return [(total / count) ** 0.5 if m else 0.0 for total, count, m in totals]  # pow, not np.sqrt: repr's bits
+    roots = _libm(pow, _run_sums(d * d, offsets) / n, np.full(len(n), 0.5))  # pow, not np.sqrt: repr's bits
+    return np.where(moved, roots, 0.0)
+
+
+def _libm(f, *columns: np.ndarray) -> np.ndarray:
+    """f of each row of the float64 columns, a Python float of each at a time: libm's bits, not numpy's."""
+    return np.fromiter(map(f, *map(memoryview, columns)), np.float64, len(columns[0]))
 
 
 def displacements(events: EventTable) -> tuple[np.ndarray, np.ndarray]:

@@ -128,16 +128,9 @@ def inflow_outflow_balance(network: FlowNetwork) -> dict[str, BalanceEntry]:
     return out
 
 
-def top_k_flows(network: FlowNetwork, k: int = 30, weight: str = "est") -> list[FlowEdge]:
-    """The k heaviest edges, ties by (origin, destination) code order."""
-    if weight not in ("est", "raw"):
-        raise ValueError(f"weight must be 'est' or 'raw', got {weight!r}")
-    if weight == "est" and not network.normalized:
+def top_k_flows(network: FlowNetwork, k: int = 30) -> list[FlowEdge]:
+    """The k heaviest edges by est weight, ties by (origin, destination) code order."""
+    if not network.normalized:
         raise ValueError("est ranking requires a normalized network")
-
-    def sort_key(edge: FlowEdge) -> tuple[float, str, str]:
-        w = _est_weight(edge) if weight == "est" else float(edge.raw_weight)
-        return (-w, edge.origin, edge.destination)
-
-    ranked = sorted(network.edges.values(), key=sort_key)
+    ranked = sorted(network.edges.values(), key=lambda edge: (-_est_weight(edge), edge.origin, edge.destination))
     return ranked[: max(k, 0)]

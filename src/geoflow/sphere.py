@@ -1,8 +1,8 @@
-"""Great-circle geometry on the spherical Earth model.
+"""Great-circle geometry on the spherical Earth model: the Earth radius,
+longitude wrapping, and haversine distances, of one pair or of arrays.
 
-All distances use the IUGG mean Earth radius (6371.0088 km). Coordinates
-are (latitude, longitude) pairs in degrees; longitude is normalized to
-(-180, 180].
+All distances use the IUGG mean Earth radius (6371.0088 km). Coordinates are
+(latitude, longitude) pairs in degrees; longitude is normalized to (-180, 180].
 """
 
 from __future__ import annotations
@@ -13,11 +13,6 @@ from itertools import repeat
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0088
-
-
-class DegenerateCenterError(ValueError):
-    """Raised when a point set has no well-defined spherical center of mass
-    (the 3-D mean vector cancels to ~zero, e.g. two antipodal points)."""
 
 
 def normalize_lon(lon: float) -> float:
@@ -58,19 +53,3 @@ def haversine_many(lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: n
     sin2_dlam = np.fromiter(map(pow, memoryview(np.sin(np.radians(lon2 - lon1) / 2.0)), repeat(2)), np.float64, n)
     h += np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * sin2_dlam
     return 2.0 * EARTH_RADIUS_KM * np.fromiter(map(math.asin, memoryview(np.minimum(1.0, np.sqrt(h)))), np.float64, n)
-
-
-def from_unit_vector(x: float, y: float, z: float) -> tuple[float, float]:
-    """(lat, lon) in degrees for a direction vector (need not be unit length)."""
-    lat = math.degrees(math.atan2(z, math.hypot(x, y)))
-    lon = math.degrees(math.atan2(y, x))
-    return (lat, normalize_lon(lon))
-
-
-def mean_center(sx: float, sy: float, sz: float, n: int) -> tuple[float, float]:
-    """Spherical center of mass of n points whose unit vectors sum to (sx, sy, sz): their 3-D mean
-    projected onto the sphere. DegenerateCenterError when its norm is below 1e-12 (antipodal cancellation)."""
-    mx, my, mz = sx / n, sy / n, sz / n
-    if math.sqrt(mx * mx + my * my + mz * mz) < 1e-12:
-        raise DegenerateCenterError("mean position vector cancels to zero")
-    return from_unit_vector(mx, my, mz)

@@ -116,26 +116,6 @@ def expected_flows(world: SynthWorld) -> dict[tuple[str, str], float]:
     return flows
 
 
-def sample_power_law(seed: int, exponent: float, xmin: float, xmax: float, n: int) -> list[float]:
-    """Inverse-CDF samples of a power law truncated to [xmin, xmax].
-
-    x = (xmin^(1-b) + u * (xmax^(1-b) - xmin^(1-b)))^(1/(1-b)) for uniform
-    u in [0, 1): u = 0 gives xmin and u -> 1 approaches xmax.
-    """
-    if exponent <= 1.0:
-        raise ValueError(f"exponent must be > 1, got {exponent}")
-    if not 0.0 < xmin < xmax:
-        raise ValueError(f"need 0 < xmin < xmax, got {xmin}, {xmax}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    one_minus = 1.0 - exponent
-    lo = xmin**one_minus
-    hi = xmax**one_minus
-    return ((lo + u * (hi - lo)) ** (1.0 / one_minus)).tolist()
-
-
 class EventBlock(NamedTuple):
     """The events of consecutive users; row i holds user i's events in time order."""
 

@@ -33,7 +33,7 @@ from geoflow.metrics import MobilityProfile
 from geoflow.models import _LOG_BIN_BASE
 from geoflow.network import FlowEdge, FlowNetwork
 from geoflow.residence import CountryStats
-from geoflow.sphere import DegenerateCenterError, from_unit_vector, haversine_km
+from geoflow.sphere import haversine_km, normalize_lon
 from geoflow.synth import (
     _MAX_FOREIGN_EVENTS,
     _SOURCE_PATTERN,
@@ -666,6 +666,18 @@ def to_unit_vector(lat: float, lon: float) -> tuple[float, float, float]:
     return (c * math.cos(lam), c * math.sin(lam), math.sin(phi))
 
 
+class DegenerateCenterError(ValueError):
+    """Raised when a point set has no well-defined spherical center of mass
+    (the 3-D mean vector cancels to ~zero, e.g. two antipodal points)."""
+
+
+def from_unit_vector(x: float, y: float, z: float) -> tuple[float, float]:
+    """(lat, lon) in degrees for a direction vector (need not be unit length)."""
+    lat = math.degrees(math.atan2(z, math.hypot(x, y)))
+    lon = math.degrees(math.atan2(y, x))
+    return (lat, normalize_lon(lon))
+
+
 def center_of_mass(points: list[tuple[float, float]]) -> tuple[float, float]:
     """Spherical center of mass: the 3-D mean of unit position vectors,
     projected back onto the sphere; DegenerateCenterError on antipodal
@@ -762,6 +774,26 @@ def daily_abroad_series(
         values = [len(s) for s in sets]
         out[code] = DailySeries(code=code, direction=direction, year=year, values=values, normalized=_normalize(values))
     return out
+
+
+def sample_power_law(seed: int, exponent: float, xmin: float, xmax: float, n: int) -> list[float]:
+    """Inverse-CDF samples of a power law truncated to [xmin, xmax].
+
+    x = (xmin^(1-b) + u * (xmax^(1-b) - xmin^(1-b)))^(1/(1-b)) for uniform
+    u in [0, 1): u = 0 gives xmin and u -> 1 approaches xmax.
+    """
+    if exponent <= 1.0:
+        raise ValueError(f"exponent must be > 1, got {exponent}")
+    if not 0.0 < xmin < xmax:
+        raise ValueError(f"need 0 < xmin < xmax, got {xmin}, {xmax}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    one_minus = 1.0 - exponent
+    lo = xmin**one_minus
+    hi = xmax**one_minus
+    return ((lo + u * (hi - lo)) ** (1.0 / one_minus)).tolist()
 
 
 def log_binned_density(samples) -> tuple[list[float], list[float]]:

@@ -24,7 +24,6 @@ from geoflow.synth import (
     expected_flows,
     generate_events,
     make_world,
-    sample_power_law,
     world_boundaries,
 )
 from helpers import (
@@ -35,6 +34,7 @@ from helpers import (
     label_events,
     nested_fixture,
     random_digraph,
+    sample_power_law,
     set_partitions,
     table_of,
 )

@@ -456,6 +456,47 @@ def test_input_path_that_is_not_a_regular_file_exits_four(tmp_path, capsys):
     assert capsys.readouterr().err.count("not a regular file") == 2
 
 
+@pytest.mark.parametrize("where", ["workdir", "workdir below", "out", "out below"])
+def test_path_that_cannot_be_written_exits_four(pipeline, tmp_path, capsys, where):
+    """A work directory or synth --out that is a regular file, or lies below one: one line, exit 4."""
+    world, config = pipeline
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    path = str(taken / "sub" if where.endswith("below") else taken)
+    if where.startswith("workdir"):
+        assert cli("ingest", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": path}) == 4
+    else:
+        assert cli("synth", "--config", config, "--out", path) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("geoflow: ") and err.count("\n") == 1 and "taken" in err
+    assert taken.read_text() == "a file\n"
+
+
+DEEP = b"[" * 100_000 + b"]" * 100_000  # past the JSON parser's recursion limit
+
+
+@pytest.mark.parametrize(
+    "flag, text, code",
+    [
+        ("boundaries", DEEP, 6), ("boundaries", b'{"type": "\xff"}', 6), ("boundaries", b'{"type": ', 6),
+        ("config", DEEP, 3), ("config", b'{"seed": "\xff"}', 3), ("config", b'{"seed": ', 3),
+    ],
+    ids=["boundaries-deep", "boundaries-not-utf8", "boundaries-cut", "config-deep", "config-not-utf8", "config-cut"],
+)
+def test_json_input_that_does_not_parse_names_its_file(pipeline, tmp_path, capsys, flag, text, code):
+    """A boundaries file or --config nested 100,000 deep, not UTF-8 or cut short: one line naming the file."""
+    world, config = pipeline
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    env = {"GEOFLOW_PATHS_WORKDIR": str(tmp_path / "artifacts")}
+    if flag == "boundaries":
+        assert cli("ingest", "--config", config, env={**env, "GEOFLOW_PATHS_BOUNDARIES": str(bad)}) == code
+    else:
+        assert cli("ingest", "--config", str(bad), env=env) == code
+    err = capsys.readouterr().err
+    assert err.startswith("geoflow: ") and err.count("\n") == 1 and str(bad) in err
+
+
 def test_stage_order_violations_exit_five(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"paths": {"workdir": str(tmp_path / "artifacts")}}))

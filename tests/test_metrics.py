@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import helpers
 from geoflow import cli, ingest, metrics, network, residence
 from geoflow.metrics import build_mobility_profiles
-from geoflow.sphere import EARTH_RADIUS_KM, haversine_km
+from geoflow.sphere import EARTH_RADIUS_KM, haversine_km, normalize_lon
 from helpers import (
     Y2012,
     build_profiles,
@@ -447,3 +447,44 @@ def test_gyration_of_a_few_long_trajectories_among_short_ones():
     radii = metrics.user_gyration_radii(table_of(events))
     want = user_gyration_radii(sorted(events, key=lambda e: (e.user_id, e.timestamp)))  # trajectory order
     assert radii.tolist() == list(want.values())
+
+
+# Points at the center's edge cases: the poles, the +-180 meridian and one ulp inside it.
+EDGE_POINTS = st.tuples(
+    st.sampled_from([90.0, -90.0, 89.99999999999999, -89.99999999999999, 0.0]) | st.floats(-90.0, 90.0),
+    st.sampled_from([180.0, -180.0, 179.99999999999997, -179.99999999999997, 0.0]) | st.floats(-180.0, 180.0),
+)
+
+
+def antipode(point, dlat=0.0):
+    lat, lon = point
+    return (min(90.0, max(-90.0, dlat - lat)), lon - 180.0 if lon > 0.0 else lon + 180.0)
+
+
+GYRATION_USERS = st.one_of(
+    st.lists(EDGE_POINTS, min_size=1, max_size=6),
+    st.tuples(EDGE_POINTS, st.integers(2, 5)).map(lambda pk: [pk[0]] * pk[1]),  # one repeated point
+    EDGE_POINTS.map(lambda p: [p, antipode(p)]),
+    st.tuples(EDGE_POINTS, st.floats(-4e-10, 4e-10)).map(lambda pd: [pd[0], antipode(*pd)]),  # mean norm near 1e-12
+)
+
+
+@given(st.lists(GYRATION_USERS, min_size=1, max_size=12))
+@example([[(0.0, 0.0), (1.14e-10, 180.0)], [(0.0, 0.0), (1.15e-10, 180.0)]])  # mean norm either side of 1e-12
+@example([[(0.0, 180.0), (0.0, -179.99999999999997)]])  # the center's arctangent is -180 degrees
+@example(
+    [
+        [(67.31220521966358, 27.291893268371126), (44.332207922602805, -151.55543019616147)],  # np.hypot differs
+        [(84.21737253625886, -101.09073687969345), (7.786960270308057, -141.88432015081926)],  # np.sqrt differs
+        [(-78.79342340317984, 50.75455052248208), (-67.08225367209832, -76.64819760171892)],  # np.arctan2 differs
+    ]
+)
+def test_gyration_radii_are_the_scalar_oracles_bit_for_bit(users):
+    """Each user's radius is helpers.radius_of_gyration of its points (longitudes as parsed), bit for bit.
+
+    The examples put a center on each side of the 1e-12 norm and on the seam, and hold users whose radius
+    changes if numpy's hypot, arctan2 or sqrt stand in for libm's."""
+    events = [ev(f"u{k:03d}", Y2012 + i, lat, lon) for k, points in enumerate(users) for i, (lat, lon) in enumerate(points)]
+    radii = metrics.user_gyration_radii(table_of(events))
+    want = np.array([radius_of_gyration([(lat, normalize_lon(lon)) for lat, lon in points]) for points in users])
+    assert radii.view(np.int64).tolist() == want.view(np.int64).tolist(), (radii.tolist(), want.tolist())

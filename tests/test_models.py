@@ -18,8 +18,7 @@ from geoflow.models import (
     validate_external,
 )
 from geoflow.sphere import haversine_km
-from geoflow.synth import sample_power_law
-from helpers import log_binned_density as bin_walk
+from helpers import log_binned_density as bin_walk, sample_power_law
 
 # analytic expectation of the MLE on a sample truncated at xmax/xmin = 1e8
 PLIM_162_RATIO_1E8 = 1.62007765120615

@@ -244,12 +244,13 @@ def test_top_k_orders_by_weight_then_codes():
             "u4": ["BB", "BB", "CC"],
         }
     )
-    network = build_flow_network(profiles)
-    flows = top_k_flows(network, k=2, weight="raw")
+    stats = included_stats({"AA": 1, "BB": 2, "CC": 2})  # est weights 2e5, 5e4 and 5e4
+    network = normalize_and_filter(build_flow_network(profiles), stats, min_outgoing=1, min_penetration=0.0)
+    flows = top_k_flows(network, k=2)
     assert [(f.origin, f.destination) for f in flows] == [("AA", "BB"), ("BB", "CC")]
-    everything = top_k_flows(network, k=50, weight="raw")
+    everything = top_k_flows(network, k=50)
     assert len(everything) == 3
-    # ties (weight 1) fall back to code order
+    # ties fall back to code order
     assert [(f.origin, f.destination) for f in everything[1:]] == [
         ("BB", "CC"),
         ("CC", "AA"),
@@ -260,7 +261,7 @@ def test_top_k_est_mode_requires_normalization():
     profiles = profiles_from({"u1": ["AA", "AA", "BB"]})
     network = build_flow_network(profiles)
     with pytest.raises(ValueError):
-        top_k_flows(network, k=1, weight="est")
+        top_k_flows(network, k=1)
 
 
 def test_country_without_penetration_never_survives():
@@ -284,4 +285,4 @@ def test_missing_est_weight_is_a_value_error():
     with pytest.raises(ValueError, match="no est weight"):
         inflow_outflow_balance(network)
     with pytest.raises(ValueError, match="no est weight"):
-        top_k_flows(network, weight="est")
+        top_k_flows(network)

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from geoflow.sphere import (
     EARTH_RADIUS_KM,
-    DegenerateCenterError,
-    from_unit_vector,
     haversine_km,
     haversine_many,
     normalize_lon,
 )
-from helpers import center_of_mass, to_unit_vector
+from helpers import DegenerateCenterError, center_of_mass, from_unit_vector, to_unit_vector
 
 HALF_TURN_KM = math.pi * EARTH_RADIUS_KM  # antipodal distance
 ONE_DEGREE_KM = HALF_TURN_KM / 180.0  # meridian arc per degree

@@ -25,11 +25,10 @@ from geoflow.synth import (
     expected_flows,
     generate_events,
     make_world,
-    sample_power_law,
     world_boundaries,
     write_event_lines,
 )
-from helpers import events_of, parse_events
+from helpers import events_of, parse_events, sample_power_law
 
 YEAR_START = int(datetime(2012, 1, 1, tzinfo=timezone.utc).timestamp())
 YEAR_SECONDS = 366 * 86400  # 2012 is a leap year

@@ -332,6 +332,15 @@ def test_malformed_json_and_missing_file(tmp_path):
         load_config(str(path), env={})
     with pytest.raises(FileNotFoundError):
         load_config(str(tmp_path / "absent.json"), env={})
+    path.write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ConfigError, match="valid JSON"):
+        load_config(str(path), env={})
+    deep = "[" * 100_000 + "]" * 100_000  # past the JSON parser's recursion limit
+    path.write_text(deep)
+    with pytest.raises(ConfigError, match="nests too deeply"):
+        load_config(str(path), env={})
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(env={"GEOFLOW_SEED": deep})
 
 
 def test_int_accepted_where_float_expected(tmp_path):
