@@ -14,24 +14,22 @@ from fractions import Fraction
 import numpy as np
 
 from . import ingest
-from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
+from .ingest import EventTable, runs
 from .sphere import haversine_km, haversine_many
 
 
 def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tuple[np.ndarray, int]:
     """Keep mask dropping events that imply speed strictly above max_speed_kmh, and the drop count.
 
-    Rows in any order are scanned in trajectory order (see
-    ingest.build_trajectories), and the mask is over the rows as given. Each
-    trajectory is scanned against its last retained event, whose first event
-    is always retained; the later event of an offending pair is dropped. A
-    zero time gap means infinite speed (drop) unless the distance is also
-    zero (duplicate point, keep). Consecutive pairs are checked as arrays
-    first, ingest.BLOCK_ROWS pairs at a time, and only users with an offending
-    pair are scanned one by one.
+    The rows are in trajectory order (ingest.build_trajectories), as the
+    clean stage sorts them. Each trajectory is scanned against its last
+    retained event, whose first event is always retained; the later event of
+    an offending pair is dropped. A zero time gap means infinite speed (drop)
+    unless the distance is also zero (duplicate point, keep). Consecutive
+    pairs are checked as arrays first, ingest.BLOCK_ROWS pairs at a time, and
+    only users with an offending pair are scanned one by one.
     """
-    order = None if _in_trajectory_order(trajectories) else build_trajectories(trajectories)
-    t = trajectories if order is None else trajectories.take(order)
+    t = trajectories
     keep = np.ones(len(t), dtype=bool)
     offsets = runs(t.user)
     offending = [np.zeros(0, dtype=np.int64)]  # users with an offending pair
@@ -53,8 +51,6 @@ def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tup
                 last = i
             else:
                 keep[start + i] = False
-    if order is not None:  # back to the input rows, through the inverse permutation
-        keep = keep[np.argsort(order)]
     return keep, len(t) - int(np.count_nonzero(keep))
 
 
@@ -62,7 +58,6 @@ def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tup
 class CleaningStats:
     """Survival accounting for the source-popularity filter."""
 
-    retained_sources: dict[str, list[str]]  # country -> sources in rank order
     rankings: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
     users_before: int = 0
     users_after: int = 0
@@ -108,23 +103,22 @@ def source_popularity_filter(
     total = np.bincount(country, weights=mass, minlength=len(events.countries))  # exact: integer sums below 2**53
     share = Fraction(str(coverage))
     rankings: dict[str, list[tuple[str, int]]] = {}
-    retained_ordered: dict[str, list[str]] = {}
+    retained: dict[str, set[str]] = {}
     kept_pairs: list[int] = []
     cumulative: dict[int, int] = {}
     for c, s, m in zip(country[rank].tolist(), source[rank].tolist(), mass[rank].tolist()):
         code, name = events.countries[c], events.sources[s]
         if cumulative.get(c, 0) < share * int(total[c]):  # the threshold is not reached yet
-            retained_ordered.setdefault(code, []).append(name)
+            retained.setdefault(code, set()).add(name)
             kept_pairs.append(c * len(events.sources) + s)
         cumulative[c] = cumulative.get(c, 0) + m
         rankings.setdefault(code, []).append((name, m))
     keep = np.isin(events.country.astype(np.int64) * len(events.sources) + events.source, kept_pairs)
     stats = CleaningStats(
-        retained_sources=retained_ordered,
         rankings=rankings,
         users_before=int(np.count_nonzero(np.bincount(events.user))),
         users_after=int(np.count_nonzero(np.bincount(events.user[keep]))),
         events_before=len(events),
         events_after=int(np.count_nonzero(keep)),
     )
-    return {code: set(names) for code, names in retained_ordered.items()}, keep, stats
+    return retained, keep, stats

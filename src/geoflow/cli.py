@@ -146,7 +146,15 @@ class Workspace:
         return value
 
 
+def _trajectories(events: ingest_mod.EventTable) -> ingest_mod.EventTable:
+    """The events in trajectory order, sorted in place: the order the per-user passes take."""
+    events.select(ingest_mod.build_trajectories(events))
+    return events
+
+
 _LOADERS: dict[str, Callable[[Workspace], Any]] = {
+    # clean writes its events in trajectory order; a hand-made file is sorted here, once.
+    "events_clean.csv": lambda ws: _trajectories(tables.read_events(ws.artifact("events_clean.csv"))),
     "profiles": lambda ws: residence_mod.build_profiles(ws.load("events_clean.csv")),
     "displacements.csv": lambda ws: np.array([float(km) for _, km in ws.read_rows("displacements.csv")]),
     "gyration.csv": lambda ws: np.array([float(km) for _, km in ws.read_rows("gyration.csv")]),
@@ -433,8 +441,7 @@ def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
         year=config["year"],
     )
     events_path = os.path.join(out_dir, "events.csv")
-    with tables.replacing(events_path, binary=True) as fh:
-        synth_mod.write_event_lines(fh, blocks)
+    tables.write_blocks(events_path, tables.EVENT_HEADER[:5], synth_mod.event_csv(blocks))  # no country column
     boundaries = synth_mod.world_boundaries(world)
     features = []
     for b in boundaries:
@@ -546,6 +553,8 @@ def cmd_report(ws: Workspace) -> str:
         report = tables.read_json(ws.artifact(name))
         for key in sorted(report):
             entry = report[key]
+            if not isinstance(entry, dict):
+                raise ValueError(f"{name}: {key} is not an object")
             detail = f"error={entry['error']}" if "error" in entry else template.format_map(entry)
             add(f"[{name}:{key}] {detail}")
     text = "\n".join(lines) + "\n"

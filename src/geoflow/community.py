@@ -42,6 +42,8 @@ GAIN_EPS = 1e-12
 # A community splits in the hierarchy only if its internal partition
 # scores above this, filtering float-noise "improvements" over Q=0.
 SPLIT_EPS = 1e-9
+# The hierarchy re-partitions only communities of at least this many nodes.
+MIN_SPLIT_SIZE = 3
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -102,12 +104,6 @@ class Partition:
 
     assignment: dict[Node, int]
     q: float
-
-    def communities(self) -> list[list[Node]]:
-        groups: dict[int, list[Node]] = {}
-        for node, cid in self.assignment.items():
-            groups.setdefault(cid, []).append(node)
-        return [sorted(groups[cid]) for cid in sorted(groups)]
 
     @property
     def n_communities(self) -> int:
@@ -337,11 +333,10 @@ def hierarchical_partition(
     seed: int = 0,
     restarts: int = 20,
     nodes: Iterable[Node] | None = None,
-    min_split_size: int = 3,
 ) -> PartitionHierarchy:
     """Iteratively re-partition inside each community, up to max_levels.
 
-    Each community of the current level with at least min_split_size nodes
+    Each community of the current level with at least MIN_SPLIT_SIZE nodes
     is re-optimized on its induced sub-network (internal edges only, a slice
     of the one dense matrix); the split is adopted only when the sub-network
     partition scores clearly above zero. Unsplit communities carry down
@@ -366,7 +361,7 @@ def hierarchical_partition(
         for cid in range(int(parent.max()) + 1):
             m = np.flatnonzero(parent == cid)
             comm[m] = next_id
-            if len(m) >= min_split_size:
+            if len(m) >= MIN_SPLIT_SIZE:
                 sub = _Graph(g.w[np.ix_(m, m)], g.near[np.ix_(m, m)])
                 split, sub_q = _best(sub, _seed_words([seed, level, cid], 1)[0], restarts)
                 if sub_q > SPLIT_EPS:

@@ -75,6 +75,13 @@ def default_config() -> dict[str, Any]:
     return copy.deepcopy(DEFAULTS)
 
 
+def _float(label: str, value: int | float) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer such as 10**400
+        raise ConfigError(f"{label}: number too large for a float") from None
+
+
 def _check_type(section: str, key: str, value: Any, template: Any) -> Any:
     label = f"{section}.{key}" if section else key
     if isinstance(template, int):
@@ -84,7 +91,7 @@ def _check_type(section: str, key: str, value: Any, template: Any) -> Any:
     if isinstance(template, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{label}: expected number, got {value!r}")
-        return float(value)
+        return _float(label, value)
     if isinstance(template, str):
         if not isinstance(value, str):
             raise ConfigError(f"{label}: expected string, got {value!r}")
@@ -96,7 +103,7 @@ def _check_type(section: str, key: str, value: Any, template: Any) -> Any:
             raise ConfigError(f"{label}: expected list of numbers, got {value!r}")
         if len(value) != len(template):
             raise ConfigError(f"{label}: expected {len(template)} numbers, got {len(value)}")
-        return [float(v) for v in value]
+        return [_float(label, v) for v in value]
     raise ConfigError(f"{label}: unsupported config type {type(template).__name__}")
 
 
@@ -121,7 +128,7 @@ def _parse_env_value(raw: str, template: Any) -> Any:
         return raw
     try:
         return json.loads(raw)
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # not JSON, or an integer of more digits than int() reads
         return raw
 
 
@@ -185,7 +192,7 @@ def load_config(path: str | None = None, env: Mapping[str, str] | None = None) -
                 overrides = json.load(fh)
         except OSError as exc:
             raise FileNotFoundError(f"config file not readable: {path}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer of more digits than int() reads
             raise ConfigError(f"config file is not valid JSON: {path}: {exc}") from exc
         except RecursionError as exc:
             raise ConfigError(f"config file nests too deeply: {path}") from exc

@@ -491,7 +491,7 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
                 raise ValueError(f"{code}: unsupported geometry type {gtype!r}")
             polygons = [[[(float(v[0]), float(v[1])) for v in ring] for ring in poly] for poly in multi]
             boundary = CountryBoundary(code=str(code), polygons=polygons)
-        except (AttributeError, TypeError, IndexError, ValueError) as exc:
+        except (AttributeError, TypeError, IndexError, ValueError, OverflowError) as exc:  # overflow: an integer no float holds
             raise ValueError(f"boundary feature {number}: {exc}") from exc
         boundary.code = boundary.code.upper()  # checked first, so its errors name the code as the file writes it
         out.append(boundary)
@@ -501,9 +501,3 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
 def build_trajectories(events: EventTable) -> np.ndarray:
     """Row order of the per-user trajectories: users in id order, each by timestamp, ties in input order."""
     return np.lexsort((events.timestamp, events.user))
-
-
-def _in_trajectory_order(events: EventTable) -> bool:
-    """Whether the rows are already in build_trajectories order (a stable sort keeps them): one pass."""
-    u, ts = events.user, events.timestamp
-    return bool(np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (ts[1:] >= ts[:-1]))))

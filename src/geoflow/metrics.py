@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import ingest
-from .ingest import EventTable, _in_trajectory_order, build_trajectories, runs
+from .ingest import EventTable, runs
 from .residence import UserTable
 from .sphere import haversine_many
 
@@ -44,22 +44,21 @@ def user_gyration_radii(events: EventTable) -> np.ndarray:
     """Per-user radius of gyration by user code (NaN for a user with no event): RMS great-circle distance of
     every event from the center of mass.
 
-    Each user's sums run in trajectory order (ingest.build_trajectories),
-    whatever the order of the rows. A user whose events share one point
-    gets 0; when antipodal cancellation leaves the center undefined, the
-    user's first event is the anchor. Users come in id order, in groups of
-    whole users about 16 * ingest.BLOCK_ROWS rows long, which bounds the
-    transients: longer than other blocks, as each group pays a loop over the
-    steps of its longest trajectories.
+    The rows are in trajectory order (ingest.build_trajectories), as the
+    clean stage writes them, and each user's sums run in it. A user whose
+    events share one point gets 0; when antipodal cancellation leaves the
+    center undefined, the user's first event is the anchor. Users come in id
+    order, in groups of whole users about 16 * ingest.BLOCK_ROWS rows long,
+    which bounds the transients: longer than other blocks, as each group pays
+    a loop over the steps of its longest trajectories.
     """
-    t = events if _in_trajectory_order(events) else events.take(build_trajectories(events))
-    offsets = runs(t.user)
-    block_users = np.searchsorted(offsets, np.arange(0, len(t), ingest.BLOCK_ROWS << 4), side="right") - 1
+    offsets = runs(events.user)
+    block_users = np.searchsorted(offsets, np.arange(0, len(events), ingest.BLOCK_ROWS << 4), side="right") - 1
     groups = np.flatnonzero(np.bincount(block_users)).tolist() + [len(offsets) - 1]  # users groups[i]:groups[i + 1]
     radii = np.full(len(events.users), np.nan)
     for a, b in zip(groups, groups[1:]):
         lo, hi = offsets[a], offsets[b]
-        radii[t.user[offsets[a:b]]] = _gyration(t.lat[lo:hi], t.lon[lo:hi], offsets[a : b + 1] - lo)
+        radii[events.user[offsets[a:b]]] = _gyration(events.lat[lo:hi], events.lon[lo:hi], offsets[a : b + 1] - lo)
     return radii
 
 
@@ -89,18 +88,18 @@ def _libm(f, *columns: np.ndarray) -> np.ndarray:
 
 
 def displacements(events: EventTable) -> tuple[np.ndarray, np.ndarray]:
-    """User and great-circle distance of each consecutive pair of one user's events, in trajectory order.
+    """User and great-circle distance of each consecutive pair of one user's events, over rows in trajectory
+    order (ingest.build_trajectories) as the clean stage writes them.
 
     The distances are taken ingest.BLOCK_ROWS rows at a time, into one float64 array."""
-    t = events if _in_trajectory_order(events) else events.take(build_trajectories(events))
-    same = t.user[1:] == t.user[:-1]
+    lat, lon, same = events.lat, events.lon, events.user[1:] == events.user[:-1]
     km = np.empty(np.count_nonzero(same))
     done = 0
     for start in range(0, len(same), ingest.BLOCK_ROWS):
         pair = start + np.flatnonzero(same[start : start + ingest.BLOCK_ROWS])
-        km[done : done + len(pair)] = haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
+        km[done : done + len(pair)] = haversine_many(lat[pair], lon[pair], lat[pair + 1], lon[pair + 1])
         done += len(pair)
-    return t.user[:-1][same], km
+    return events.user[:-1][same], km
 
 
 @dataclass(slots=True)

@@ -32,7 +32,6 @@ class FlowNetwork:
     nodes: list[str]  # sorted codes
     edges: dict[tuple[str, str], FlowEdge]
     mobile_residents: dict[str, int]  # outgoing population per node
-    normalized: bool = False
 
 
 def build_flow_network(profiles: UserTable) -> FlowNetwork:
@@ -92,7 +91,6 @@ def normalize_and_filter(
         nodes=surviving,
         edges=edges,
         mobile_residents={c: network.mobile_residents.get(c, 0) for c in surviving},
-        normalized=True,
     )
 
 
@@ -111,9 +109,7 @@ class BalanceEntry:
 
 
 def inflow_outflow_balance(network: FlowNetwork) -> dict[str, BalanceEntry]:
-    """Per-country estimated inflow, outflow, and their difference."""
-    if not network.normalized:
-        raise ValueError("balance requires a normalized network")
+    """Per-country estimated inflow, outflow, and their difference (ValueError for an edge with no est weight)."""
     inflows: dict[str, list[float]] = {c: [] for c in network.nodes}
     outflows: dict[str, list[float]] = {c: [] for c in network.nodes}
     for (origin, destination), edge in sorted(network.edges.items()):
@@ -129,8 +125,6 @@ def inflow_outflow_balance(network: FlowNetwork) -> dict[str, BalanceEntry]:
 
 
 def top_k_flows(network: FlowNetwork, k: int = 30) -> list[FlowEdge]:
-    """The k heaviest edges by est weight, ties by (origin, destination) code order."""
-    if not network.normalized:
-        raise ValueError("est ranking requires a normalized network")
+    """The k heaviest edges by est weight, which every edge needs, ties by (origin, destination) code order."""
     ranked = sorted(network.edges.values(), key=lambda edge: (-_est_weight(edge), edge.origin, edge.destination))
     return ranked[: max(k, 0)]

@@ -13,7 +13,7 @@ import calendar
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -323,13 +323,13 @@ def event_lines(events: Sequence[GeoEvent]) -> list[str]:
     return lines
 
 
-def write_event_lines(fh: IO[bytes], blocks: Iterable[EventBlock]) -> None:
-    """The event_lines of the blocks' events, header first, each block written once it is drawn."""
-    fh.write((EVENT_LINE_HEADER + "\n").encode())
+def event_csv(blocks: Iterable[EventBlock]) -> Iterator[bytes]:
+    """The event_lines of the blocks' events after the header, as tables.csv_blocks yields them: each block's
+    lines formatted once it is drawn."""
     for block in blocks:
         rows = np.repeat(np.arange(len(block.users)), block.timestamp.shape[1])
         columns = [block.timestamp.ravel(), block.lat.ravel(), block.lon.ravel()]
-        fh.writelines(tables.csv_blocks([(block.users, rows), *columns, (block.sources, rows)]))
+        yield from tables.csv_blocks([(block.users, rows), *columns, (block.sources, rows)])
 
 
 def make_world(

@@ -110,9 +110,16 @@ def write_json(path: str, obj: Any) -> None:
         fh.write("\n")
 
 
-def read_json(path: str) -> Any:
+def read_json(path: str) -> dict[str, Any]:
+    """A JSON object; ValueError naming the file for a document that does not decode, nests too deep or is not one."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (RecursionError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------

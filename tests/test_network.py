@@ -40,7 +40,7 @@ def test_edge_counts_distinct_visitors():
     # u3's plurality is BB, so only u1 and u2 contribute to AA->BB
     network = build_flow_network(profiles)
     assert network.edges[("AA", "BB")].raw_weight == 2
-    assert network.normalized is False
+    assert network.edges[("AA", "BB")].est_weight is None  # not normalized
 
 
 def test_repeat_visits_count_once():
@@ -125,7 +125,6 @@ def test_est_weight_divides_by_origin_penetration():
     assert normalized.edges[("AA", "BB")].est_weight == pytest.approx(5000.0)
     # 10 travelers / (10/5000) = 5000 as well
     assert normalized.edges[("BB", "AA")].est_weight == pytest.approx(5000.0)
-    assert normalized.normalized is True
 
 
 def test_min_outgoing_drops_origin_and_incident_edges():
@@ -223,7 +222,6 @@ def test_balances_resum_to_zero_for_arbitrary_est_weights(rows):
         nodes=nodes,
         edges=edges,
         mobile_residents={c: 1 for c in nodes},
-        normalized=True,
     )
     balances = inflow_outflow_balance(network)
     # and the per-country entries re-sum to ~zero (float path, loose bound)
@@ -280,8 +278,7 @@ def test_country_without_penetration_never_survives():
 
 def test_missing_est_weight_is_a_value_error():
     profiles = profiles_from({"u1": ["AA", "AA", "BB"]})
-    network = build_flow_network(profiles)
-    network.normalized = True  # claims normalization but carries no est weights
+    network = build_flow_network(profiles)  # not normalized: its edge carries no est weight
     with pytest.raises(ValueError, match="no est weight"):
         inflow_outflow_balance(network)
     with pytest.raises(ValueError, match="no est weight"):

@@ -1,8 +1,9 @@
 """Synthetic worlds: planted flows, event generation, and recorded truth."""
 
 import calendar
-import io
 import math
+import os
+import tempfile
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from geoflow import ingest, synth
+from geoflow import ingest, synth, tables
 from geoflow.ingest import BoundaryIndex
 from geoflow.models import capital_distances
 from geoflow.sphere import haversine_km
@@ -21,12 +22,12 @@ from geoflow.synth import (
     SynthCountry,
     SynthWorld,
     event_blocks,
+    event_csv,
     event_lines,
     expected_flows,
     generate_events,
     make_world,
     world_boundaries,
-    write_event_lines,
 )
 from helpers import events_of, parse_events, sample_power_law
 
@@ -359,11 +360,14 @@ def test_block_generator_draws_what_the_scalar_one_does(kwargs, block_users):
     with mock.patch.object(synth, "_BLOCK_USERS", block_users):
         events, truth = generate_events(**kwargs)
         written_truth, blocks = event_blocks(**kwargs)
-        out = io.BytesIO()
-        write_event_lines(out, blocks)
+        with tempfile.TemporaryDirectory() as tmp:  # written as cmd_synth writes events.csv
+            path = os.path.join(tmp, "events.csv")
+            tables.write_blocks(path, tables.EVENT_HEADER[:5], event_csv(blocks))
+            with open(path, encoding="utf-8") as fh:
+                written = fh.read()
     assert event_lines(events) == expected
     assert truth == expected_truth == written_truth
-    assert out.getvalue().decode() == "\n".join(expected) + "\n"
+    assert written == "\n".join(expected) + "\n"
 
 
 def test_default_block_size_matches_scalar_generator_on_several_blocks():
