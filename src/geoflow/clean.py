@@ -31,27 +31,33 @@ def speed_filter(trajectories: EventTable, max_speed_kmh: float = 1000.0) -> tup
     """
     t = trajectories
     keep = np.ones(len(t), dtype=bool)
-    offsets = runs(t.user)
-    offending = [np.zeros(0, dtype=np.int64)]  # users with an offending pair
+    scanned = -1  # the last user scanned one by one
     for start in range(0, len(t) - 1, ingest.BLOCK_ROWS):
         stop = min(start + ingest.BLOCK_ROWS, len(t) - 1)
         pair = start + np.flatnonzero(t.user[start + 1 : stop + 1] == t.user[start:stop])
         dist = haversine_many(t.lat[pair], t.lon[pair], t.lat[pair + 1], t.lon[pair + 1])
         gap = t.timestamp[pair + 1] - t.timestamp[pair]
         ok = np.where(gap == 0, dist == 0.0, dist * 3600.0 <= max_speed_kmh * gap)
-        offending.append(np.searchsorted(offsets, pair[~ok], side="right") - 1)
-    for k in np.flatnonzero(np.bincount(np.concatenate(offending))).tolist():
-        start, end = offsets[k], offsets[k + 1]
-        lat, lon, ts = (column[start:end].tolist() for column in (t.lat, t.lon, t.timestamp))
-        last = 0
-        for i in range(1, end - start):
-            dist_km = haversine_km((lat[last], lon[last]), (lat[i], lon[i]))
-            gap_s = ts[i] - ts[last]
-            if (dist_km == 0.0) if gap_s == 0 else (dist_km * 3600.0 <= max_speed_kmh * gap_s):
-                last = i
-            else:
-                keep[start + i] = False
+        for user in t.user[pair[~ok]]:  # the user of each offending pair, in ascending order
+            if user > scanned:
+                scanned = user
+                rows = np.searchsorted(t.user, user, "left"), np.searchsorted(t.user, user, "right")  # needle: no cast
+                _scan(t, keep, *rows, max_speed_kmh)
     return keep, len(t) - int(np.count_nonzero(keep))
+
+
+def _scan(t: EventTable, keep: np.ndarray, start: int, end: int, max_speed_kmh: float) -> None:
+    """Clear `keep` of the rows start:end, one user's trajectory, that imply a speed above the cap from the last
+    retained row before them."""
+    lat, lon, ts = (column[start:end].tolist() for column in (t.lat, t.lon, t.timestamp))
+    last = 0
+    for i in range(1, end - start):
+        dist_km = haversine_km((lat[last], lon[last]), (lat[i], lon[i]))
+        gap_s = ts[i] - ts[last]
+        if (dist_km == 0.0) if gap_s == 0 else (dist_km * 3600.0 <= max_speed_kmh * gap_s):
+            last = i
+        else:
+            keep[start + i] = False
 
 
 @dataclass(slots=True)
@@ -86,6 +92,11 @@ def source_popularity_filter(
     sources per country, the keep mask of the events with a retained
     (country, source) pair, and the statistics. The threshold comparison is
     exact: coverage is read as a decimal (0.95 means exactly 19/20).
+
+    The rows are in trajectory order (ingest.build_trajectories), as the
+    clean stage sorts them. They are read in blocks of whole users about
+    ingest.BLOCK_ROWS rows long, each with its int64 (country, source) keys,
+    so no temporary grows with the table.
     """
     if not 0.0 < coverage <= 1.0:
         raise ValueError(f"coverage must be in (0, 1], got {coverage}")
@@ -93,32 +104,48 @@ def source_popularity_filter(
         raise ValueError(f"weight_mode must be 'users' or 'events', got {weight_mode!r}")
     if np.any(events.country < 0):
         raise ValueError("every event needs a country label")
-    order = np.lexsort((events.user, events.source, events.country))
-    if weight_mode == "users":  # one row per distinct (country, source, user)
-        order = order[runs(*(column[order] for column in (events.country, events.source, events.user)))[:-1]]
-    offsets = runs(events.country[order], events.source[order])
-    pairs = order[offsets[:-1]]
-    country, source, mass = events.country[pairs], events.source[pairs], np.diff(offsets)
+    n_sources = len(events.sources)
+    cuts = ingest.user_blocks(events.user, ingest.BLOCK_ROWS)
+    blocks = list(zip(cuts, cuts[1:]))
+
+    def keys(lo: int, hi: int) -> np.ndarray:
+        return events.country[lo:hi].astype(np.int64) * n_sources + events.source[lo:hi]
+
+    masses: dict[int, int] = {}  # (country, source) key -> mass
+    for lo, hi in blocks:
+        key = keys(lo, hi)
+        if weight_mode == "users":  # one key per distinct (user, key) of the block, which holds its users whole
+            user = events.user[lo:hi] - events.user[lo]
+            span = int(user[-1]) + 1
+            key = np.sort(key * span + user)
+            key = key[runs(key)[:-1]] // span
+        else:
+            key = np.sort(key)
+        offsets = runs(key)
+        for k, m in zip(key[offsets[:-1]].tolist(), np.diff(offsets).tolist()):
+            masses[k] = masses.get(k, 0) + m
+    pairs = np.array(sorted(masses), dtype=np.int64)  # by country, then source
+    mass = np.array([*map(masses.get, pairs.tolist())], dtype=np.int64)
+    country, source = np.divmod(pairs, n_sources)
     rank = np.lexsort((source, -mass, country))
     total = np.bincount(country, weights=mass, minlength=len(events.countries))  # exact: integer sums below 2**53
     share = Fraction(str(coverage))
     rankings: dict[str, list[tuple[str, int]]] = {}
     retained: dict[str, set[str]] = {}
-    kept_pairs: list[int] = []
+    kept = np.zeros(len(pairs), dtype=bool)
     cumulative: dict[int, int] = {}
-    for c, s, m in zip(country[rank].tolist(), source[rank].tolist(), mass[rank].tolist()):
+    for k, c, s, m in zip(rank.tolist(), country[rank].tolist(), source[rank].tolist(), mass[rank].tolist()):
         code, name = events.countries[c], events.sources[s]
         if cumulative.get(c, 0) < share * int(total[c]):  # the threshold is not reached yet
             retained.setdefault(code, set()).add(name)
-            kept_pairs.append(c * len(events.sources) + s)
+            kept[k] = True
         cumulative[c] = cumulative.get(c, 0) + m
         rankings.setdefault(code, []).append((name, m))
-    keep = np.isin(events.country.astype(np.int64) * len(events.sources) + events.source, kept_pairs)
-    stats = CleaningStats(
-        rankings=rankings,
-        users_before=int(np.count_nonzero(np.bincount(events.user))),
-        users_after=int(np.count_nonzero(np.bincount(events.user[keep]))),
-        events_before=len(events),
-        events_after=int(np.count_nonzero(keep)),
-    )
+    keep = np.empty(len(events), dtype=bool)
+    users_before = users_after = 0
+    for lo, hi in blocks:
+        keep[lo:hi] = kept[np.searchsorted(pairs, keys(lo, hi))]  # every key is one of the pairs
+        users_before += len(runs(events.user[lo:hi])) - 1
+        users_after += len(runs(events.user[lo:hi][keep[lo:hi]])) - 1
+    stats = CleaningStats(rankings, users_before, users_after, len(events), int(np.count_nonzero(keep)))
     return retained, keep, stats

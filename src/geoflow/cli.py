@@ -11,6 +11,11 @@ residence.UserTable) from `profile` to `network`, and the displacement and
 gyration samples as float64 arrays from `metrics` to `fit-powerlaw`.
 `clean` copies the kept lines out of `events_labeled.csv` instead of
 formatting them again, at the line ends it finds by scanning that file.
+The stages' other temporaries are a block of rows or of whole users, so
+`run` peaks at about one event table plus its sort: on 10^6 events with
+50 per user, at 77 MiB in `clean` (the 28.5 MiB table, its int32
+trajectory order and the sorted copy of one column, over the 30.7 MiB of
+the interpreter and numpy).
 All randomness flows from the single `seed` config key, and no artifact
 embeds timestamps or machine state, so identical configs produce
 byte-identical outputs.
@@ -25,7 +30,9 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import json
 import os
+import re
 import sys
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -156,8 +163,8 @@ _LOADERS: dict[str, Callable[[Workspace], Any]] = {
     # clean writes its events in trajectory order; a hand-made file is sorted here, once.
     "events_clean.csv": lambda ws: _trajectories(tables.read_events(ws.artifact("events_clean.csv"))),
     "profiles": lambda ws: residence_mod.build_profiles(ws.load("events_clean.csv")),
-    "displacements.csv": lambda ws: np.array([float(km) for _, km in ws.read_rows("displacements.csv")]),
-    "gyration.csv": lambda ws: np.array([float(km) for _, km in ws.read_rows("gyration.csv")]),
+    "displacements.csv": lambda ws: tables.read_km(ws.artifact("displacements.csv"), _KM_HEADER),
+    "gyration.csv": lambda ws: tables.read_km(ws.artifact("gyration.csv"), _KM_HEADER),
 }
 
 
@@ -207,13 +214,13 @@ def stage_clean(ws: Workspace) -> None:
     order = ingest_mod.build_trajectories(events)
     events.select(order)  # in place: this stage took the only reference
     keep, speed_removed = clean_mod.speed_filter(events, settings["max_speed_kmh"])
-    order = order[keep]
+    order = ingest_mod.compress(order, keep)
     events.select(keep)
     retained, keep, stats = clean_mod.source_popularity_filter(events, settings["coverage"], settings["weight_mode"])
-    order = order[keep]
+    order = ingest_mod.compress(order, keep)
     events.select(keep)
     # The cleaned events are labeled rows in trajectory order: copy their lines, formatted once, from the
-    # labeled file, now that the filters' copies of the table are freed.
+    # labeled file.
     labeled_path = ws.artifact("events_labeled.csv")
     ends = tables.line_ends(labeled_path)
     if len(ends) != n_labeled + 1:
@@ -516,6 +523,28 @@ def _check_conservation(counts: dict[str, Any]) -> None:
             raise ValueError(f"{identity} does not hold: {values[0]} != {sum(values[1:])}")
 
 
+def _checked(name: str, key: str, value: Any, spec: str) -> Any:
+    """A value `report` formats with `spec`: a number for ".6g", a count for "". Any other JSON type raises
+    ValueError naming the file and the key."""
+    number = spec == ".6g"
+    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+        raise ValueError(f"{name}: {key} is {json.dumps(value)}, not {'a number' if number else 'a count'}")
+    return value
+
+
+def _format(name: str, template: str, values: dict[str, Any]) -> str:
+    """template.format_map(values), the value of each of its fields checked first (_checked)."""
+    fields = re.findall(r"{(\w+):?([^}]*)}", template)
+    return template.format_map({key: _checked(name, key, values[key], spec) for key, spec in fields})
+
+
+def _levels(name: str, key: str, values: Any, spec: str) -> str:
+    """A list of one value per partition level, each checked (_checked) and formatted with spec, joined by spaces."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name}: {key} is {json.dumps(values)}, not a list")
+    return " ".join(format(_checked(name, f"{key}[{i}]", value, spec), spec) for i, value in enumerate(values))
+
+
 def cmd_report(ws: Workspace) -> str:
     lines = ["PIPELINE REPORT", ""]
     add = lines.append
@@ -524,8 +553,8 @@ def cmd_report(ws: Workspace) -> str:
     _check_conservation({**ingest_report, **cleaning})
     add(f"[ingest_report.json] lines={ingest_report['n_lines']} events={ingest_report['n_events']} "
         f"malformed={ingest_report['n_malformed']} unlocatable={ingest_report['n_unlocatable_dropped']}")
-    add(f"[cleaning_stats.json] speed_removed={cleaning['speed_removed']} "
-        f"user_survival={cleaning['user_fraction']:.6g} event_survival={cleaning['event_fraction']:.6g}")
+    add(_format("cleaning_stats.json", "[cleaning_stats.json] speed_removed={speed_removed} "
+                "user_survival={user_fraction:.6g} event_survival={event_fraction:.6g}", cleaning))
     stats = _country_stats(ws)
     included = sorted(c for c, s in stats.items() if s.included)
     add(f"[country_stats.csv] countries={len(stats)} included={len(included)}")
@@ -539,8 +568,8 @@ def cmd_report(ws: Workspace) -> str:
         first = top_rows[0]
         add(f"[top_flows.csv] top flow {first[1]}->{first[2]} est={float(first[4]):.6g}")
     communities = tables.read_json(ws.artifact("communities_report.json"))
-    qs = " ".join(f"{q:.6g}" for q in communities["q_per_level"])
-    ns = " ".join(str(n) for n in communities["communities_per_level"])
+    qs, ns = (_levels("communities_report.json", key, communities[key], spec)
+              for key, spec in (("q_per_level", ".6g"), ("communities_per_level", "")))
     add(f"[communities_report.json] q_per_level=[{qs}] communities_per_level=[{ns}]")
     # Fit and validation reports hold one entry per leg, each a result or an error.
     entries = [
@@ -555,7 +584,7 @@ def cmd_report(ws: Workspace) -> str:
             entry = report[key]
             if not isinstance(entry, dict):
                 raise ValueError(f"{name}: {key} is not an object")
-            detail = f"error={entry['error']}" if "error" in entry else template.format_map(entry)
+            detail = f"error={entry['error']}" if "error" in entry else _format(f"{name}: {key}", template, entry)
             add(f"[{name}:{key}] {detail}")
     text = "\n".join(lines) + "\n"
     with tables.replacing(ws.path("report.txt")) as fh:

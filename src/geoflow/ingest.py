@@ -9,7 +9,9 @@ An event file is parsed a block of BLOCK_ROWS lines at a time. A block that
 is printable ASCII with the same 5 or 6 fields on every line, and whose
 fields all pass the line checks, is read a column at a time with the same
 int and float builtins; any other block goes whole to the line loop, so
-both give the same table, errors and counts.
+both give the same table, errors and counts. Both write straight into
+columns as long as the file has lines, with first-seen codes that are
+renumbered into the sorted vocabularies at the end, a block at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import io
 import json
 from array import array
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, islice
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -69,10 +72,22 @@ class EventTable:
         return EventTable(self.users, self.sources, self.countries, *(column[rows] for column in columns))
 
     def select(self, rows: np.ndarray) -> None:
-        """Keep only the rows `take` would return, in place: one column is copied at a time, so the rows are
-        never held twice. For a table no one else reads."""
+        """Keep only the rows `take` would return, in place: a boolean mask compacts each column where it is
+        (compress), and an index array copies one column at a time, so the rows are never held twice. For a
+        table whose columns no other table or array shares."""
         for name in ("user", "timestamp", "lat", "lon", "source", "country"):
-            setattr(self, name, getattr(self, name)[rows])
+            column = getattr(self, name)
+            setattr(self, name, compress(column, rows) if rows.dtype == bool else column[rows])
+
+
+def compress(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """values[mask], moved to the front of `values` itself a block of BLOCK_ROWS rows at a time; returns their view."""
+    kept = 0
+    for start in range(0, len(values), BLOCK_ROWS):
+        block = values[start : start + BLOCK_ROWS][mask[start : start + BLOCK_ROWS]]
+        values[kept : kept + len(block)] = block
+        kept += len(block)
+    return values[:kept]
 
 
 # Rows a pass over a whole table handles at a time (formatting, copying and scanning event files, pairs of
@@ -91,6 +106,13 @@ def runs(*columns: np.ndarray) -> np.ndarray:
     for column in columns:
         change |= column[1:] != column[:-1]
     return np.flatnonzero(np.r_[True, change, True]) if len(columns[0]) else np.zeros(1, dtype=np.int64)
+
+
+def user_blocks(user: np.ndarray, rows: int) -> list[int]:
+    """Cuts of the user codes of rows in trajectory order (ascending) into blocks of whole users: block k is rows
+    cuts[k]:cuts[k + 1], from the first row of the user at row k * rows, so about `rows` rows or one user's."""
+    starts = np.searchsorted(user, user[::rows])  # needles of the column's own dtype: no cast of the whole column
+    return [*dict.fromkeys(starts.tolist()), len(user)]
 
 
 # Malformed lines a ParseReport keeps with their reason; later ones are
@@ -152,14 +174,6 @@ def _looks_like_header(parts: list[str]) -> bool:
     return False
 
 
-def _sorted_codes(vocab: dict[str, int], codes: array) -> tuple[list[str], np.ndarray]:
-    """A vocabulary in sorted order, and first-seen codes (-1 kept) renumbered into it."""
-    names = sorted(vocab)
-    position = {name: i for i, name in enumerate(names)}
-    renumber = np.array([position[name] for name in vocab] + [-1], dtype=_code_dtype(len(names)))
-    return names, renumber[np.frombuffer(codes, dtype=np.intc)]
-
-
 def _coded(column: list[str], distinct: dict[str, Any], code: Callable[[str], int]) -> np.ndarray:
     """`column` as C-int codes: `distinct` holds each of its fields once, in first-seen order, and `code` is called
     on each in that order."""
@@ -168,19 +182,42 @@ def _coded(column: list[str], distinct: dict[str, Any], code: Callable[[str], in
     return np.fromiter(map(distinct.__getitem__, column), np.intc, len(column))
 
 
+def file_reads(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of a binary file, BLOCK_ROWS << 4 bytes at a time."""
+    return iter(partial(fh.read, BLOCK_ROWS << 4), b"")
+
+
 def _blocks(fh: BinaryIO) -> Iterator[bytes]:
     """The rest of a binary file, BLOCK_ROWS lines at a time: each block ends at an LF, and the last one holds what
-    is left, LF-ended or not. No read is shorter than the partial line before it, so a long line costs linear time."""
-    rest = b""
-    while data := fh.read(max(BLOCK_ROWS << 8, len(rest))):
-        data, start = rest + data, 0
-        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)[BLOCK_ROWS - 1 :: BLOCK_ROWS] + 1
-        for end in ends.tolist():
-            yield data[start:end]
-            start = end
-        rest = data[start:]
-    if rest:
+    is left, LF-ended or not. Each read is searched once and each of its bytes copied into one block, so a long
+    line costs linear time; beyond the block it yields, it holds one read."""
+    pending: list[bytes] = []  # the reads since the last block's end
+    lines = 0  # the LFs in pending
+    for data in file_reads(fh):
+        lf = np.frombuffer(data, dtype=np.uint8) == 10
+        found = int(np.count_nonzero(lf))
+        if lines + found >= BLOCK_ROWS:
+            ends = np.flatnonzero(lf)[BLOCK_ROWS - lines - 1 :: BLOCK_ROWS] + 1
+            start = 0
+            for end in ends.tolist():
+                yield b"".join([*pending, data[start:end]])
+                pending, start = [], end
+            data = data[start:]
+        lines = (lines + found) % BLOCK_ROWS
+        pending.append(data)
+    if rest := b"".join(pending):
         yield rest
+
+
+def lines_left(fh: BinaryIO) -> int:
+    """The most rows the rest of a binary file can hold, its LFs plus one, and the file left where it was; 0 when it
+    cannot seek."""
+    if not fh.seekable():
+        return 0
+    start = fh.tell()
+    lines = sum(int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == 10)) for data in file_reads(fh)) + 1
+    fh.seek(start)
+    return lines
 
 
 class _Columns:
@@ -191,17 +228,43 @@ class _Columns:
         self.users: dict[str, int] = {}  # name -> first-seen code; likewise sources and countries
         self.sources: dict[str, int] = {}
         self.countries: dict[str, int] = {}
-        # First-seen codes are C ints (int32): more than 2**31 names of one kind would take more lines than that.
-        self.columns = tuple(array(kind) for kind in "iqddii")  # user, timestamp, lat, lon, source, country
+        # Rows 0 to n_rows - 1 of user, timestamp, lat, lon, source and country; the rest is room to grow. The code
+        # columns hold first-seen codes, each in the _code_dtype of its vocabulary so far.
+        dtypes = (np.int16, np.int64, np.float64, np.float64, np.int16, np.int16)
+        self.columns = [np.empty(0, dtype) for dtype in dtypes]
+        self.n_rows = 0
         self.errors: list[tuple[int, str]] = []
         self.n_lines = self.n_malformed = 0
         self.header_skipped = False
+
+    def reserve(self, rows: int) -> None:
+        """Room for `rows` more rows, or half the rows so far if that is more: the columns are copied, and a page of
+        the new room counts towards the resident size only once a row is written to it."""
+        if self.n_rows + rows > len(self.columns[1]):
+            size = max(self.n_rows + rows, self.n_rows * 3 // 2)
+            for k, column in enumerate(self.columns):
+                self.columns[k] = np.empty(size, column.dtype)
+                self.columns[k][: self.n_rows] = column[: self.n_rows]
+
+    def _append(self, *values: Any) -> None:
+        """Rows after the last: the user, timestamp, lat, lon, source and country values as arrays. A code column
+        widens, once, when its vocabulary grows past what int16 holds."""
+        self.reserve(len(values[1]))
+        for k, vocabulary in ((0, self.users), (4, self.sources), (5, self.countries)):
+            if (dtype := _code_dtype(len(vocabulary))) != self.columns[k].dtype:
+                wide = np.empty(len(self.columns[k]), dtype)
+                wide[: self.n_rows] = self.columns[k][: self.n_rows]
+                self.columns[k] = wide
+        for column, rows in zip(self.columns, values):
+            column[self.n_rows : self.n_rows + len(rows)] = rows
+        self.n_rows += len(values[1])
 
     def lines(self, lines: Iterable[str] | Iterable[bytes]) -> None:
         """The line loop: each line decoded, split and checked on its own; a malformed one is counted, and the
         first MAX_ERRORS keep their line number and reason."""
         users, sources, countries, errors = self.users, self.sources, self.countries, self.errors
-        user, timestamp, lat, lon, source, country = self.columns
+        # First-seen codes are C ints (int32): more than 2**31 names of one kind would take more lines than that.
+        user, timestamp, lat, lon, source, country = columns = tuple(array(kind) for kind in "iqddii")
         lineno = self.n_lines
         for lineno, line in enumerate(lines, start=lineno + 1):
             try:
@@ -225,6 +288,7 @@ class _Columns:
             source.append(sources.setdefault(source_name, len(sources)))
             country.append(-1 if code is None else countries.setdefault(code, len(countries)))
         self.n_lines = lineno
+        self._append(*columns)
 
     def block(self, data: bytes) -> None:
         """Whole lines of a binary file, the last maybe without its LF: a column at a time if the block path takes
@@ -275,19 +339,30 @@ class _Columns:
             label = lambda c: countries.setdefault(code, len(countries)) if (code := c.strip().upper()) else -1
             country = _coded(labels, distinct_labels, label)
         lon = np.where(lon == -180.0, 180.0, lon)  # normalize_lon's one change to an in-range longitude
-        for column, values in zip(self.columns, (user, timestamp, lat, lon, source, country)):
-            column.frombytes(values.tobytes())  # each has its array's item type
+        self._append(user, timestamp, lat, lon, source, country)
         self.n_lines += len(ends)
         return True
 
     def report(self) -> ParseReport:
+        """The table of the rows so far, its codes renumbered into the sorted vocabularies a block at a time."""
+        for column in self.columns:
+            column.resize(self.n_rows, refcheck=False)  # no view of a column exists yet
         user, timestamp, lat, lon, source, country = self.columns
-        user_ids, user_codes = _sorted_codes(self.users, user)
-        source_names, source_codes = _sorted_codes(self.sources, source)
-        country_codes, country_positions = _sorted_codes(self.countries, country)
-        numeric = (np.frombuffer(timestamp, dtype=np.int64), np.frombuffer(lat), np.frombuffer(lon))
-        events = EventTable(user_ids, source_names, country_codes, user_codes, *numeric, source_codes, country_positions)
+        vocabularies = [_renumbered(names, codes) for names, codes in ((self.users, user), (self.sources, source),
+                                                                      (self.countries, country))]
+        events = EventTable(*vocabularies, user, timestamp, lat, lon, source, country)
         return ParseReport(events, self.errors, self.n_lines, self.header_skipped, self.n_malformed)
+
+
+def _renumbered(vocabulary: dict[str, int], codes: np.ndarray) -> list[str]:
+    """A vocabulary in sorted order, its first-seen codes (-1 kept) renumbered into it in place."""
+    names = sorted(vocabulary)
+    position = {name: i for i, name in enumerate(names)}
+    renumber = np.array([position[name] for name in vocabulary] + [-1], dtype=codes.dtype)
+    for start in range(0, len(codes), BLOCK_ROWS):
+        block = codes[start : start + BLOCK_ROWS]
+        block[:] = renumber[block]
+    return names
 
 
 def parse_events(stream: Iterable[str] | Iterable[bytes] | BinaryIO) -> ParseReport:
@@ -306,10 +381,13 @@ def parse_events(stream: Iterable[str] | Iterable[bytes] | BinaryIO) -> ParseRep
     columns = _Columns()
     if isinstance(stream, io.BufferedIOBase):
         columns.lines(islice(stream, 1))  # header detection stays with the line loop
+        columns.reserve(lines_left(stream))
         for data in _blocks(stream):
             columns.block(data)
     else:
-        columns.lines(stream)
+        lines = iter(stream)
+        while chunk := list(islice(lines, BLOCK_ROWS)):
+            columns.lines(chunk)
     return columns.report()
 
 
@@ -500,4 +578,45 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
 
 def build_trajectories(events: EventTable) -> np.ndarray:
     """Row order of the per-user trajectories: users in id order, each by timestamp, ties in input order."""
-    return np.lexsort((events.timestamp, events.user))
+    return trajectory_blocks(events)[0]
+
+
+def trajectory_blocks(events: EventTable) -> tuple[np.ndarray, list[int]]:
+    """The row order of build_trajectories, and cuts of it into blocks of whole users about BLOCK_ROWS rows
+    long: block k is order[cuts[k]:cuts[k + 1]].
+
+    The order is the permutation of np.lexsort((timestamp, user)), as int32 below 2**31 rows, with no temporary
+    beyond a block of rows and three int64 per user: a stable counting sort by user, BLOCK_ROWS rows at a time,
+    then each block sorted by (user, timestamp), which keeps the input order of ties. That last pass is skipped
+    when each user's rows already come in time order, as in a time-ordered stream.
+    """
+    user, n = events.user, len(events)
+    offsets = np.zeros(len(events.users) + 1, dtype=np.int64)  # user k's rows go to offsets[k]:offsets[k + 1]
+    for start in range(0, n, BLOCK_ROWS):
+        np.add.at(offsets[1:], user[start : start + BLOCK_ROWS], 1)
+    offsets = np.cumsum(offsets)
+    free = offsets[:-1].copy()  # each user's next place
+    latest = np.full(len(events.users), -1, dtype=np.int64)  # each user's timestamp so far; every one is >= 0
+    in_time_order = True
+    order = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
+    for start in range(0, n, BLOCK_ROWS):
+        block = user[start : start + BLOCK_ROWS]
+        by_user = np.argsort(block, kind="stable")
+        codes, stamps = block[by_user], events.timestamp[start : start + BLOCK_ROWS][by_user]
+        position = np.arange(len(codes))
+        first = np.searchsorted(codes, codes)  # where the run of each row's user starts in the block
+        order[free[codes] + position - first] = start + by_user
+        np.add.at(free, block, 1)
+        run_start = first == position
+        previous = np.r_[0, stamps[:-1]]  # the timestamp of the user's row before each row
+        previous[run_start] = latest[codes[run_start]]
+        in_time_order = in_time_order and bool((stamps >= previous).all())
+        run_end = np.r_[run_start[1:], True]
+        latest[codes[run_end]] = stamps[run_end]
+    starts = offsets[np.searchsorted(offsets, np.arange(0, n, BLOCK_ROWS), side="right") - 1]  # ascending
+    cuts = [*dict.fromkeys(starts.tolist()), n]
+    if not in_time_order:
+        for lo, hi in zip(cuts, cuts[1:]):
+            rows = order[lo:hi]
+            order[lo:hi] = rows[np.lexsort((events.timestamp[rows], user[rows]))]
+    return order, cuts

@@ -31,13 +31,16 @@ def _run_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     by_length = np.argsort(-lengths, kind="stable")
     longer = np.searchsorted(-lengths[by_length], -np.arange(lengths.max(initial=0) + 1))  # runs longer than j
     steps = int(np.argmin(np.arange(len(longer)) + longer))
-    sums = np.zeros(values.shape[:-1] + lengths.shape)
+    starts = offsets[by_length]
+    sums = np.zeros(values.shape[:-1] + lengths.shape)  # run by_length[i] in column i: longer runs first
     for j, m in enumerate(longer[:steps].tolist()):
-        sums[..., by_length[:m]] += values[..., offsets[by_length[:m]] + j]
-    for k in by_length[: longer[steps]].tolist():
+        sums[..., :m] += values[..., starts[:m] + j]
+    for i, k in enumerate(by_length[: longer[steps]].tolist()):
         tail = values[..., offsets[k] + steps : offsets[k + 1]]
-        sums[..., k] = np.cumsum(np.concatenate((sums[..., k : k + 1], tail), axis=-1), axis=-1)[..., -1]
-    return sums
+        sums[..., i] = np.cumsum(np.concatenate((sums[..., i : i + 1], tail), axis=-1), axis=-1)[..., -1]
+    out = np.empty_like(sums)
+    out[..., by_length] = sums
+    return out
 
 
 def user_gyration_radii(events: EventTable) -> np.ndarray:
@@ -48,17 +51,15 @@ def user_gyration_radii(events: EventTable) -> np.ndarray:
     clean stage writes them, and each user's sums run in it. A user whose
     events share one point gets 0; when antipodal cancellation leaves the
     center undefined, the user's first event is the anchor. Users come in id
-    order, in groups of whole users about 16 * ingest.BLOCK_ROWS rows long,
+    order, in groups of whole users about 4 * ingest.BLOCK_ROWS rows long,
     which bounds the transients: longer than other blocks, as each group pays
     a loop over the steps of its longest trajectories.
     """
-    offsets = runs(events.user)
-    block_users = np.searchsorted(offsets, np.arange(0, len(events), ingest.BLOCK_ROWS << 4), side="right") - 1
-    groups = np.flatnonzero(np.bincount(block_users)).tolist() + [len(offsets) - 1]  # users groups[i]:groups[i + 1]
     radii = np.full(len(events.users), np.nan)
-    for a, b in zip(groups, groups[1:]):
-        lo, hi = offsets[a], offsets[b]
-        radii[events.user[offsets[a:b]]] = _gyration(events.lat[lo:hi], events.lon[lo:hi], offsets[a : b + 1] - lo)
+    cuts = ingest.user_blocks(events.user, ingest.BLOCK_ROWS << 2)
+    for lo, hi in zip(cuts, cuts[1:]):
+        offsets = runs(events.user[lo:hi])
+        radii[events.user[lo:hi][offsets[:-1]]] = _gyration(events.lat[lo:hi], events.lon[lo:hi], offsets)
     return radii
 
 

@@ -13,6 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import ingest
 from .ingest import EventTable, runs
 
 
@@ -54,19 +55,30 @@ class CountryStats:
 
 
 def build_profiles(events: EventTable) -> UserTable:
-    """The UserTable of labeled events, over their vocabularies."""
+    """The UserTable of labeled events, over their vocabularies.
+
+    The rows are read in trajectory order (ingest.trajectory_blocks), a block of whole users at a time, where each
+    (user, country) pair's first row is its earliest event, ties in input order."""
     if np.any(events.country < 0):
         raise ValueError("every event needs a country label")
-    order = np.lexsort((events.timestamp, events.country, events.user))
-    offsets = runs(events.user[order], events.country[order])
-    first = order[offsets[:-1]]  # each (user, country)'s earliest event
-    user, country = events.user[first], events.country[first]
-    best = np.lexsort((country, events.timestamp[first], -np.diff(offsets), user))
-    best = best[runs(user[best])[:-1]]  # each user's pair by (most events, first seen, code)
     n = len(events.users)
     residence = np.full(n, -1, dtype=events.country.dtype)
-    residence[user[best]] = country[best]
-    totals = np.bincount(events.user, minlength=n), np.bincount(user, minlength=n)  # events, countries
+    totals = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)  # events, countries
+    pairs = [(events.user[:0], events.country[:0])]
+    order, cuts = ingest.trajectory_blocks(events)
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows = order[lo:hi]
+        user, country = events.user[rows], events.country[rows]
+        key = (user - user[0]).astype(np.int64) * len(events.countries) + country
+        _, first, count = np.unique(key, return_index=True, return_counts=True)  # each (user, country), in code order
+        user, country = user[first], country[first]
+        best = np.lexsort((country, events.timestamp[rows[first]], -count, user))
+        best = best[runs(user[best])[:-1]]  # each user's pair by (most events, first seen, code)
+        residence[user[best]] = country[best]
+        np.add.at(totals[0], user, count)
+        np.add.at(totals[1], user, 1)
+        pairs.append((user, country))
+    user, country = (np.concatenate(column) for column in zip(*pairs))
     return UserTable(events.users, events.countries, residence, *totals, user, country)
 
 

@@ -13,6 +13,7 @@ from itertools import repeat
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0088
+MAX_DISTANCE_KM = 2.0 * EARTH_RADIUS_KM * math.asin(1.0)  # haversine_km of antipodes: no distance is longer
 
 
 def normalize_lon(lon: float) -> float:

@@ -27,7 +27,6 @@ import json
 import math
 import mmap
 import os
-from array import array
 from contextlib import contextmanager, suppress
 from typing import IO, Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -35,6 +34,7 @@ import numpy as np
 
 from . import ingest
 from .ingest import EventTable
+from .sphere import MAX_DISTANCE_KM
 
 
 def fmt(value: Any) -> str:
@@ -84,6 +84,11 @@ def _split_lines(path: str) -> list[list[str]]:
     """The fields of each nonblank line. Lines end at LF only, as ingest reads them; a CR before it is dropped.
 
     A byte that is not UTF-8 raises ValueError naming the file and its line, as for events."""
+    return [fields for _, fields in _numbered_lines(path)]
+
+
+def _numbered_lines(path: str) -> list[tuple[int, list[str]]]:
+    """The 1-based number and the fields of each nonblank line, as _split_lines reads them."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -91,7 +96,7 @@ def _split_lines(path: str) -> list[list[str]]:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: invalid UTF-8") from None
-    rows = [line.rstrip("\r").split(",") for line in text.split("\n") if line.strip()]
+    rows = [(n, line.rstrip("\r").split(",")) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
     if not rows:
         raise ValueError(f"{path}: empty table")
     return rows
@@ -102,6 +107,29 @@ def read_rows(path: str, expected_header: Sequence[str] | None = None) -> list[l
     if expected_header is not None and header != list(expected_header):
         raise ValueError(f"{path}: header {header} != expected {list(expected_header)}")
     return rows
+
+
+def read_km(path: str, header: Sequence[str]) -> np.ndarray:
+    """The last column of a table of great-circle distances (displacements, gyration radii) as float64.
+
+    A row with another field count than the header, or a distance that is not a number from 0 to
+    sphere.MAX_DISTANCE_KM, raises ValueError naming the file, the line and the column."""
+    (_, names), *rows = _numbered_lines(path)
+    if names != list(header):
+        raise ValueError(f"{path}: header {names} != expected {list(header)}")
+    km = np.empty(len(rows))
+    for row, (lineno, fields) in enumerate(rows):
+        if len(fields) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            value = float(fields[-1])
+        except ValueError:
+            value = math.nan  # fails the range check
+        if not 0.0 <= value <= MAX_DISTANCE_KM:
+            raise ValueError(f"{path}:{lineno}: column {header[-1]}: {fields[-1].strip()!r} is not a distance "
+                             f"from 0 to {MAX_DISTANCE_KM!r}")
+        km[row] = value
+    return km
 
 
 def write_json(path: str, obj: Any) -> None:
@@ -325,18 +353,23 @@ def _copied_lines(mapped: mmap.mmap, ends: np.ndarray, rows: np.ndarray) -> Iter
 
 
 def line_ends(path: str) -> np.ndarray:
-    """The offset past each line of a file, its header's first, read 256 bytes per block row at a time.
+    """The offset past each line of a file, its header's first: the lines are counted, and then their ends found,
+    a read of ingest.BLOCK_ROWS << 4 bytes at a time, into an array of exactly that many, int32 for a file below
+    2 GiB.
 
     A file that does not end with a line end raises ValueError: its last line could not be copied whole.
     """
-    ends, offset = array("q"), 0
     with open(path, "rb") as fh:
-        while data := fh.read(ingest.BLOCK_ROWS << 8):
-            ends.frombytes((np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + (offset + 1)).tobytes())
-            offset += len(data)
-    if not ends or ends[-1] != offset:
+        size = os.fstat(fh.fileno()).st_size
+        ends = np.empty(ingest.lines_left(fh) - 1, dtype=np.int32 if size < 2**31 else np.int64)
+        done = offset = 0
+        for data in ingest.file_reads(fh):
+            found = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + (offset + 1)
+            ends[done : done + len(found)] = found
+            done, offset = done + len(found), offset + len(data)
+    if done != len(ends) or not done or ends[-1] != offset:
         raise ValueError(f"{path}: the last line has no line end")
-    return np.frombuffer(ends, dtype=np.int64)
+    return ends
 
 
 def read_events(path: str) -> EventTable:

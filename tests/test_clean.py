@@ -181,7 +181,9 @@ def test_planted_user_and_event_survival_fractions():
     assert retained["AA"] == {"a", "b"}
     assert stats.user_fraction == 0.98
     assert stats.event_fraction == 0.95
-    table_retained, _, table_stats = clean.source_popularity_filter(table_of(events), coverage=0.95)
+    table = table_of(events)
+    table = table.take(ingest.build_trajectories(table))  # the order the filter takes its rows in
+    table_retained, _, table_stats = clean.source_popularity_filter(table, coverage=0.95)
     assert (table_retained, table_stats) == (retained, stats)
 
 
@@ -283,6 +285,7 @@ def test_table_speed_filter_matches_the_scan(events, cap):
 @given(event_lists(), st.sampled_from(["users", "events"]), st.sampled_from([0.5, 0.95, 1.0]))
 def test_table_source_filter_matches_the_object_filter(events, mode, coverage):
     table = table_of(events)
+    table = table.take(ingest.build_trajectories(table))  # the order the filter takes its rows in
     retained, keep, stats = clean.source_popularity_filter(table, coverage, mode)
     want_retained, want_kept, want_stats = source_popularity_filter(events_of(table), coverage, mode)
     assert (retained, events_of(table.take(keep)), stats) == (want_retained, want_kept, want_stats)
@@ -296,6 +299,7 @@ def test_table_source_filter_keys_do_not_overflow_narrow_codes(mode):
     rare = [ev(f"u{i % 700}", i, source=f"r{i:05d}", country=countries[i % 3]) for i in range(20_000)]
     popular = [ev(f"u{i % 700}", i, source=f"p{i % 40:02d}", country=countries[i % 3]) for i in range(20_000)]
     table = table_of(rare + popular)
+    table = table.take(ingest.build_trajectories(table))
     assert table.source.dtype == np.int16 and table.country.dtype == np.int16
     retained, keep, stats = clean.source_popularity_filter(table, 0.5, mode)
     want_retained, want_kept, want_stats = source_popularity_filter(events_of(table), 0.5, mode)

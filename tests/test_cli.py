@@ -234,6 +234,41 @@ def test_report_exits_six_on_json_artifacts_edited_by_hand(pipeline, tmp_path, c
     assert name in err and named in err
 
 
+def _edited(key, value, leg=None):
+    """An edit of a JSON artifact's text that sets `key`, in object `leg` if given, to `value`."""
+    def edit(text):
+        doc = json.loads(text)
+        (doc[leg] if leg else doc)[key] = value
+        return json.dumps(doc)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, edit, named",
+    [
+        ("gravity_fit.json", _edited("alpha", [1], "est_census"), "est_census: alpha is [1], not a number"),
+        ("gravity_fit.json", _edited("n_pairs", 2.5, "est_census"), "est_census: n_pairs is 2.5, not a count"),
+        ("powerlaw_fit.json", _edited("stderr", "0.1", "gyration"), 'gyration: stderr is "0.1", not a number'),
+        ("cleaning_stats.json", _edited("event_fraction", None), "event_fraction is null, not a number"),
+        ("cleaning_stats.json", _edited("user_fraction", True), "user_fraction is true, not a number"),
+        ("communities_report.json", _edited("q_per_level", 5), "q_per_level is 5, not a list"),
+        ("communities_report.json", _edited("q_per_level", [0.5, {}]), "q_per_level[1] is {}, not a number"),
+        ("communities_report.json", _edited("communities_per_level", [2, 2.0]),
+         "communities_per_level[1] is 2.0, not a count"),
+    ],
+    ids=["list-alpha", "float-count", "string-number", "null-number", "bool-number", "int-levels",
+         "object-level", "float-level-count"],
+)
+def test_report_exits_six_on_values_of_the_wrong_type(pipeline, tmp_path, capsys, name, edit, named):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    (workdir / name).write_text(edit((workdir / name).read_text()))
+    assert cli("report", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
+    err = capsys.readouterr().err
+    assert err == f"geoflow: data error: {name}: {named}\n"
+
+
 def test_validate_against_scaled_reference(pipeline):
     world, config = pipeline
     rows = (world / "artifacts" / "balances.csv").read_text().splitlines()[1:]
@@ -911,13 +946,15 @@ def test_run_hands_the_power_law_samples_over_in_memory(tmp_path, monkeypatch):
     world = build_world(tmp_path, "world")
     config = str(world / "config.json")
     read = []
-    original = tables.read_rows
 
-    def recording(path, *args, **kwargs):
-        read.append(os.path.basename(path))
-        return original(path, *args, **kwargs)
+    def recording(original):
+        def reader(path, *args, **kwargs):
+            read.append(os.path.basename(path))
+            return original(path, *args, **kwargs)
+        return reader
 
-    monkeypatch.setattr(tables, "read_rows", recording)
+    for name in ("read_rows", "read_km"):
+        monkeypatch.setattr(tables, name, recording(getattr(tables, name)))
     assert cli("run", "--config", config) == 0
     assert read and not {"displacements.csv", "gyration.csv"} & set(read)
     fit = (world / "artifacts" / "powerlaw_fit.json").read_bytes()
@@ -925,6 +962,32 @@ def test_run_hands_the_power_law_samples_over_in_memory(tmp_path, monkeypatch):
     assert cli("fit-powerlaw", "--config", config) == 0  # a single stage reads the samples back
     assert {"displacements.csv", "gyration.csv"} <= set(read)
     assert (world / "artifacts" / "powerlaw_fit.json").read_bytes() == fit
+
+
+@pytest.mark.parametrize(
+    "name, line, named",
+    [
+        ("displacements.csv", "u1,1e308", "column km: '1e308' is not a distance from 0 to 20015.114442035923"),
+        ("displacements.csv", "u1,nan", "column km: 'nan' is not a distance"),
+        ("displacements.csv", "u1,-0.5", "column km: '-0.5' is not a distance"),
+        ("gyration.csv", "u1,abc", "column km: 'abc' is not a distance"),
+        ("gyration.csv", "u1,inf", "column km: 'inf' is not a distance"),
+        ("gyration.csv", "u1,2.0,3.0", "expected 2 fields, got 3"),
+        ("displacements.csv", "2.0", "expected 2 fields, got 1"),
+    ],
+    ids=["overflow", "nan", "negative", "not-a-number", "infinite", "three-fields", "one-field"],
+)
+def test_fit_powerlaw_rejects_km_rows_it_cannot_read_back(pipeline, tmp_path, capsys, name, line, named):
+    """A single-stage fit-powerlaw reads the km files back: a bad row exits 6 naming its file, line and column."""
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    lines = (workdir / name).read_text().splitlines()
+    lines[2] = line
+    (workdir / name).write_text("\n".join(lines) + "\n")
+    assert cli("fit-powerlaw", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
+    err = capsys.readouterr().err
+    assert err.startswith(f"geoflow: data error: {workdir / name}:3: {named}") and err.count("\n") == 1
 
 
 def _perfbench_layers():

@@ -442,6 +442,26 @@ def test_build_trajectories_partitions_events(pairs):
         assert stamps == sorted(stamps)
 
 
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)), max_size=60),
+    st.sampled_from([np.int16, np.int32]),
+    st.sampled_from([1, 3, 7, ingest.BLOCK_ROWS]),
+)
+def test_trajectory_order_is_the_lexsort(rows, dtype, block):
+    """Ties of user and timestamp, unused codes and one-row users, in any order and as a time-ordered stream (whose
+    users' rows are in time order already): the blocked counting sort is np.lexsort."""
+    for stream in (rows, sorted(rows, key=lambda row: row[1])):
+        user = np.array([u for u, _ in stream], dtype=dtype)
+        timestamp = np.array([t for _, t in stream], dtype=np.int64)
+        zero = np.zeros(len(stream))
+        events = ingest.EventTable([f"u{k}" for k in range(41)], ["s"], [], user, timestamp, zero, zero, user, user)
+        with mock.patch.object(ingest, "BLOCK_ROWS", block):
+            order, cuts = ingest.trajectory_blocks(events)
+        assert order.tolist() == np.lexsort((timestamp, user)).tolist()
+        assert cuts[0] == 0 and cuts[-1] == len(stream) and cuts == sorted(set(cuts))
+        assert all(user[order[lo - 1]] != user[order[lo]] for lo in cuts[1:-1])  # each block holds whole users
+
+
 # ---------------------------------------------------------------- columnar table
 
 FIELDS = ["u1", " u2 ", "", "100", "1.50", "+3", "007", "-5", "190", "-180", "90.0", "1e1", "nan", "xx", "de", " web "]
@@ -558,6 +578,50 @@ def test_canonical_lines_take_the_block_path(header):
         assert spy.call_count == calls
         assert report_bits(got) == report_bits(ingest.parse_events(lines))
         assert got.errors == ([] if bad is None else [(bad, "latitude out of range: 95.5")])
+
+
+class _Pipe(io.RawIOBase):
+    """A binary stream that cannot seek, read at most 1,000 bytes at a time."""
+
+    def __init__(self, data):
+        self.data, self.at = data, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = min(len(buffer), len(self.data) - self.at, 1000)
+        buffer[:n] = self.data[self.at : self.at + n]
+        self.at += n
+        return n
+
+
+@pytest.mark.parametrize("rows", [3, 4096])
+def test_a_stream_that_cannot_seek_parses_as_a_file(rows):
+    """Without a line count up front, the columns grow as the rows come, and hold the same report."""
+    lines = [f"u{i % 7},{i},{i % 90}.5,{-i % 180}.25,web,{'DE' if i % 3 else ''}\n".encode() for i in range(9_000)]
+    lines[4_321] = b"u1,5,95.5,2.0,web,\n"
+    data = b"".join(lines)
+    with mock.patch.object(ingest, "BLOCK_ROWS", rows):
+        got = ingest.parse_events(io.BufferedReader(_Pipe(data)))
+        file = ingest.parse_events(io.BytesIO(data))
+    assert report_bits(got) == report_bits(file) == report_bits(ingest.parse_events(lines))
+    assert (len(got.events), got.n_malformed) == (8_999, 1)
+
+
+@pytest.mark.parametrize("rows", [3, 4096])
+@pytest.mark.parametrize("malformed", [False, True])
+def test_vocabularies_past_int16_widen_their_codes(rows, malformed):
+    """40,000 users and sources, one line each: past 2**15 names mid-parse, the code columns widen to int32."""
+    lines = [f"u{i * 7919 % 40_000:05d},{i},1.5,2.5,app{i * 104_729 % 40_000}\n".encode() for i in range(40_000)]
+    if malformed:
+        lines[31_000] = b"u1,5,95.5,2.0,web\n"  # 4,096-line blocks: in the block where the users pass 2**15
+    want = ingest.parse_events(lines)
+    with mock.patch.object(ingest, "BLOCK_ROWS", rows):
+        got = ingest.parse_events(io.BytesIO(b"".join(lines)))
+    assert report_bits(got) == report_bits(want)
+    assert got.events.user.dtype == got.events.source.dtype == np.int32 and got.events.country.dtype == np.int16
+    assert len(got.events) == 40_000 - malformed and got.events.users == sorted(got.events.users)
 
 
 @given(st.lists(st.tuples(st.floats(-5.0, 25.0), st.floats(-5.0, 15.0), st.sampled_from([None, "AA", "ZZ"])), max_size=40))
