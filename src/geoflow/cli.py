@@ -47,6 +47,7 @@ from . import network as network_mod
 from . import residence as residence_mod
 from . import tables
 from .config import ConfigError, load_config
+from .tables import BOOL, COUNT, DISTANCE, INTEGER, NAME, NONNEGATIVE, NUMBER, TEXT
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -61,11 +62,12 @@ class StageOrderError(RuntimeError):
 
 class Artifact(NamedTuple):
     stage: str  # the command that writes it
-    header: Sequence[str] = ()  # CSV header; empty for JSON and text files
+    header: Sequence[str] | dict[str, tables.Kind] = ()  # CSV header, with column kinds if read back; () if not CSV
 
 
 _DAILY_HEADER = ["code", "day", "count", "normalized"]
-_KM_HEADER = ["user_id", "km"]
+_KM = dict(user_id=NAME, km=DISTANCE)
+_FLOW = dict(origin=NAME, destination=NAME, raw_weight=COUNT, est_weight=NONNEGATIVE)
 
 # Every file the commands write into paths.workdir. communities.csv appends
 # one column per partition level to its header. An artifact written with
@@ -77,20 +79,20 @@ ARTIFACTS: dict[str, Artifact] = {
     "cleaning_report.csv": Artifact("clean", ["country", "source", "mass", "retained"]),
     "cleaning_stats.json": Artifact("clean"),
     "profiles.csv": Artifact("profile", ["user_id", "residence", "total_events", "distinct_countries"]),
-    "country_stats.csv": Artifact(
-        "profile", ["code", "residents", "population", "penetration", "included", "gdp_per_capita", "reason"]
-    ),
-    "mobility_profiles.csv": Artifact(
-        "metrics", ["code", "n_residents", "mobility_rate", "mean_radius_km", "countries_visited"]
-    ),
+    # A census may give a population of 0 or below, and no population or GDP (an empty cell): see CountryStats.
+    "country_stats.csv": Artifact("profile", dict(
+        code=NAME, residents=COUNT, population=INTEGER.or_empty(), penetration=NONNEGATIVE, included=BOOL,
+        gdp_per_capita=NUMBER.or_empty(), reason=TEXT)),
+    "mobility_profiles.csv": Artifact("metrics", dict(
+        code=NAME, n_residents=COUNT, mobility_rate=NONNEGATIVE, mean_radius_km=NONNEGATIVE, countries_visited=COUNT)),
     "daily_outbound.csv": Artifact("metrics", _DAILY_HEADER),
     "daily_inbound.csv": Artifact("metrics", _DAILY_HEADER),
-    "displacements.csv": Artifact("metrics", _KM_HEADER),
-    "gyration.csv": Artifact("metrics", _KM_HEADER),
+    "displacements.csv": Artifact("metrics", _KM),
+    "gyration.csv": Artifact("metrics", _KM),
     "edges_raw.csv": Artifact("network", ["origin", "destination", "raw_weight"]),
-    "edges.csv": Artifact("network", ["origin", "destination", "raw_weight", "est_weight"]),
-    "balances.csv": Artifact("network", ["code", "inflow", "outflow", "balance"]),
-    "top_flows.csv": Artifact("network", ["rank", "origin", "destination", "raw_weight", "est_weight"]),
+    "edges.csv": Artifact("network", _FLOW),
+    "balances.csv": Artifact("network", dict(code=NAME, inflow=NONNEGATIVE, outflow=NONNEGATIVE, balance=NUMBER)),
+    "top_flows.csv": Artifact("network", dict(rank=COUNT, **_FLOW)),
     "communities.csv": Artifact("communities", ["country"]),
     "communities_report.json": Artifact("communities"),
     "gravity_fit.json": Artifact("fit-gravity"),
@@ -125,7 +127,7 @@ class Workspace:
             raise StageOrderError(f"missing artifact {path}; run the {ARTIFACTS[name].stage!r} stage first")
         return path
 
-    def read_rows(self, name: str) -> list[list[str]]:
+    def read_rows(self, name: str) -> dict[str, list[Any]]:
         return tables.read_rows(self.artifact(name), ARTIFACTS[name].header)
 
     def write_rows(self, name: str, rows: Any) -> None:
@@ -163,8 +165,8 @@ _LOADERS: dict[str, Callable[[Workspace], Any]] = {
     # clean writes its events in trajectory order; a hand-made file is sorted here, once.
     "events_clean.csv": lambda ws: _trajectories(tables.read_events(ws.artifact("events_clean.csv"))),
     "profiles": lambda ws: residence_mod.build_profiles(ws.load("events_clean.csv")),
-    "displacements.csv": lambda ws: tables.read_km(ws.artifact("displacements.csv"), _KM_HEADER),
-    "gyration.csv": lambda ws: tables.read_km(ws.artifact("gyration.csv"), _KM_HEADER),
+    "displacements.csv": lambda ws: np.array(ws.read_rows("displacements.csv")["km"]),
+    "gyration.csv": lambda ws: np.array(ws.read_rows("gyration.csv")["km"]),
 }
 
 
@@ -264,18 +266,8 @@ def stage_profile(ws: Workspace) -> None:
 
 
 def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
-    out: dict[str, residence_mod.CountryStats] = {}
-    for code, residents, population, penetration, included, gdp, reason in ws.read_rows("country_stats.csv"):
-        out[code] = residence_mod.CountryStats(
-            code=code,
-            residents=int(residents),
-            population=int(population) if population else None,
-            penetration=float(penetration),
-            included=included == "true",
-            gdp_per_capita=float(gdp) if gdp else None,
-            reason=reason,
-        )
-    return out
+    """country_stats.csv by code; its columns are CountryStats' fields, in order."""
+    return {row[0]: residence_mod.CountryStats(*row) for row in zip(*ws.read_rows("country_stats.csv").values())}
 
 
 def stage_metrics(ws: Workspace) -> None:
@@ -316,19 +308,16 @@ def stage_network(ws: Workspace) -> None:
     )
 
 
-def _flow_edges(ws: Workspace) -> tuple[dict[str, dict[tuple[str, str], float]], list[str]]:
-    """Edge weights by kind ("raw" or "est") from edges.csv, and the nodes from balances.csv."""
-    rows = ws.read_rows("edges.csv")
-    weights = {
-        "raw": {(o, d): float(raw) for o, d, raw, _ in rows},
-        "est": {(o, d): float(est) for o, d, _, est in rows},
-    }
-    return weights, [row[0] for row in ws.read_rows("balances.csv")]
+def _flow_edges(ws: Workspace) -> dict[str, dict[tuple[str, str], float]]:
+    """Edge weights by kind ("raw" or "est") from edges.csv."""
+    edges = ws.read_rows("edges.csv")
+    pairs = list(zip(edges["origin"], edges["destination"]))
+    return {kind: dict(zip(pairs, edges[f"{kind}_weight"])) for kind in ("raw", "est")}
 
 
 def stage_communities(ws: Workspace) -> None:
     settings = ws.config["communities"]
-    weights, nodes = _flow_edges(ws)
+    weights, nodes = _flow_edges(ws), ws.read_rows("balances.csv")["code"]
     if not nodes:
         raise ValueError("empty network: nothing to partition")
     hierarchy = community_mod.hierarchical_partition(
@@ -362,10 +351,8 @@ def stage_fit_gravity(ws: Workspace) -> None:
     distances = models_mod.capital_distances(
         tables.read_capitals(_external(ws.config, "capitals", required=True))
     )
-    weights, _ = _flow_edges(ws)
-    census_pops = {
-        c: float(s.population) for c, s in stats.items() if s.population and s.population > 0
-    }
+    weights = _flow_edges(ws)
+    census_pops = {c: float(s.population) for c, s in stats.items() if s.population and s.population > 0}
     platform_pops = {c: float(s.residents) for c, s in stats.items() if s.residents > 0}
     report: dict[str, Any] = {}
     for name, flows, pops in (
@@ -409,7 +396,8 @@ def stage_fit_powerlaw(ws: Workspace) -> None:
 
 def cmd_validate(ws: Workspace) -> None:
     reference_path = _external(ws.config, "reference", required=True)
-    inflows = {row[0]: float(row[1]) for row in ws.read_rows("balances.csv")}
+    balances = ws.read_rows("balances.csv")
+    inflows = dict(zip(balances["code"], balances["inflow"]))
     report: dict[str, Any] = {}
     for name, column in (("arrivals", 1), ("receipts", 2)):
         try:
@@ -504,71 +492,71 @@ def cmd_run(ws: Workspace, args: argparse.Namespace) -> None:
             command.handler(ws, args)
 
 
-# Row counts of ingest_report.json and cleaning_stats.json that must balance: each total is the sum of its parts.
+# Row counts that must balance: each total, in ingest_report.json, is the sum of its parts, in the file named.
 _CONSERVATION = [
-    ("n_lines", ("n_events", "n_malformed", "header_skipped")),
-    ("n_events", ("n_labeled", "n_unlocatable_dropped")),
-    ("n_labeled", ("speed_removed", "events_before")),
+    ("n_lines", "ingest_report.json", ("n_events", "n_malformed", "header_skipped")),
+    ("n_events", "ingest_report.json", ("n_labeled", "n_unlocatable_dropped")),
+    ("n_labeled", "cleaning_stats.json", ("speed_removed", "events_before")),
 ]
 
 
-def _check_conservation(counts: dict[str, Any]) -> None:
-    """Raise ValueError naming the first identity of _CONSERVATION that the counts break."""
-    for total, parts in _CONSERVATION:
-        values = [counts[name] for name in (total, *parts)]
-        identity = f"{total} = {' + '.join(parts)}"
-        if not all(isinstance(value, int) for value in values):
-            raise ValueError(f"{identity}: {values} are not all counts")
-        if values[0] != sum(values[1:]):
-            raise ValueError(f"{identity} does not hold: {values[0]} != {sum(values[1:])}")
+def _check_conservation(docs: dict[str, dict[str, Any]]) -> None:
+    """Raise ValueError naming the first identity of _CONSERVATION that the counts of `docs` (by file) break."""
+    for total, name, parts in _CONSERVATION:
+        whole = _checked("ingest_report.json", docs["ingest_report.json"], total, "d")
+        values = [_checked(name, docs[name], part, "d") for part in parts]
+        if whole != sum(values):
+            raise ValueError(f"{total} = {' + '.join(parts)} does not hold: {whole} != {sum(values)}")
 
 
-def _checked(name: str, key: str, value: Any, spec: str) -> Any:
-    """A value `report` formats with `spec`: a number for ".6g", a count for "". Any other JSON type raises
-    ValueError naming the file and the key."""
-    number = spec == ".6g"
-    if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
-        raise ValueError(f"{name}: {key} is {json.dumps(value)}, not {'a number' if number else 'a count'}")
-    return value
+# The JSON types that `report` takes for each spec, and their name; "d" also takes a flag, as header_skipped is.
+_SPECS = {".6g": ((int, float), "a number"), "": ((int,), "a count"), "d": ((int, bool), "a count"),
+          "list": ((list,), "a list"), "object": ((dict,), "an object")}
 
 
-def _format(name: str, template: str, values: dict[str, Any]) -> str:
-    """template.format_map(values), the value of each of its fields checked first (_checked)."""
+def _checked(name: str, doc: dict[str, Any], key: str, spec: str) -> Any:
+    """doc[key], a value of the types _SPECS gives for `spec`. A missing key, or a value of any other JSON type,
+    raises ValueError naming the file and the key."""
+    if key not in doc:
+        raise ValueError(f"{name}: {key} is missing")
+    types, what = _SPECS[spec]
+    if type(doc[key]) not in types:
+        raise ValueError(f"{name}: {key} is {json.dumps(doc[key])}, not {what}")
+    return doc[key]
+
+
+def _format(name: str, template: str, doc: dict[str, Any]) -> str:
+    """template.format_map(doc), the value of each of its fields checked first (_checked)."""
     fields = re.findall(r"{(\w+):?([^}]*)}", template)
-    return template.format_map({key: _checked(name, key, values[key], spec) for key, spec in fields})
+    return template.format_map({key: _checked(name, doc, key, spec) for key, spec in fields})
 
 
-def _levels(name: str, key: str, values: Any, spec: str) -> str:
-    """A list of one value per partition level, each checked (_checked) and formatted with spec, joined by spaces."""
-    if not isinstance(values, list):
-        raise ValueError(f"{name}: {key} is {json.dumps(values)}, not a list")
-    return " ".join(format(_checked(name, f"{key}[{i}]", value, spec), spec) for i, value in enumerate(values))
+def _levels(name: str, doc: dict[str, Any], key: str, spec: str) -> str:
+    """doc[key], a list of one value per partition level, each checked and formatted with spec, joined by spaces."""
+    levels = {f"{key}[{i}]": value for i, value in enumerate(_checked(name, doc, key, "list"))}
+    return " ".join(format(_checked(name, levels, level, spec), spec) for level in levels)
 
 
 def cmd_report(ws: Workspace) -> str:
     lines = ["PIPELINE REPORT", ""]
     add = lines.append
-    ingest_report = tables.read_json(ws.artifact("ingest_report.json"))
-    cleaning = tables.read_json(ws.artifact("cleaning_stats.json"))
-    _check_conservation({**ingest_report, **cleaning})
-    add(f"[ingest_report.json] lines={ingest_report['n_lines']} events={ingest_report['n_events']} "
-        f"malformed={ingest_report['n_malformed']} unlocatable={ingest_report['n_unlocatable_dropped']}")
-    add(_format("cleaning_stats.json", "[cleaning_stats.json] speed_removed={speed_removed} "
-                "user_survival={user_fraction:.6g} event_survival={event_fraction:.6g}", cleaning))
+    docs = {name: tables.read_json(ws.artifact(name)) for name in ("ingest_report.json", "cleaning_stats.json")}
+    _check_conservation(docs)
+    add(_format("ingest_report.json", "[ingest_report.json] lines={n_lines} events={n_events} "
+                "malformed={n_malformed} unlocatable={n_unlocatable_dropped}", docs["ingest_report.json"]))
+    add(_format("cleaning_stats.json", "[cleaning_stats.json] speed_removed={speed_removed} user_survival="
+                "{user_fraction:.6g} event_survival={event_fraction:.6g}", docs["cleaning_stats.json"]))
     stats = _country_stats(ws)
-    included = sorted(c for c, s in stats.items() if s.included)
-    add(f"[country_stats.csv] countries={len(stats)} included={len(included)}")
-    mob_rows = ws.read_rows("mobility_profiles.csv")
-    rates = [float(r[2]) for r in mob_rows]
+    add(f"[country_stats.csv] countries={len(stats)} included={sum(s.included for s in stats.values())}")
+    rates = ws.read_rows("mobility_profiles.csv")["mobility_rate"]
     mean_rate = sum(rates) / len(rates) if rates else 0.0
-    add(f"[mobility_profiles.csv] countries={len(mob_rows)} mean_mobility_rate={mean_rate:.6g}")
-    add(f"[edges.csv] edges={len(ws.read_rows('edges.csv'))}")
-    top_rows = ws.read_rows("top_flows.csv")
-    if top_rows:
-        first = top_rows[0]
-        add(f"[top_flows.csv] top flow {first[1]}->{first[2]} est={float(first[4]):.6g}")
+    add(f"[mobility_profiles.csv] countries={len(rates)} mean_mobility_rate={mean_rate:.6g}")
+    add(f"[edges.csv] edges={len(ws.read_rows('edges.csv')['origin'])}")
+    top = ws.read_rows("top_flows.csv")
+    if top["rank"]:
+        add(f"[top_flows.csv] top flow {top['origin'][0]}->{top['destination'][0]} est={top['est_weight'][0]:.6g}")
     communities = tables.read_json(ws.artifact("communities_report.json"))
-    qs, ns = (_levels("communities_report.json", key, communities[key], spec)
+    qs, ns = (_levels("communities_report.json", communities, key, spec)
               for key, spec in (("q_per_level", ".6g"), ("communities_per_level", "")))
     add(f"[communities_report.json] q_per_level=[{qs}] communities_per_level=[{ns}]")
     # Fit and validation reports hold one entry per leg, each a result or an error.
@@ -581,9 +569,7 @@ def cmd_report(ws: Workspace) -> str:
     for name, template in entries:
         report = tables.read_json(ws.artifact(name))
         for key in sorted(report):
-            entry = report[key]
-            if not isinstance(entry, dict):
-                raise ValueError(f"{name}: {key} is not an object")
+            entry = _checked(name, report, key, "object")
             detail = f"error={entry['error']}" if "error" in entry else _format(f"{name}: {key}", template, entry)
             add(f"[{name}:{key}] {detail}")
     text = "\n".join(lines) + "\n"

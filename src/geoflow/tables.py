@@ -27,8 +27,10 @@ import json
 import math
 import mmap
 import os
+import sys
 from contextlib import contextmanager, suppress
-from typing import IO, Any, Iterable, Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,15 +82,9 @@ def write_blocks(path: str, header: Sequence[str], blocks: Iterable[bytes]) -> N
         fh.writelines(blocks)
 
 
-def _split_lines(path: str) -> list[list[str]]:
-    """The fields of each nonblank line. Lines end at LF only, as ingest reads them; a CR before it is dropped.
-
-    A byte that is not UTF-8 raises ValueError naming the file and its line, as for events."""
-    return [fields for _, fields in _numbered_lines(path)]
-
-
-def _numbered_lines(path: str) -> list[tuple[int, list[str]]]:
-    """The 1-based number and the fields of each nonblank line, as _split_lines reads them."""
+def _numbered_lines(path: str) -> tuple[list[int], list[list[str]]]:
+    """The 1-based numbers of the nonblank lines, and the fields of each. Lines end at LF only, as ingest reads
+    them; a CR before it is dropped. A byte that is not UTF-8 raises ValueError naming the file and its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -96,40 +92,67 @@ def _numbered_lines(path: str) -> list[tuple[int, list[str]]]:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: invalid UTF-8") from None
-    rows = [(n, line.rstrip("\r").split(",")) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
-    if not rows:
+    lines = text.split("\n")
+    numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
+    if not numbers:
         raise ValueError(f"{path}: empty table")
-    return rows
+    return numbers, [lines[n - 1].rstrip("\r").split(",") for n in numbers]
 
 
-def read_rows(path: str, expected_header: Sequence[str] | None = None) -> list[list[str]]:
-    header, *rows = _split_lines(path)
-    if expected_header is not None and header != list(expected_header):
-        raise ValueError(f"{path}: header {header} != expected {list(expected_header)}")
-    return rows
+class Kind(NamedTuple):
+    """What the cells of a column hold, as `what` names it in read_rows' errors: `read` converts one cell, raising
+    ValueError or KeyError if it cannot, and `valid` tells whether all the values of a column are in range."""
 
+    what: str
+    read: Callable[[str], Any]
+    valid: Callable[[list[Any]], Any] = lambda values: True
 
-def read_km(path: str, header: Sequence[str]) -> np.ndarray:
-    """The last column of a table of great-circle distances (displacements, gyration radii) as float64.
-
-    A row with another field count than the header, or a distance that is not a number from 0 to
-    sphere.MAX_DISTANCE_KM, raises ValueError naming the file, the line and the column."""
-    (_, names), *rows = _numbered_lines(path)
-    if names != list(header):
-        raise ValueError(f"{path}: header {names} != expected {list(header)}")
-    km = np.empty(len(rows))
-    for row, (lineno, fields) in enumerate(rows):
-        if len(fields) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+    def values(self, cells: list[str]) -> list[Any] | None:
+        """The values of `cells`, read a column at a time; None unless each reads and all are valid."""
         try:
-            value = float(fields[-1])
-        except ValueError:
-            value = math.nan  # fails the range check
-        if not 0.0 <= value <= MAX_DISTANCE_KM:
-            raise ValueError(f"{path}:{lineno}: column {header[-1]}: {fields[-1].strip()!r} is not a distance "
-                             f"from 0 to {MAX_DISTANCE_KM!r}")
-        km[row] = value
-    return km
+            values = list(map(self.read, cells))
+            return values if self.valid(values) else None
+        except (ValueError, KeyError):
+            return None
+
+    def or_empty(self) -> Kind:
+        """This kind, or an empty cell, which reads as None."""
+        return Kind(f"{self.what} or empty", lambda cell: self.read(cell) if cell else None,
+                    lambda values: self.valid([value for value in values if value is not None]))
+
+
+def _floats(what: str, low: float, high: float) -> Kind:
+    """Floats from `low` to `high`, checked as one float64 array: NaN is in no range."""
+    return Kind(what, float, lambda values: ((low <= (array := np.array(values, dtype=float))) & (array <= high)).all())
+
+
+TEXT = Kind("text", str)
+NAME = Kind("a name", str, all)
+BOOL = Kind("true or false", {"true": True, "false": False}.__getitem__)
+INTEGER = Kind("an integer", int)  # a census population may pass int64
+COUNT = Kind("a count", int, lambda values: min(values, default=0) >= 0)
+NUMBER = _floats("a finite number", -sys.float_info.max, sys.float_info.max)
+NONNEGATIVE = _floats("a nonnegative finite number", 0.0, sys.float_info.max)
+DISTANCE = _floats(f"a distance from 0 to {MAX_DISTANCE_KM!r}", 0.0, MAX_DISTANCE_KM)
+
+
+def read_rows(path: str, columns: Mapping[str, Kind]) -> dict[str, list[Any]]:
+    """The values of each column of a table with header `columns`, read whole as its Kind declares. A row of another
+    field count, or a cell not of its column's kind, raises ValueError naming the file, line and column."""
+    numbers, (header, *rows) = _numbered_lines(path)
+    if header != list(columns):
+        raise ValueError(f"{path}: header {header} != expected {list(columns)}")
+    if set(map(len, rows)) - {len(header)}:
+        lineno, fields = next((n, fields) for n, fields in zip(numbers[1:], rows) if len(fields) != len(header))
+        raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+    out: dict[str, list[Any]] = {}
+    for column, (name, kind) in enumerate(columns.items()):
+        out[name] = kind.values(list(map(itemgetter(column), rows)))
+        if out[name] is None:
+            cells = ((n, fields[column]) for n, fields in zip(numbers[1:], rows))
+            lineno, cell = next((n, cell) for n, cell in cells if kind.values([cell]) is None)
+            raise ValueError(f"{path}:{lineno}: column {name}: {cell.strip()!r} is not {kind.what}")
+    return out
 
 
 def write_json(path: str, obj: Any) -> None:
@@ -397,7 +420,7 @@ def _code_rows(path: str) -> list[tuple[str, list[str]]]:
     Line 1 is a header only when its second field is not a number, as for
     events. A code that two rows name, in any case, raises DuplicateCodeError.
     """
-    rows = _split_lines(path)
+    _, rows = _numbered_lines(path)
     if len(rows[0]) >= 2:
         try:
             float(rows[0][1])

@@ -269,6 +269,33 @@ def test_report_exits_six_on_values_of_the_wrong_type(pipeline, tmp_path, capsys
     assert err == f"geoflow: data error: {name}: {named}\n"
 
 
+def _dropped(key, leg=None):
+    """An edit of a JSON artifact's text that removes `key`, from object `leg` if given."""
+    def edit(text):
+        doc = json.loads(text)
+        del (doc[leg] if leg else doc)[key]
+        return json.dumps(doc)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, edit, named",
+    [
+        ("ingest_report.json", _dropped("n_lines"), "n_lines is missing"),
+        ("cleaning_stats.json", _dropped("user_fraction"), "user_fraction is missing"),
+        ("powerlaw_fit.json", _dropped("exponent", "displacements"), "displacements: exponent is missing"),
+    ],
+    ids=["ingest-count", "cleaning-fraction", "powerlaw-leg"],
+)
+def test_report_names_the_file_of_a_missing_key(pipeline, tmp_path, capsys, name, edit, named):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    (workdir / name).write_text(edit((workdir / name).read_text()))
+    assert cli("report", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
+    assert capsys.readouterr().err == f"geoflow: data error: {name}: {named}\n"
+
+
 def test_validate_against_scaled_reference(pipeline):
     world, config = pipeline
     rows = (world / "artifacts" / "balances.csv").read_text().splitlines()[1:]
@@ -299,6 +326,26 @@ def test_individual_stages_match_run(pipeline, tmp_path):
         ours = (world / "artifacts" / name).read_bytes()
         theirs = (run_world / "artifacts" / name).read_bytes()
         assert ours == theirs, name
+
+
+def test_stages_match_run_on_a_census_of_nonpositive_populations(tmp_path):
+    """profile writes a census population of 0 or -5 (with its reason), a negative GDP and empty GDP cells into
+    country_stats.csv, and network a negative balance: each stage reads them back as `run` hands them on."""
+    world = build_world(tmp_path, "world")
+    codes = [row.split(",")[0] for row in (world / "census.csv").read_text().splitlines()[1:]]
+    cells = ["0,", "-5,-1.5", *(f"{1_000 * (k + 1)}," for k in range(len(codes) - 2))]
+    rows = [f"{code},{cell}" for code, cell in zip(codes, cells)]
+    (world / "census.csv").write_text("\n".join(["code,population,gdp_per_capita", *rows]) + "\n")
+    config = str(world / "config.json")
+    for stage in (*STAGES, "report"):
+        assert cli(stage, "--config", config) == 0, stage
+    run = tmp_path / "run"
+    for command in ("run", "report"):
+        assert cli(command, "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(run)}) == 0
+    for name in [*RUN_ARTIFACTS, "report.txt"]:
+        assert (world / "artifacts" / name).read_bytes() == (run / name).read_bytes(), name
+    stats = (run / "country_stats.csv").read_text()
+    assert "nonpositive population -5" in stats and ",-1.5," in stats and ",-" in (run / "balances.csv").read_text()
 
 
 def test_stages_match_run_on_a_user_id_holding_a_carriage_return(tmp_path):
@@ -844,9 +891,9 @@ def test_communities_on_raw_weights_partition_the_raw_edges(tmp_path):
     settings = load_config(config)
     levels = settings["communities"]["max_levels"]
     edges = tables.read_rows(str(workdir / "edges.csv"), cli_mod.ARTIFACTS["edges.csv"].header)
-    nodes = [row[0] for row in tables.read_rows(str(workdir / "balances.csv"), cli_mod.ARTIFACTS["balances.csv"].header)]
+    nodes = tables.read_rows(str(workdir / "balances.csv"), cli_mod.ARTIFACTS["balances.csv"].header)["code"]
     want = community.hierarchical_partition(
-        {(o, d): float(raw) for o, d, raw, _ in edges},
+        {(o, d): float(raw) for o, d, raw in zip(edges["origin"], edges["destination"], edges["raw_weight"])},
         max_levels=levels, seed=settings["seed"], restarts=settings["communities"]["restarts"], nodes=nodes,
     )
     header = ["country", *(f"level{k}" for k in range(1, levels + 1))]
@@ -953,8 +1000,7 @@ def test_run_hands_the_power_law_samples_over_in_memory(tmp_path, monkeypatch):
             return original(path, *args, **kwargs)
         return reader
 
-    for name in ("read_rows", "read_km"):
-        monkeypatch.setattr(tables, name, recording(getattr(tables, name)))
+    monkeypatch.setattr(tables, "read_rows", recording(tables.read_rows))
     assert cli("run", "--config", config) == 0
     assert read and not {"displacements.csv", "gyration.csv"} & set(read)
     fit = (world / "artifacts" / "powerlaw_fit.json").read_bytes()
@@ -988,6 +1034,52 @@ def test_fit_powerlaw_rejects_km_rows_it_cannot_read_back(pipeline, tmp_path, ca
     assert cli("fit-powerlaw", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
     err = capsys.readouterr().err
     assert err.startswith(f"geoflow: data error: {workdir / name}:3: {named}") and err.count("\n") == 1
+
+
+NOT_NONNEGATIVE = "is not a nonnegative finite number"
+
+
+@pytest.mark.parametrize(
+    "name, edit, command, named",
+    [
+        ("edges.csv", {"est_weight": "nan"}, "fit-gravity", f"column est_weight: 'nan' {NOT_NONNEGATIVE}"),
+        ("edges.csv", {"est_weight": "1e400"}, "fit-gravity", f"column est_weight: '1e400' {NOT_NONNEGATIVE}"),
+        ("country_stats.csv", {"penetration": "nan"}, "network", f"column penetration: 'nan' {NOT_NONNEGATIVE}"),
+        ("country_stats.csv", {"included": "maybe"}, "network", "column included: 'maybe' is not true or false"),
+        ("mobility_profiles.csv", 2, "report", "expected 5 fields, got 2"),
+        ("top_flows.csv", 2, "report", "expected 5 fields, got 2"),
+        ("edges.csv", {"raw_weight": "x"}, "communities", "column raw_weight: 'x' is not a count"),
+        ("country_stats.csv", {"residents": "x"}, "network", "column residents: 'x' is not a count"),
+        ("mobility_profiles.csv", {"mobility_rate": "x"}, "report", f"column mobility_rate: 'x' {NOT_NONNEGATIVE}"),
+        ("edges.csv", 3, "communities", "expected 4 fields, got 3"),
+        ("balances.csv", {"inflow": "x"}, "validate", f"column inflow: 'x' {NOT_NONNEGATIVE}"),
+    ],
+    ids=["nan-weight", "overflowing-weight", "nan-penetration", "maybe-included", "short-mobility-row",
+         "short-top-flow", "weight-not-a-count", "residents-not-a-count", "rate-not-a-number", "short-edge",
+         "inflow-not-a-number"],
+)
+def test_stages_reject_artifact_cells_they_cannot_read_back(pipeline, tmp_path, capsys, name, edit, command, named):
+    """A stage that reads an artifact back exits 6 on a bad row of it, naming the file, the line and the column:
+    `edit` sets cells of line 3 by column name, or keeps only that many of its fields."""
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    lines = (workdir / name).read_text().splitlines()
+    fields = lines[2].split(",")
+    if isinstance(edit, int):
+        fields = fields[:edit]
+    else:
+        header = lines[0].split(",")
+        for column, cell in edit.items():
+            fields[header.index(column)] = cell
+    lines[2] = ",".join(fields)
+    (workdir / name).write_text("\n".join(lines) + "\n")
+    reference = tmp_path / "reference.csv"
+    reference.write_text("code,arrivals,receipts\nAA,1.0,2.0\n")
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), "GEOFLOW_PATHS_REFERENCE": str(reference)}
+    assert cli(command, "--config", config, env=env) == 6
+    err = capsys.readouterr().err
+    assert err == f"geoflow: data error: {workdir / name}:3: {named}\n"
 
 
 def _perfbench_layers():

@@ -27,8 +27,7 @@ def test_fmt_cases():
 def test_rows_round_trip(tmp_path):
     path = str(tmp_path / "t.csv")
     write_rows(path, ["a", "b"], [[1, 0.5], [None, "z"]])
-    assert read_rows(path) == [["1", "0.5"], ["", "z"]]
-    assert read_rows(path, expected_header=["a", "b"]) == [["1", "0.5"], ["", "z"]]
+    assert read_rows(path, {"a": tables.COUNT.or_empty(), "b": tables.NAME}) == {"a": [1, None], "b": ["0.5", "z"]}
 
 
 def test_rows_writer_is_byte_stable(tmp_path):
@@ -45,14 +44,14 @@ def test_rows_header_mismatch(tmp_path):
     path = str(tmp_path / "t.csv")
     write_rows(path, ["a", "b"], [[1, 2]])
     with pytest.raises(ValueError, match="header"):
-        read_rows(path, expected_header=["a", "c"])
+        read_rows(path, {"a": tables.NAME, "c": tables.NAME})
 
 
 def test_empty_table_rejected(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
-        read_rows(str(path))
+        read_rows(str(path), {"a": tables.NAME})
 
 
 def test_json_round_trip_sorted(tmp_path):
@@ -221,7 +220,7 @@ def test_code_tables_without_header_keep_their_first_row(tmp_path):
 def test_tables_split_lines_at_lf_only(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"a,b\r\nx\ry,1\r\nz,2\n")
-    assert read_rows(str(path), expected_header=["a", "b"]) == [["x\ry", "1"], ["z", "2"]]
+    assert read_rows(str(path), {"a": tables.NAME, "b": tables.NAME}) == {"a": ["x\ry", "z"], "b": ["1", "2"]}
 
 
 # ---------------------------------------------------------------- configuration
