@@ -18,7 +18,7 @@ index = BoundaryIndex(world_boundaries(world))
 labeled, _ = label_events(parse_events(event_lines(events)).events, index)
 trajectories = labeled.take(build_trajectories(labeled))
 
-profiles = build_profiles(labeled)  # columns by user code over the events' vocabularies
+profiles = build_profiles(trajectories)  # columns by user code over the events' vocabularies
 has = np.flatnonzero(profiles.residence >= 0)  # the users with an event
 homes = [profiles.countries[c] for c in profiles.residence[has].tolist()]
 hits = sum(home == truth.residences[profiles.users[u]] for u, home in zip(has.tolist(), homes))

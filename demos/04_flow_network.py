@@ -2,7 +2,7 @@
 estimates, and the balance sheet they imply.
 """
 
-from geoflow.ingest import BoundaryIndex, label_events, parse_events
+from geoflow.ingest import BoundaryIndex, build_trajectories, label_events, parse_events
 from geoflow.network import (
     build_flow_network,
     inflow_outflow_balance,
@@ -15,7 +15,7 @@ from geoflow.synth import event_lines, generate_events, make_world, world_bounda
 world = make_world(8, seed=19, n_blocks=2, block_boost=4.0)
 events, _ = generate_events(world, users_per_country=80, events_per_user=20, trip_rate=0.6)
 labeled, _ = label_events(parse_events(event_lines(events)).events, BoundaryIndex(world_boundaries(world)))
-profiles = build_profiles(labeled)
+profiles = build_profiles(labeled.take(build_trajectories(labeled)))  # it reads the rows in trajectory order
 
 raw = build_flow_network(profiles)
 print(f"raw network: {len(raw.nodes)} countries, {len(raw.edges)} directed edges")

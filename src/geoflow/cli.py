@@ -398,14 +398,13 @@ def cmd_validate(ws: Workspace) -> None:
     reference_path = _external(ws.config, "reference", required=True)
     balances = ws.read_rows("balances.csv")
     inflows = dict(zip(balances["code"], balances["inflow"]))
+    rows = tables.code_rows(reference_path)  # read once; a table that cannot be read is no one leg's error
     report: dict[str, Any] = {}
     for name, column in (("arrivals", 1), ("receipts", 2)):
         try:
-            reference = tables.read_reference(reference_path, column=column)
+            reference = tables.reference_column(reference_path, rows, column)
             r2, matched = models_mod.validate_external(inflows, reference)
             report[name] = {"r2": r2, "matched_countries": matched}
-        except tables.DuplicateCodeError:
-            raise  # the table itself is unusable, not just this leg
         except ValueError as exc:
             report[name] = {"error": str(exc)}
     tables.write_json(ws.path("validate.json"), report)

@@ -577,18 +577,13 @@ def load_boundaries(path: str) -> list[CountryBoundary]:
 
 
 def build_trajectories(events: EventTable) -> np.ndarray:
-    """Row order of the per-user trajectories: users in id order, each by timestamp, ties in input order."""
-    return trajectory_blocks(events)[0]
-
-
-def trajectory_blocks(events: EventTable) -> tuple[np.ndarray, list[int]]:
-    """The row order of build_trajectories, and cuts of it into blocks of whole users about BLOCK_ROWS rows
-    long: block k is order[cuts[k]:cuts[k + 1]].
+    """Row order of the per-user trajectories: users in id order, each by timestamp, ties in input order.
 
     The order is the permutation of np.lexsort((timestamp, user)), as int32 below 2**31 rows, with no temporary
     beyond a block of rows and three int64 per user: a stable counting sort by user, BLOCK_ROWS rows at a time,
-    then each block sorted by (user, timestamp), which keeps the input order of ties. That last pass is skipped
-    when each user's rows already come in time order, as in a time-ordered stream.
+    then each block of whole users about BLOCK_ROWS rows long sorted by (user, timestamp), which keeps the input
+    order of ties. That last pass is skipped when each user's rows already come in time order, as in a
+    time-ordered stream.
     """
     user, n = events.user, len(events)
     offsets = np.zeros(len(events.users) + 1, dtype=np.int64)  # user k's rows go to offsets[k]:offsets[k + 1]
@@ -613,10 +608,10 @@ def trajectory_blocks(events: EventTable) -> tuple[np.ndarray, list[int]]:
         in_time_order = in_time_order and bool((stamps >= previous).all())
         run_end = np.r_[run_start[1:], True]
         latest[codes[run_end]] = stamps[run_end]
-    starts = offsets[np.searchsorted(offsets, np.arange(0, n, BLOCK_ROWS), side="right") - 1]  # ascending
-    cuts = [*dict.fromkeys(starts.tolist()), n]
     if not in_time_order:
+        starts = offsets[np.searchsorted(offsets, np.arange(0, n, BLOCK_ROWS), side="right") - 1]  # ascending
+        cuts = [*dict.fromkeys(starts.tolist()), n]
         for lo, hi in zip(cuts, cuts[1:]):
             rows = order[lo:hi]
             order[lo:hi] = rows[np.lexsort((events.timestamp[rows], user[rows]))]
-    return order, cuts
+    return order

@@ -57,22 +57,22 @@ class CountryStats:
 def build_profiles(events: EventTable) -> UserTable:
     """The UserTable of labeled events, over their vocabularies.
 
-    The rows are read in trajectory order (ingest.trajectory_blocks), a block of whole users at a time, where each
-    (user, country) pair's first row is its earliest event, ties in input order."""
+    The rows are in trajectory order (ingest.build_trajectories), as the clean stage sorts them, so each
+    (user, country) pair's first row is its earliest event. They are read in blocks of whole users about
+    ingest.BLOCK_ROWS rows long."""
     if np.any(events.country < 0):
         raise ValueError("every event needs a country label")
     n = len(events.users)
     residence = np.full(n, -1, dtype=events.country.dtype)
     totals = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)  # events, countries
     pairs = [(events.user[:0], events.country[:0])]
-    order, cuts = ingest.trajectory_blocks(events)
+    cuts = ingest.user_blocks(events.user, ingest.BLOCK_ROWS)
     for lo, hi in zip(cuts, cuts[1:]):
-        rows = order[lo:hi]
-        user, country = events.user[rows], events.country[rows]
+        user, country = events.user[lo:hi], events.country[lo:hi]
         key = (user - user[0]).astype(np.int64) * len(events.countries) + country
         _, first, count = np.unique(key, return_index=True, return_counts=True)  # each (user, country), in code order
         user, country = user[first], country[first]
-        best = np.lexsort((country, events.timestamp[rows[first]], -count, user))
+        best = np.lexsort((country, events.timestamp[lo:hi][first], -count, user))
         best = best[runs(user[best])[:-1]]  # each user's pair by (most events, first seen, code)
         residence[user[best]] = country[best]
         np.add.at(totals[0], user, count)

@@ -410,15 +410,11 @@ def read_events(path: str) -> EventTable:
 # ---------------------------------------------------------------------------
 
 
-class DuplicateCodeError(ValueError):
-    """A code table names one country twice."""
-
-
-def _code_rows(path: str) -> list[tuple[str, list[str]]]:
+def code_rows(path: str) -> list[tuple[str, list[str]]]:
     """The code (stripped, upper case) and fields of each row of a code table.
 
     Line 1 is a header only when its second field is not a number, as for
-    events. A code that two rows name, in any case, raises DuplicateCodeError.
+    events. A code that two rows name, in any case, raises ValueError.
     """
     _, rows = _numbered_lines(path)
     if len(rows[0]) >= 2:
@@ -430,7 +426,7 @@ def _code_rows(path: str) -> list[tuple[str, list[str]]]:
     for row in rows:
         code = row[0].strip().upper()
         if code in out:
-            raise DuplicateCodeError(f"{path}: code {code} appears on more than one row")
+            raise ValueError(f"{path}: code {code} appears on more than one row")
         out[code] = row
     return list(out.items())
 
@@ -450,7 +446,7 @@ def read_census(path: str) -> tuple[dict[str, int], dict[str, float]]:
     """Census table `code,population[,gdp_per_capita]` -> (populations, gdp)."""
     populations: dict[str, int] = {}
     gdp: dict[str, float] = {}
-    for code, row in _code_rows(path):
+    for code, row in code_rows(path):
         if len(row) not in (2, 3):
             raise ValueError(f"{path}: expected 2 or 3 fields, got {row}")
         populations[code] = _number(path, code, row[1], int)
@@ -462,7 +458,7 @@ def read_census(path: str) -> tuple[dict[str, int], dict[str, float]]:
 def read_capitals(path: str) -> dict[str, tuple[float, float]]:
     """Capitals table `code,lat,lon` -> code -> (lat, lon), in degrees: |lat| <= 90 and |lon| <= 180."""
     out: dict[str, tuple[float, float]] = {}
-    for code, row in _code_rows(path):
+    for code, row in code_rows(path):
         if len(row) != 3:
             raise ValueError(f"{path}: expected 3 fields, got {row}")
         lat, lon = _number(path, code, row[1]), _number(path, code, row[2])
@@ -472,10 +468,10 @@ def read_capitals(path: str) -> dict[str, tuple[float, float]]:
     return out
 
 
-def read_reference(path: str, column: int = 1) -> dict[str, float]:
-    """Reference statistics `code,<value>[,...]`, one numeric column selected."""
+def reference_column(path: str, rows: list[tuple[str, list[str]]], column: int) -> dict[str, float]:
+    """Reference statistics `code,<value>[,...]`: one numeric column of the table's code_rows, by code."""
     out: dict[str, float] = {}
-    for code, row in _code_rows(path):
+    for code, row in rows:
         if column >= len(row):
             raise ValueError(f"{path}: row {row} has no column {column}")
         out[code] = _number(path, code, row[column])

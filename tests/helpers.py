@@ -343,6 +343,12 @@ def table_of(events: Iterable[GeoEvent]) -> EventTable:
     return ingest.parse_events(["user_id,timestamp,lat,lon,source,country", *lines]).events
 
 
+def trajectories_of(events: Iterable[GeoEvent]) -> EventTable:
+    """table_of the events, in trajectory order (ingest.build_trajectories), as the clean stage writes them."""
+    table = table_of(events)
+    return table.take(ingest.build_trajectories(table))
+
+
 def events_of(table: EventTable) -> list[GeoEvent]:
     """The rows of an EventTable as GeoEvents."""
     columns = (table.user, table.timestamp, table.lat, table.lon, table.source, table.country)
@@ -404,6 +410,11 @@ def read_events(path: str) -> list[GeoEvent]:
         lineno, reason = report.errors[0]
         raise ValueError(f"{path}:{lineno}: {reason}")
     return report.events
+
+
+def read_reference(path: str, column: int = 1) -> dict[str, float]:
+    """One numeric column of a reference table, as `validate` reads each of its legs."""
+    return tables.reference_column(path, tables.code_rows(path), column)
 
 
 def label_events(events: list[GeoEvent], index: BoundaryIndex | None) -> tuple[list[GeoEvent], int]:

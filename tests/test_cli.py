@@ -451,7 +451,15 @@ def test_env_override_reaches_the_stage(pipeline, tmp_path):
     assert baseline["events_after"] < baseline["events_before"]
 
 
-def test_metrics_stage_orders_shuffled_events_itself(pipeline, tmp_path):
+@pytest.mark.parametrize(
+    "stage, written",
+    [
+        ("profile", {"profiles.csv", "country_stats.csv"}),
+        ("metrics", {"gyration.csv", "mobility_profiles.csv", "displacements.csv"}),
+    ],
+    ids=["profile", "metrics"],
+)
+def test_stage_orders_shuffled_events_itself(pipeline, tmp_path, stage, written):
     world, _ = pipeline
     header, *lines = (world / "artifacts" / "events_clean.csv").read_text().splitlines(keepends=True)
     shuffled = lines[:]
@@ -467,9 +475,9 @@ def test_metrics_stage_orders_shuffled_events_itself(pipeline, tmp_path):
         settings["paths"]["workdir"] = str(workdir)
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(settings))
-        assert cli("metrics", "--config", str(config)) == 0
+        assert cli(stage, "--config", str(config)) == 0
         outputs.append({path.name: path.read_bytes() for path in sorted(workdir.iterdir())})
-    assert outputs[0].keys() == outputs[1].keys() >= {"gyration.csv", "mobility_profiles.csv", "displacements.csv"}
+    assert outputs[0].keys() == outputs[1].keys() >= written
     for name in outputs[0]:
         if name != "events_clean.csv":
             assert outputs[0][name] == outputs[1][name], name
@@ -765,6 +773,30 @@ def test_bad_reference_value_is_its_legs_error(pipeline, tmp_path):
     assert "code AA" not in report["arrivals"].get("error", "")
 
 
+def test_validate_reads_the_reference_once(pipeline, tmp_path, monkeypatch):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    reference = tmp_path / "reference.csv"
+    reference.write_text("code,arrivals,receipts\nAA,1.0,2.0\nAB,3.0,4.0\n")
+    read, numbered_lines = [], tables._numbered_lines
+    monkeypatch.setattr(tables, "_numbered_lines", lambda path: read.append(path) or numbered_lines(path))
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), "GEOFLOW_PATHS_REFERENCE": str(reference)}
+    assert cli("validate", "--config", config, env=env) == 0
+    assert read.count(str(reference)) == 1 and set(read) == {str(reference), str(workdir / "balances.csv")}
+
+
+def test_unreadable_reference_exits_six(pipeline, tmp_path, capsys):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    reference = tmp_path / "reference.csv"
+    reference.write_bytes(b"code,arrivals,receipts\nA\xffA,1.0,2.0\n")
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), "GEOFLOW_PATHS_REFERENCE": str(reference)}
+    assert cli("validate", "--config", config, env=env) == 6
+    assert capsys.readouterr().err == f"geoflow: data error: {reference}:2: invalid UTF-8\n"
+
+
 @pytest.mark.parametrize("row", ["AA,500,900", "AA,nan,inf", "AA,-90.5,0", "AA,0,180.5", "AA,1,east"])
 def test_capital_out_of_range_exits_six_writing_no_fit(pipeline, tmp_path, capsys, row):
     world, config = pipeline
@@ -824,7 +856,9 @@ def test_country_missing_from_census_leaves_the_network(tmp_path, flags):
 def test_run_parses_events_once_and_builds_profiles_once(tmp_path, monkeypatch):
     world = build_world(tmp_path, "world")
     calls = Counter()
-    for module, name in ((ingest, "parse_events"), (tables, "read_events"), (residence, "build_profiles")):
+    for module, name in (
+        (ingest, "parse_events"), (tables, "read_events"), (residence, "build_profiles"), (ingest, "build_trajectories")
+    ):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -833,7 +867,8 @@ def test_run_parses_events_once_and_builds_profiles_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     assert cli("run", "--config", str(world / "config.json")) == 0
-    assert (calls["parse_events"], calls["read_events"], calls["build_profiles"]) == (1, 0, 1)
+    names = "parse_events", "read_events", "build_profiles", "build_trajectories"
+    assert [calls[name] for name in names] == [1, 0, 1, 1]  # clean's sort is the only one
 
 
 def test_run_computes_gyration_radii_once(tmp_path, monkeypatch):

@@ -449,17 +449,16 @@ def test_build_trajectories_partitions_events(pairs):
 )
 def test_trajectory_order_is_the_lexsort(rows, dtype, block):
     """Ties of user and timestamp, unused codes and one-row users, in any order and as a time-ordered stream (whose
-    users' rows are in time order already): the blocked counting sort is np.lexsort."""
+    users' rows are in time order already): the blocked counting sort is np.lexsort, which it would not be if a
+    block of its last pass split a user."""
     for stream in (rows, sorted(rows, key=lambda row: row[1])):
         user = np.array([u for u, _ in stream], dtype=dtype)
         timestamp = np.array([t for _, t in stream], dtype=np.int64)
         zero = np.zeros(len(stream))
         events = ingest.EventTable([f"u{k}" for k in range(41)], ["s"], [], user, timestamp, zero, zero, user, user)
         with mock.patch.object(ingest, "BLOCK_ROWS", block):
-            order, cuts = ingest.trajectory_blocks(events)
+            order = ingest.build_trajectories(events)
         assert order.tolist() == np.lexsort((timestamp, user)).tolist()
-        assert cuts[0] == 0 and cuts[-1] == len(stream) and cuts == sorted(set(cuts))
-        assert all(user[order[lo - 1]] != user[order[lo]] for lo in cuts[1:-1])  # each block holds whole users
 
 
 # ---------------------------------------------------------------- columnar table

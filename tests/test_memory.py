@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from geoflow import clean, ingest, metrics
+from geoflow import clean, ingest, metrics, residence
 
 BLOCK_ROWS = 1024
 SLACK = 16 << 10  # bytes; a pass holding 1 B more per event would exceed it by 24 * BLOCK_ROWS
@@ -62,6 +62,7 @@ PASSES = {
     "speed_filter": (trajectories, clean.speed_filter),
     "source_popularity_filter": (trajectories, clean.source_popularity_filter),
     "user_gyration_radii": (trajectories, metrics.user_gyration_radii),
+    "build_profiles": (trajectories, residence.build_profiles),
 }
 
 

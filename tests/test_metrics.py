@@ -32,7 +32,7 @@ from helpers import (
     traj,
     user_gyration_radii,
 )
-from helpers import build_trajectories, event_lists, events_of, table_of
+from helpers import build_trajectories, event_lists, events_of, table_of, trajectories_of
 
 HALF_TURN_KM = math.pi * EARTH_RADIUS_KM
 
@@ -126,7 +126,7 @@ def make_profiles(user_events):
 
 def user_table(events):
     """The UserTable of some events, and their gyration radii by user code."""
-    table = table_of(events)
+    table = trajectories_of(events)
     return residence.build_profiles(table), metrics.user_gyration_radii(table)
 
 
@@ -299,7 +299,7 @@ def test_table_metrics_match_the_object_metrics(events, cutoff):
     table = table.take(table.timestamp <= Y2012 + cutoff)
     trajectories = table.take(ingest.build_trajectories(table))
     objects = events_of(trajectories)
-    profiles, want = residence.build_profiles(table), build_profiles(objects)
+    profiles, want = residence.build_profiles(trajectories), build_profiles(objects)
     has = np.flatnonzero(profiles.residence >= 0)
     assert [profiles.users[u] for u in has.tolist()] == list(want)
     assert [profiles.countries[c] for c in profiles.residence[has].tolist()] == [p.residence for p in want.values()]
@@ -348,7 +348,7 @@ def oracle_daily_series(profiles, events, year=2012):
 def test_daily_series_reject_profiles_over_other_vocabularies():
     events = resident_events("u1", "AA") + resident_events("u2", "BB") + [ev("u2", day_ts(1), country="AA")]
     table = table_of(events)
-    for other in (table_of(events[3:]), table_of(events[:3])):  # by code, u2 would read u1's row or none
+    for other in (trajectories_of(events[3:]), trajectories_of(events[:3])):  # by code, u2 would read u1's row or none
         with pytest.raises(ValueError, match="vocabularies"):
             metrics.daily_abroad_series(residence.build_profiles(other), table)
 

@@ -14,7 +14,7 @@ from geoflow.network import (
     top_k_flows,
 )
 from geoflow.residence import compute_country_stats
-from helpers import ev, table_of
+from helpers import ev, trajectories_of
 
 
 def profiles_from(visits):
@@ -23,7 +23,7 @@ def profiles_from(visits):
     for user, countries in visits.items():
         for i, country in enumerate(countries):
             events.append(ev(user, i + 1, country=country))
-    return residence.build_profiles(table_of(events))
+    return residence.build_profiles(trajectories_of(events))
 
 
 # ---------------------------------------------------------------- construction

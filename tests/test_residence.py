@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from geoflow import residence
 from geoflow.residence import compute_country_stats
-from helpers import assign_residence, build_profiles, ev, event_lists, table_of
+from helpers import assign_residence, build_profiles, ev, event_lists, table_of, trajectories_of
 
 
 # ---------------------------------------------------------------- assignment
@@ -136,7 +136,7 @@ def profiles_for(counts_by_user):
         for country in countries:
             ts += 1
             events.append(ev(user, ts, country=country))
-    return residence.build_profiles(table_of(events))
+    return residence.build_profiles(trajectories_of(events))
 
 
 def test_included_country():
@@ -241,7 +241,7 @@ def test_tightening_thresholds_never_adds_countries(resident_counts, pens, mins)
 
 @given(event_lists())
 def test_table_profiles_match_the_object_profiles(events):
-    got, want = residence.build_profiles(table_of(events)), build_profiles(events)
+    got, want = residence.build_profiles(trajectories_of(events)), build_profiles(events)
     assert got.users == list(want)  # every user of the table has events, in id order
     assert [got.countries[c] for c in got.residence.tolist()] == [p.residence for p in want.values()]
     assert got.total_events.tolist() == [p.total_events for p in want.values()]
@@ -272,6 +272,6 @@ def test_table_residence_breaks_ties_as_assign_residence():
         ev("first", 5, country="AA"), ev("first", 4, country="BB"), ev("first", 6, country="CC"),
         ev("code", 7, country="CC"), ev("code", 7, country="BB"),
     ]
-    profiles = residence.build_profiles(table_of(events))
+    profiles = residence.build_profiles(trajectories_of(events))
     got = dict(zip(profiles.users, (profiles.countries[c] for c in profiles.residence.tolist())))
     assert got == {"count": "AA", "first": "BB", "code": "BB"}

@@ -8,8 +8,8 @@ import pytest
 from geoflow import ingest, tables
 from geoflow.config import ConfigError, default_config, load_config
 from geoflow.ingest import GeoEvent
-from geoflow.tables import fmt, read_capitals, read_census, read_json, read_reference, read_rows, write_json, write_rows
-from helpers import read_events, table_of, write_events
+from geoflow.tables import fmt, read_capitals, read_census, read_json, read_rows, write_json, write_rows
+from helpers import read_events, read_reference, table_of, write_events
 
 # ---------------------------------------------------------------- cells and rows
 
