@@ -25,20 +25,22 @@ hits = sum(home == truth.residences[profiles.users[u]] for u, home in zip(has.to
 print(f"residence assignment: {hits}/{len(has)} match the planted truth")
 
 census = {c.code: c.population for c in world.countries}
-stats = compute_country_stats(profiles, census, min_penetration=0.0, min_residents=1)
+stats = compute_country_stats(profiles, census, min_penetration=0.0, min_residents=1)  # its artifact's columns
 print("\ncountry statistics:")
-for code in sorted(stats):
-    s = stats[code]
-    print(f"  {code}  residents={s.residents:>3}  penetration={s.penetration:.5f}  included={s.included}")
+for code, residents, penetration, included in zip(
+    *(stats[k] for k in ("code", "residents", "penetration", "included"))
+):
+    print(f"  {code}  residents={residents:>3}  penetration={penetration:.5f}  included={included}")
 
 radii = user_gyration_radii(trajectories)  # by user code, like the profiles
-mobility = build_mobility_profiles(profiles, radii)
+mobility = build_mobility_profiles(profiles, radii)  # mobility_profiles.csv's columns, in code order
 print("\nmobility by residence country:")
-for code in sorted(mobility):
-    m = mobility[code]
+for code, rate, radius, visited in zip(
+    *(mobility[k] for k in ("code", "mobility_rate", "mean_radius_km", "countries_visited"))
+):
     print(
-        f"  {code}  rate={m.mobility_rate:.3f} (planted {truth.planted_mobility[code]:.3f})"
-        f"  mean_r_g={m.mean_radius_km:,.0f} km  destinations={m.countries_visited}"
+        f"  {code}  rate={rate:.3f} (planted {truth.planted_mobility[code]:.3f})"
+        f"  mean_r_g={radius:,.0f} km  destinations={visited}"
     )
 
 radii = radii[has]

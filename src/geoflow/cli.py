@@ -34,7 +34,7 @@ import json
 import os
 import re
 import sys
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,8 +70,7 @@ _KM = dict(user_id=NAME, km=DISTANCE)
 _FLOW = dict(origin=NAME, destination=NAME, raw_weight=COUNT, est_weight=NONNEGATIVE)
 
 # Every file the commands write into paths.workdir. communities.csv appends
-# one column per partition level to its header. An artifact written with
-# Workspace.write_records names one attribute of its records per column.
+# one column per partition level to its header.
 ARTIFACTS: dict[str, Artifact] = {
     "events_labeled.csv": Artifact("ingest", tables.EVENT_HEADER),
     "ingest_report.json": Artifact("ingest"),
@@ -79,7 +78,7 @@ ARTIFACTS: dict[str, Artifact] = {
     "cleaning_report.csv": Artifact("clean", ["country", "source", "mass", "retained"]),
     "cleaning_stats.json": Artifact("clean"),
     "profiles.csv": Artifact("profile", ["user_id", "residence", "total_events", "distinct_countries"]),
-    # A census may give a population of 0 or below, and no population or GDP (an empty cell): see CountryStats.
+    # A census may give a population of 0 or below, and no population or GDP (an empty cell).
     "country_stats.csv": Artifact("profile", dict(
         code=NAME, residents=COUNT, population=INTEGER.or_empty(), penetration=NONNEGATIVE, included=BOOL,
         gdp_per_capita=NUMBER.or_empty(), reason=TEXT)),
@@ -137,10 +136,12 @@ class Workspace:
         """A row per row of the columns (tables.csv_blocks), in write_rows' bytes."""
         tables.write_blocks(self.path(name), ARTIFACTS[name].header, tables.csv_blocks(columns))
 
-    def write_records(self, name: str, records: Iterable[Any]) -> None:
-        """One row per record: under each header column, the record's attribute of that name."""
-        header = ARTIFACTS[name].header
-        self.write_rows(name, ([getattr(record, column) for column in header] for record in records))
+    def write_table(self, name: str, columns: dict[str, list[Any]]) -> None:
+        """A table given as read_rows returns it; ValueError unless its columns are the declared ones, in order."""
+        header = list(ARTIFACTS[name].header)
+        if list(columns) != header:
+            raise ValueError(f"{name}: columns {list(columns)} are not the declared {header}")
+        self.write_rows(name, zip(*columns.values(), strict=True))
 
     def load(self, name: str) -> Any:
         """A held value, or one derived from the artifacts; an event artifact reads as an EventTable."""
@@ -193,17 +194,17 @@ def stage_ingest(ws: Workspace) -> None:
     index = None
     if boundaries_path:
         index = ingest_mod.BoundaryIndex(ingest_mod.load_boundaries(boundaries_path))
+    n_events = len(report.events)  # before labeling drops the unlocatable rows from the table
     labeled, dropped = ingest_mod.label_events(report.events, index)
     summary = {
         "n_lines": report.n_lines,
-        "n_events": len(report.events),
+        "n_events": n_events,
         "n_malformed": report.n_malformed,
         "header_skipped": report.header_skipped,
         "n_unlocatable_dropped": dropped,
         "n_labeled": len(labeled),
         "errors_first_10": [[lineno, reason] for lineno, reason in report.errors],
     }
-    del report  # the parsed table: only the labeled one is needed from here on
     tables.write_events(ws.path("events_labeled.csv"), labeled)
     ws.held["events_labeled.csv"] = labeled
     tables.write_json(ws.path("ingest_report.json"), summary)
@@ -262,12 +263,7 @@ def stage_profile(ws: Workspace) -> None:
     has = np.flatnonzero(profiles.residence >= 0)  # the users with an event, in id order
     ws.write_columns("profiles.csv", [(profiles.users, has), (profiles.countries, profiles.residence[has]),
                                       profiles.total_events[has], profiles.distinct_countries[has]])
-    ws.write_records("country_stats.csv", stats.values())
-
-
-def _country_stats(ws: Workspace) -> dict[str, residence_mod.CountryStats]:
-    """country_stats.csv by code; its columns are CountryStats' fields, in order."""
-    return {row[0]: residence_mod.CountryStats(*row) for row in zip(*ws.read_rows("country_stats.csv").values())}
+    ws.write_table("country_stats.csv", stats)
 
 
 def stage_metrics(ws: Workspace) -> None:
@@ -275,7 +271,7 @@ def stage_metrics(ws: Workspace) -> None:
     events = ws.take("events_clean.csv")
     radii = metrics_mod.user_gyration_radii(events)
     mobility = metrics_mod.build_mobility_profiles(profiles, radii, ws.config["metrics"]["gyration_over"])
-    ws.write_records("mobility_profiles.csv", mobility.values())
+    ws.write_table("mobility_profiles.csv", mobility)
     countries, outbound, inbound = metrics_mod.daily_abroad_series(profiles, events, year=ws.config["year"])
     rows, days = np.divmod(np.arange(outbound.size), outbound.shape[1])  # the country and day of each count
     for direction, counts in (("outbound", outbound), ("inbound", inbound)):
@@ -288,24 +284,29 @@ def stage_metrics(ws: Workspace) -> None:
     ws.held.update({"displacements.csv": km, "gyration.csv": radii[has]})
 
 
+def _edge_rows(net: network_mod.FlowNetwork, rows: Any = slice(None)) -> Iterator[tuple[Any, ...]]:
+    """The rows of edges.csv for the network's edge rows `rows`, or of edges_raw.csv for a raw network."""
+    ends = (map(net.countries.__getitem__, column.tolist()) for column in net.edges[rows].T)
+    weights = (net.raw_weight,) if net.est_weight is None else (net.raw_weight, net.est_weight)
+    return zip(*ends, *(weight[rows].tolist() for weight in weights))
+
+
 def stage_network(ws: Workspace) -> None:
     raw_net = network_mod.build_flow_network(ws.take("profiles"))
-    stats = _country_stats(ws)
-    ws.write_records("edges_raw.csv", (raw_net.edges[k] for k in sorted(raw_net.edges)))
+    stats = ws.read_rows("country_stats.csv")
+    ws.write_rows("edges_raw.csv", _edge_rows(raw_net))
     net = network_mod.normalize_and_filter(
         raw_net,
         stats,
         min_outgoing=ws.config["network"]["min_outgoing"],
         min_penetration=ws.config["network"]["min_penetration"],
     )
-    ws.write_records("edges.csv", (net.edges[k] for k in sorted(net.edges)))
-    balances = network_mod.inflow_outflow_balance(net)
-    ws.write_records("balances.csv", (balances[c] for c in sorted(balances)))
+    ws.write_rows("edges.csv", _edge_rows(net))
+    inflow, outflow = network_mod.inflow_outflow_balance(net)
+    codes = map(net.countries.__getitem__, net.nodes.tolist())
+    ws.write_rows("balances.csv", zip(codes, inflow.tolist(), outflow.tolist(), (inflow - outflow).tolist()))
     top = network_mod.top_k_flows(net, k=ws.config["network"]["top_k"])
-    ws.write_rows(
-        "top_flows.csv",
-        ([i + 1, e.origin, e.destination, e.raw_weight, e.est_weight] for i, e in enumerate(top)),
-    )
+    ws.write_rows("top_flows.csv", ((rank, *row) for rank, row in enumerate(_edge_rows(net, top), start=1)))
 
 
 def _flow_edges(ws: Workspace) -> dict[str, dict[tuple[str, str], float]]:
@@ -347,13 +348,14 @@ def stage_communities(ws: Workspace) -> None:
 
 
 def stage_fit_gravity(ws: Workspace) -> None:
-    stats = _country_stats(ws)
+    stats = ws.read_rows("country_stats.csv")
     distances = models_mod.capital_distances(
         tables.read_capitals(_external(ws.config, "capitals", required=True))
     )
     weights = _flow_edges(ws)
-    census_pops = {c: float(s.population) for c, s in stats.items() if s.population and s.population > 0}
-    platform_pops = {c: float(s.residents) for c, s in stats.items() if s.residents > 0}
+    population, residents = (dict(zip(stats["code"], stats[column])) for column in ("population", "residents"))
+    census_pops = {c: float(p) for c, p in population.items() if p and p > 0}
+    platform_pops = {c: float(r) for c, r in residents.items() if r > 0}
     report: dict[str, Any] = {}
     for name, flows, pops in (
         ("est_census", weights["est"], census_pops),
@@ -545,8 +547,8 @@ def cmd_report(ws: Workspace) -> str:
                 "malformed={n_malformed} unlocatable={n_unlocatable_dropped}", docs["ingest_report.json"]))
     add(_format("cleaning_stats.json", "[cleaning_stats.json] speed_removed={speed_removed} user_survival="
                 "{user_fraction:.6g} event_survival={event_fraction:.6g}", docs["cleaning_stats.json"]))
-    stats = _country_stats(ws)
-    add(f"[country_stats.csv] countries={len(stats)} included={sum(s.included for s in stats.values())}")
+    included = ws.read_rows("country_stats.csv")["included"]
+    add(f"[country_stats.csv] countries={len(included)} included={sum(included)}")
     rates = ws.read_rows("mobility_profiles.csv")["mobility_rate"]
     mean_rate = sum(rates) / len(rates) if rates else 0.0
     add(f"[mobility_profiles.csv] countries={len(rates)} mean_mobility_rate={mean_rate:.6g}")

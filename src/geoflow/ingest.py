@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
@@ -100,12 +100,9 @@ def _code_dtype(n_names: int) -> type[np.signedinteger]:
     return np.int16 if n_names < 2**15 else np.int32
 
 
-def runs(*columns: np.ndarray) -> np.ndarray:
-    """Offsets of the runs of equal rows across aligned columns: run k is rows offsets[k]:offsets[k + 1]."""
-    change = np.zeros(max(len(columns[0]) - 1, 0), dtype=bool)
-    for column in columns:
-        change |= column[1:] != column[:-1]
-    return np.flatnonzero(np.r_[True, change, True]) if len(columns[0]) else np.zeros(1, dtype=np.int64)
+def runs(column: np.ndarray) -> np.ndarray:
+    """Offsets of the runs of equal values of a column: run k is rows offsets[k]:offsets[k + 1]."""
+    return np.flatnonzero(np.r_[True, column[1:] != column[:-1], True]) if len(column) else np.zeros(1, dtype=np.int64)
 
 
 def user_blocks(user: np.ndarray, rows: int) -> list[int]:
@@ -515,11 +512,11 @@ class BoundaryIndex:
 
 
 def label_events(events: EventTable, index: BoundaryIndex | None) -> tuple[EventTable, int]:
-    """Label the unlabeled events; returns (labeled events, dropped count).
+    """Label the unlabeled events in place; returns (the same table, dropped count).
 
     Pre-labeled events keep their label. Events that end up with no country
-    (open ocean, or no boundary set) are dropped and counted: downstream
-    stages require a country on every event.
+    (open ocean, or no boundary set) are dropped from the table (EventTable.select)
+    and counted: downstream stages require a country on every event.
     """
     if index is not None:
         countries = sorted(set(events.countries).union(index._codes))
@@ -530,10 +527,12 @@ def label_events(events: EventTable, index: BoundaryIndex | None) -> tuple[Event
         for start in range(0, len(events), step):  # each point's label is its own, so any blocks give the same
             todo = start + np.flatnonzero(country[start : start + step] < 0)
             country[todo] = located[index._labels(events.lon[todo], events.lat[todo])]
-        events = replace(events, countries=countries, country=country)
+        events.countries, events.country = countries, country
     keep = events.country >= 0
     dropped = len(events) - int(np.count_nonzero(keep))
-    return (events.take(keep) if dropped else events), dropped  # nothing to drop: no copy of the table
+    if dropped:
+        events.select(keep)
+    return events, dropped
 
 
 def load_boundaries(path: str) -> list[CountryBoundary]:

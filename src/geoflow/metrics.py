@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import calendar
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Any
 
 import numpy as np
 
@@ -103,23 +103,12 @@ def displacements(events: EventTable) -> tuple[np.ndarray, np.ndarray]:
     return events.user[:-1][same], km
 
 
-@dataclass(slots=True)
-class MobilityProfile:
-    """Country-level mobility summary."""
-
-    code: str
-    n_residents: int
-    mobility_rate: float
-    mean_radius_km: float
-    countries_visited: int
-
-
 def build_mobility_profiles(
     profiles: UserTable,
     radii: np.ndarray,
     gyration_over: str = "all",
-) -> dict[str, MobilityProfile]:
-    """One MobilityProfile per residence country, in code order.
+) -> dict[str, list[Any]]:
+    """The columns of mobility_profiles.csv: a row per residence country, in code order.
 
     mean_radius_km averages the gyration radii by user code (as from
     user_gyration_radii) over all residents, or over mobile residents (seen
@@ -135,16 +124,13 @@ def build_mobility_profiles(
     pool = pool[np.argsort(home[pool], kind="stable")]  # by residence, in user code order within each
     size = np.bincount(home[pool], minlength=n)
     sums = _run_sums(radii[pool], np.r_[0, np.cumsum(size)])
-    columns = (
-        np.bincount(home[home >= 0], minlength=n), np.bincount(home[mobile], minlength=n), size, sums,
-        np.bincount(profiles.flows()[0], minlength=n),
-    )
-    out: dict[str, MobilityProfile] = {}
-    for c, residents, n_mobile, k, total, visited in zip(range(n), *(column.tolist() for column in columns)):
-        if residents:
-            code = profiles.countries[c]
-            out[code] = MobilityProfile(code, residents, n_mobile / residents, total / k if k else 0.0, visited)
-    return out
+    residents = np.bincount(home[home >= 0], minlength=n)
+    rows = np.flatnonzero(residents)
+    residents, n_mobile, size, sums, visited = (column[rows].tolist() for column in (
+        residents, np.bincount(home[mobile], minlength=n), size, sums, np.bincount(profiles.flows()[0], minlength=n)))
+    return dict(code=[profiles.countries[c] for c in rows.tolist()], n_residents=residents,
+                mobility_rate=[m / r for m, r in zip(n_mobile, residents)],
+                mean_radius_km=[total / k if k else 0.0 for total, k in zip(sums, size)], countries_visited=visited)
 
 
 def daily_abroad_series(

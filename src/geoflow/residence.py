@@ -9,7 +9,7 @@ countries that clear the inclusion thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -39,19 +39,6 @@ class UserTable:
         away = home != self.country
         keys, users = np.unique(home[away] * n + self.country[away], return_counts=True)
         return keys // n, keys % n, users
-
-
-@dataclass(slots=True)
-class CountryStats:
-    """Residents vs census population, with inclusion verdict."""
-
-    code: str
-    residents: int
-    population: int | None
-    penetration: float  # residents / population, 0 when population unknown
-    included: bool
-    gdp_per_capita: float | None = None
-    reason: str = ""  # empty when included
 
 
 def build_profiles(events: EventTable) -> UserTable:
@@ -88,43 +75,38 @@ def compute_country_stats(
     gdp_per_capita: Mapping[str, float] | None = None,
     min_penetration: float = 0.0005,
     min_residents: int = 10_000,
-) -> dict[str, CountryStats]:
-    """Penetration and inclusion flags for every country seen in any profile, in code order.
+) -> dict[str, list[Any]]:
+    """The columns of country_stats.csv: penetration and inclusion for every country seen in any profile, in
+    code order.
 
     Covers both residence countries and visited-only countries (the latter
     have zero residents and are naturally excluded). Countries missing from
-    the census, or with nonpositive population, are excluded with a reason.
+    the census (no population, penetration 0), or with nonpositive population,
+    are excluded with a reason; no GDP reads as None.
     """
     n = len(profiles.countries)
     seen = np.flatnonzero(np.bincount(profiles.country, minlength=n))
-    residents = np.bincount(profiles.residence[profiles.residence >= 0], minlength=n)
-    out: dict[str, CountryStats] = {}
-    for c, n_res in zip(seen.tolist(), residents[seen].tolist()):
-        code = profiles.countries[c]
-        population = census.get(code)
-        gdp = gdp_per_capita.get(code) if gdp_per_capita else None
-        reasons: list[str] = []
-        penetration = 0.0
-        if population is None:
-            reasons.append("no census")
-            population_field = None
-        elif population <= 0:
-            reasons.append(f"nonpositive population {population}")
-            population_field = population
-        else:
-            population_field = population
-            penetration = n_res / population
-            if penetration < min_penetration:
-                reasons.append(f"penetration {penetration:.6g} below {min_penetration:.6g}")
-            if n_res < min_residents:
-                reasons.append(f"residents {n_res} below {min_residents}")
-        out[code] = CountryStats(
-            code=code,
-            residents=n_res,
-            population=population_field,
-            penetration=penetration,
-            included=not reasons,
-            gdp_per_capita=gdp,
-            reason="; ".join(reasons),
-        )
-    return out
+    code = [profiles.countries[c] for c in seen.tolist()]
+    residents = np.bincount(profiles.residence[profiles.residence >= 0], minlength=n)[seen].tolist()
+    population = [census.get(c) for c in code]
+    penetration = [r / p if p is not None and p > 0 else 0.0 for r, p in zip(residents, population)]
+    reason = ["; ".join(_exclusions(*row, min_penetration, min_residents))
+              for row in zip(residents, population, penetration)]
+    gdp = gdp_per_capita or {}
+    return dict(code=code, residents=residents, population=population, penetration=penetration,
+                included=[not r for r in reason], gdp_per_capita=[gdp.get(c) for c in code], reason=reason)
+
+
+def _exclusions(
+    residents: int, population: int | None, penetration: float, min_penetration: float, min_residents: int
+) -> Iterator[str]:
+    """Why a country with these counts is excluded: nothing for an included one."""
+    if population is None:
+        yield "no census"
+    elif population <= 0:
+        yield f"nonpositive population {population}"
+    else:
+        if penetration < min_penetration:
+            yield f"penetration {penetration:.6g} below {min_penetration:.6g}"
+        if residents < min_residents:
+            yield f"residents {residents} below {min_residents}"

@@ -29,10 +29,8 @@ from geoflow.ingest import (
     _parse_line,
     load_boundaries,
 )
-from geoflow.metrics import MobilityProfile
 from geoflow.models import _LOG_BIN_BASE
-from geoflow.network import FlowEdge, FlowNetwork
-from geoflow.residence import CountryStats
+from geoflow.network import FlowNetwork as FlowColumns
 from geoflow.sphere import haversine_km, normalize_lon
 from geoflow.synth import (
     _MAX_FOREIGN_EVENTS,
@@ -569,6 +567,40 @@ def destination_diversity(country: str, profiles: Mapping[str, UserProfile]) -> 
     return len(visited)
 
 
+@dataclass(slots=True)
+class CountryStats:
+    """Residents vs census population, with inclusion verdict: a row of country_stats.csv."""
+
+    code: str
+    residents: int
+    population: int | None
+    penetration: float  # residents / population, 0 when population unknown
+    included: bool
+    gdp_per_capita: float | None = None
+    reason: str = ""  # empty when included
+
+
+@dataclass(slots=True)
+class MobilityProfile:
+    """Country-level mobility summary: a row of mobility_profiles.csv."""
+
+    code: str
+    n_residents: int
+    mobility_rate: float
+    mean_radius_km: float
+    countries_visited: int
+
+
+def stats_by_code(columns: Mapping[str, Sequence[Any]]) -> dict[str, CountryStats]:
+    """The rows of country_stats.csv's columns (as residence.compute_country_stats returns them) by code."""
+    return {row[0]: CountryStats(*row) for row in zip(*columns.values())}
+
+
+def mobility_by_code(columns: Mapping[str, Sequence[Any]]) -> dict[str, MobilityProfile]:
+    """The rows of mobility_profiles.csv's columns (as metrics.build_mobility_profiles returns them) by code."""
+    return {row[0]: MobilityProfile(*row) for row in zip(*columns.values())}
+
+
 def compute_country_stats(
     profiles: Mapping[str, UserProfile],
     census: Mapping[str, int],
@@ -626,6 +658,39 @@ def build_mobility_profiles(
     return out
 
 
+# ---------------------------------------------------------------------------
+# Record-based flow network: one FlowEdge per edge and one BalanceEntry per
+# country, keyed by code. The package's FlowNetwork columns must agree with
+# these bit for bit; network_objects and the converters below give its
+# results in this form.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class FlowEdge:
+    origin: str
+    destination: str
+    raw_weight: int  # distinct users
+    est_weight: float | None = None  # people estimate, set by normalization
+
+
+@dataclass(slots=True)
+class FlowNetwork:
+    """Directed weighted graph over country codes; no self-loops."""
+
+    nodes: list[str]  # sorted codes
+    edges: dict[tuple[str, str], FlowEdge]
+    mobile_residents: dict[str, int]  # outgoing population per node
+
+
+@dataclass(slots=True)
+class BalanceEntry:
+    code: str
+    inflow: float
+    outflow: float
+    balance: float  # inflow - outflow
+
+
 def build_flow_network(profiles: Mapping[str, UserProfile]) -> FlowNetwork:
     """Edges (residence -> visited country) weighted by distinct users, one profile at a time."""
     weights: dict[tuple[str, str], int] = {}
@@ -641,6 +706,87 @@ def build_flow_network(profiles: Mapping[str, UserProfile]) -> FlowNetwork:
                 weights[(home, country)] = weights.get((home, country), 0) + 1
     edges = {key: FlowEdge(origin=key[0], destination=key[1], raw_weight=w) for key, w in sorted(weights.items())}
     return FlowNetwork(nodes=sorted(nodes), edges=edges, mobile_residents={c: mobile.get(c, 0) for c in sorted(nodes)})
+
+
+def network_objects(net: FlowColumns) -> FlowNetwork:
+    """A columnar flow network as records, its edges in (origin, destination) order."""
+    names, nodes = net.countries, [net.countries[c] for c in net.nodes.tolist()]
+    est = [None] * len(net.edges) if net.est_weight is None else net.est_weight.tolist()
+    edges = {}
+    for (o, d), raw, weight in zip(net.edges.tolist(), net.raw_weight.tolist(), est):
+        edges[(names[o], names[d])] = FlowEdge(names[o], names[d], raw, weight)
+    return FlowNetwork(nodes, edges, dict(zip(nodes, net.mobile_residents.tolist())))
+
+
+def balance_entries(net: FlowColumns, flows: tuple[np.ndarray, np.ndarray]) -> dict[str, BalanceEntry]:
+    """network.inflow_outflow_balance's inflow and outflow arrays of a columnar network, by node code."""
+    entries = zip(net.nodes.tolist(), *(flow.tolist() for flow in flows))
+    return {net.countries[c]: BalanceEntry(net.countries[c], i, o, i - o) for c, i, o in entries}
+
+
+def flow_edges(net: FlowColumns, rows: np.ndarray) -> list[FlowEdge]:
+    """The edges of a columnar network's edge rows `rows` (as network.top_k_flows returns them), as records."""
+    edges = list(network_objects(net).edges.values())
+    return [edges[row] for row in rows.tolist()]
+
+
+def normalize_and_filter(
+    network: FlowNetwork,
+    stats: Mapping[str, CountryStats],
+    min_outgoing: int = 500,
+    min_penetration: float = 0.0005,
+) -> FlowNetwork:
+    """Drop under-covered countries, then convert raw flows to people estimates, one record at a time."""
+    penetration: dict[str, float] = {}
+    for code in network.nodes:
+        st = stats.get(code)
+        p = st.penetration if st is not None else 0.0
+        if p > 0.0 and p >= min_penetration and network.mobile_residents.get(code, 0) >= min_outgoing:
+            penetration[code] = p
+    surviving = list(penetration)
+    edges: dict[tuple[str, str], FlowEdge] = {}
+    for (origin, destination), edge in sorted(network.edges.items()):
+        if origin not in penetration or destination not in penetration:
+            continue
+        edges[(origin, destination)] = FlowEdge(
+            origin=origin,
+            destination=destination,
+            raw_weight=edge.raw_weight,
+            est_weight=edge.raw_weight / penetration[origin],
+        )
+    return FlowNetwork(
+        nodes=surviving,
+        edges=edges,
+        mobile_residents={c: network.mobile_residents.get(c, 0) for c in surviving},
+    )
+
+
+def _est_weight(edge: FlowEdge) -> float:
+    if edge.est_weight is None:
+        raise ValueError(f"edge {edge.origin}->{edge.destination} has no est weight; normalize first")
+    return edge.est_weight
+
+
+def inflow_outflow_balance(network: FlowNetwork) -> dict[str, BalanceEntry]:
+    """Per-country estimated inflow, outflow, and their difference (ValueError for an edge with no est weight)."""
+    inflows: dict[str, list[float]] = {c: [] for c in network.nodes}
+    outflows: dict[str, list[float]] = {c: [] for c in network.nodes}
+    for (origin, destination), edge in sorted(network.edges.items()):
+        weight = _est_weight(edge)
+        outflows[origin].append(weight)
+        inflows[destination].append(weight)
+    out: dict[str, BalanceEntry] = {}
+    for code in network.nodes:
+        inflow = math.fsum(inflows[code])
+        outflow = math.fsum(outflows[code])
+        out[code] = BalanceEntry(code=code, inflow=inflow, outflow=outflow, balance=inflow - outflow)
+    return out
+
+
+def top_k_flows(network: FlowNetwork, k: int = 30) -> list[FlowEdge]:
+    """The k heaviest edges by est weight, which every edge needs, ties by (origin, destination) code order."""
+    ranked = sorted(network.edges.values(), key=lambda edge: (-_est_weight(edge), edge.origin, edge.destination))
+    return ranked[: max(k, 0)]
 
 
 def build_profiles(events: list[GeoEvent]) -> dict[str, UserProfile]:

@@ -21,6 +21,7 @@ from geoflow.cli import main
 from geoflow.config import load_config
 from geoflow.synth import event_lines, generate_events, make_world
 from geoflow.tables import read_json
+from helpers import stats_by_code
 
 SYNTH_SETTINGS = {
     "seed": 1,
@@ -170,6 +171,18 @@ def test_ingest_report_accounts_for_every_line(pipeline):
     assert report["n_malformed"] == 0
     assert report["n_unlocatable_dropped"] == 0
     assert report["n_labeled"] == report["n_events"]
+
+
+def test_ingest_report_counts_the_unlocatable_events(tmp_path):
+    """n_events counts the parsed events, the unlocatable ones that labeling drops from the table among them."""
+    world = build_world(tmp_path, "world")
+    lines = (world / "events.csv").read_text().splitlines()
+    user, ts, *_ = lines[1].split(",")
+    (world / "events.csv").write_text("\n".join(lines + [f"{user},{ts},-89.5,{lon},web" for lon in (0, 90)]) + "\n")
+    assert cli("ingest", "--config", str(world / "config.json")) == 0
+    report = read_json(str(world / "artifacts" / "ingest_report.json"))
+    assert report["n_events"] == len(lines) + 1 and report["n_unlocatable_dropped"] == 2
+    assert report["n_labeled"] == len(lines) - 1
 
 
 def test_report_summarizes_artifacts(pipeline, capsys):
@@ -895,9 +908,21 @@ def test_country_stats_keep_gdp_per_capita(tmp_path):
     config = str(world / "config.json")
     for stage in ("ingest", "clean", "profile"):
         assert cli(stage, "--config", config) == 0
-    stats = cli_mod._country_stats(cli_mod.Workspace(load_config(config, env={})))
+    stats = stats_by_code(cli_mod.Workspace(load_config(config, env={})).read_rows("country_stats.csv"))
     assert stats[rich].gdp_per_capita == 41500.5
     assert [c for c, s in stats.items() if s.gdp_per_capita is not None] == [rich]
+
+
+def test_write_table_rejects_columns_other_than_the_declared_ones(tmp_path):
+    ws = cli_mod.Workspace({"paths": {"workdir": str(tmp_path)}})
+    header = list(cli_mod.ARTIFACTS["mobility_profiles.csv"].header)
+    row = ["AA", 1, 0.5, 2.0, 1]
+    for names in (["country", *header[1:]], header[::-1], header[:-1], [*header, "extra"]):
+        with pytest.raises(ValueError, match="mobility_profiles.csv: columns"):
+            ws.write_table("mobility_profiles.csv", {name: [value] for name, value in zip(names, row + [0])})
+    assert not (tmp_path / "mobility_profiles.csv").exists()
+    ws.write_table("mobility_profiles.csv", {name: [value] for name, value in zip(header, row)})
+    assert (tmp_path / "mobility_profiles.csv").read_text() == ",".join(header) + "\nAA,1,0.5,2.0,1\n"
 
 
 def test_edgeless_network_gives_flat_levels(tmp_path):

@@ -628,13 +628,25 @@ def test_table_labeling_matches_the_object_labeling(points):
     other = ring((10, 0), (20, 0), (20, 10), (10, 10), (10, 0))  # shares the x = 10 edge with AA
     index = BoundaryIndex([CountryBoundary("AA", [[SQUARE]]), CountryBoundary("CC", [[other]])])
     table = table_of([ev(f"u{i % 3}", i, lat=y, lon=x, country=c) for i, (x, y, c) in enumerate(points)])
-    labeled, dropped = ingest.label_events(table, index)
+    copy = np.arange(len(table))  # label_events drops rows in place, so each call gets a copy (a slice is a view)
+    labeled, dropped = ingest.label_events(table.take(copy), index)
     want, want_dropped = label_events(events_of(table), index)
     assert (events_of(labeled), dropped) == (want, want_dropped)
     assert labeled.countries == sorted(labeled.countries)
-    kept, dropped = ingest.label_events(table, None)
+    kept, dropped = ingest.label_events(table.take(copy), None)
     assert events_of(kept) == [e for e in events_of(table) if e.country is not None]
     assert dropped == sum(c is None for _, _, c in points)
+
+
+def test_label_events_drops_the_unlocatable_rows_in_place():
+    """The labeled table is the caller's, its columns compacted where they are: no second table is held."""
+    index = BoundaryIndex([CountryBoundary("AA", [[SQUARE]])])
+    table = table_of([ev("u", t, lat=5.0 + 50.0 * (t % 2), lon=5.0) for t in range(8)])  # odd times: the ocean
+    timestamp = table.timestamp
+    labeled, dropped = ingest.label_events(table, index)
+    assert labeled is table and dropped == 4
+    assert np.shares_memory(labeled.timestamp, timestamp) and labeled.timestamp.tolist() == [0, 2, 4, 6]
+    assert [labeled.countries[c] for c in labeled.country.tolist()] == ["AA"] * 4
 
 
 def test_boundary_index_rejects_a_polygon_without_rings():

@@ -26,9 +26,12 @@ from helpers import (
     displacements,
     ev,
     is_mobile,
+    mobility_by_code,
     mobility_rate,
+    network_objects,
     radius_of_gyration,
     rotate_points,
+    stats_by_code,
     traj,
     user_gyration_radii,
 )
@@ -159,7 +162,7 @@ def test_destination_diversity_counts_distinct_foreign_countries():
     ]
     profiles = make_profiles(events)
     assert destination_diversity("AA", profiles) == 2  # BB and CC
-    assert build_mobility_profiles(*user_table(events))["AA"].countries_visited == 2
+    assert mobility_by_code(build_mobility_profiles(*user_table(events)))["AA"].countries_visited == 2
 
 
 def test_build_mobility_profiles_rates_and_means():
@@ -169,7 +172,7 @@ def test_build_mobility_profiles_rates_and_means():
         ev("u2", 1, 0.0, 0.0, country="AA"),
         ev("u2", 2, 0.0, 0.0, country="BB"),
     ]
-    out = build_mobility_profiles(*user_table(events))
+    out = mobility_by_code(build_mobility_profiles(*user_table(events)))
     aa = out["AA"]
     assert aa.n_residents == 2
     assert aa.mobility_rate == 0.5
@@ -186,7 +189,7 @@ def test_build_mobility_profiles_mobile_only_mean():
         ev("u2", 1, 0.0, 0.0, country="AA"),
         ev("u2", 2, 0.0, 0.0, country="BB"),
     ]
-    out = build_mobility_profiles(*user_table(events), gyration_over="mobile")
+    out = mobility_by_code(build_mobility_profiles(*user_table(events), gyration_over="mobile"))
     assert out["AA"].mean_radius_km == pytest.approx(0.0, abs=1e-9)  # only u2 is mobile
 
 
@@ -308,7 +311,7 @@ def test_table_metrics_match_the_object_metrics(events, cutoff):
     assert profiles.total_events.sum() == len(table)
     pairs = [(profiles.users[u], profiles.countries[c]) for u, c in zip(profiles.user.tolist(), profiles.country.tolist())]
     assert pairs == [(u, c) for u, p in want.items() for c in sorted(p.counts)]
-    stats = residence.compute_country_stats(profiles, CENSUS, {"AA": 1.5}, min_penetration=0.5, min_residents=2)
+    stats = stats_by_code(residence.compute_country_stats(profiles, CENSUS, {"AA": 1.5}, 0.5, 2))
     assert stats == helpers.compute_country_stats(want, CENSUS, {"AA": 1.5}, 0.5, 2) and list(stats) == sorted(stats)
     assert plain(stats.values())
 
@@ -316,10 +319,10 @@ def test_table_metrics_match_the_object_metrics(events, cutoff):
     assert radii[has].tolist() == list(want_radii.values())  # bit for bit, in user id order
     assert np.isnan(np.delete(radii, has)).all()
     for gyration_over in ("all", "mobile"):
-        mobility = metrics.build_mobility_profiles(profiles, radii, gyration_over)
+        mobility = mobility_by_code(metrics.build_mobility_profiles(profiles, radii, gyration_over))
         assert mobility == helpers.build_mobility_profiles(want, want_radii, gyration_over)
         assert list(mobility) == sorted(mobility) and plain(mobility.values())
-    flows = network.build_flow_network(profiles)
+    flows = network_objects(network.build_flow_network(profiles))
     assert flows == helpers.build_flow_network(want) and list(flows.edges) == sorted(flows.edges)
     assert plain(flows.edges.values()) and all(type(m) is int for m in flows.mobile_residents.values())
     series = table_daily_series(profiles, trajectories)
@@ -329,6 +332,27 @@ def test_table_metrics_match_the_object_metrics(events, cutoff):
     oracle = build_trajectories(objects)
     want_km = [(user, d) for user in sorted(oracle) for d in displacements(oracle[user])]
     assert list(zip([trajectories.users[u] for u in users.tolist()], km.tolist())) == want_km
+
+
+@given(
+    event_lists(),
+    st.dictionaries(st.sampled_from(["AA", "BB", "CC"]), st.integers(-5, 10) | st.just(10**20)),
+    st.dictionaries(st.sampled_from(["AA", "BB", "CC"]), st.floats(-1e300, 1e300)),
+    st.sampled_from(["all", "mobile"]),
+)
+def test_country_tables_read_back_as_their_producers_columns(events, census, gdp, gyration_over):
+    """country_stats.csv and mobility_profiles.csv, written by Workspace.write_table, read back (read_rows) as
+    the columns their producers returned: census gaps, nonpositive and huge populations, GDP or none."""
+    profiles, radii = user_table(events)
+    produced = {
+        "country_stats.csv": residence.compute_country_stats(profiles, census, gdp, 0.1, min_residents=2),
+        "mobility_profiles.csv": metrics.build_mobility_profiles(profiles, radii, gyration_over),
+    }
+    with tempfile.TemporaryDirectory() as workdir:
+        ws = cli.Workspace({"paths": {"workdir": workdir}})
+        for name, columns in produced.items():
+            ws.write_table(name, columns)
+            assert ws.read_rows(name) == columns
 
 
 def table_daily_series(profiles, events, year=2012):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from geoflow import residence
 from geoflow.residence import compute_country_stats
-from helpers import assign_residence, build_profiles, ev, event_lists, table_of, trajectories_of
+from helpers import assign_residence, build_profiles, ev, event_lists, stats_by_code, table_of, trajectories_of
 
 
 # ---------------------------------------------------------------- assignment
@@ -141,7 +141,7 @@ def profiles_for(counts_by_user):
 
 def test_included_country():
     profiles = profiles_for({f"u{i}": ["AA"] for i in range(100)})
-    stats = compute_country_stats(profiles, {"AA": 10_000}, min_penetration=0.0005, min_residents=50)
+    stats = stats_by_code(compute_country_stats(profiles, {"AA": 10_000}, min_penetration=0.0005, min_residents=50))
     s = stats["AA"]
     assert s.residents == 100
     assert s.penetration == 100 / 10_000
@@ -151,7 +151,7 @@ def test_included_country():
 
 def test_low_penetration_excluded():
     profiles = profiles_for({f"u{i}": ["AA"] for i in range(4)})
-    stats = compute_country_stats(profiles, {"AA": 10_000}, min_penetration=0.0005, min_residents=1)
+    stats = stats_by_code(compute_country_stats(profiles, {"AA": 10_000}, min_penetration=0.0005, min_residents=1))
     s = stats["AA"]
     assert not s.included
     assert "penetration" in s.reason
@@ -159,7 +159,7 @@ def test_low_penetration_excluded():
 
 def test_too_few_residents_excluded():
     profiles = profiles_for({f"u{i}": ["AA"] for i in range(20)})
-    stats = compute_country_stats(profiles, {"AA": 1_000}, min_penetration=0.0005, min_residents=100)
+    stats = stats_by_code(compute_country_stats(profiles, {"AA": 1_000}, min_penetration=0.0005, min_residents=100))
     s = stats["AA"]
     assert not s.included
     assert "residents" in s.reason
@@ -167,7 +167,7 @@ def test_too_few_residents_excluded():
 
 def test_missing_census_excluded():
     profiles = profiles_for({"u1": ["AA"]})
-    stats = compute_country_stats(profiles, {}, min_residents=1, min_penetration=0.0)
+    stats = stats_by_code(compute_country_stats(profiles, {}, min_residents=1, min_penetration=0.0))
     s = stats["AA"]
     assert not s.included
     assert s.population is None
@@ -177,22 +177,24 @@ def test_missing_census_excluded():
 
 def test_nonpositive_population_excluded():
     profiles = profiles_for({"u1": ["AA"]})
-    stats = compute_country_stats(profiles, {"AA": 0}, min_residents=1, min_penetration=0.0)
+    stats = stats_by_code(compute_country_stats(profiles, {"AA": 0}, min_residents=1, min_penetration=0.0))
     assert not stats["AA"].included
 
 
 def test_visited_country_without_residents_is_covered():
     profiles = profiles_for({"u1": ["AA", "AA", "BB"]})
-    stats = compute_country_stats(profiles, {"AA": 1000, "BB": 1000}, min_residents=1, min_penetration=0.0)
+    stats = stats_by_code(
+        compute_country_stats(profiles, {"AA": 1000, "BB": 1000}, min_residents=1, min_penetration=0.0)
+    )
     assert stats["BB"].residents == 0
     assert not stats["BB"].included
 
 
 def test_gdp_attached_when_given():
     profiles = profiles_for({"u1": ["AA"]})
-    stats = compute_country_stats(
+    stats = stats_by_code(compute_country_stats(
         profiles, {"AA": 1000}, gdp_per_capita={"AA": 41500.5}, min_residents=1, min_penetration=0.0
-    )
+    ))
     assert stats["AA"].gdp_per_capita == 41500.5
 
 
@@ -211,7 +213,9 @@ def test_exclusion_reasons_hold_no_comma(visits, census, min_penetration, min_re
     Covers census gaps, zero and negative populations and both thresholds.
     """
     profiles = profiles_for({f"u{i}": countries for i, countries in enumerate(visits)})
-    stats = compute_country_stats(profiles, census, min_penetration=min_penetration, min_residents=min_residents)
+    stats = stats_by_code(
+        compute_country_stats(profiles, census, min_penetration=min_penetration, min_residents=min_residents)
+    )
     for s in stats.values():
         assert "," not in s.reason
 
@@ -232,8 +236,8 @@ def test_tightening_thresholds_never_adds_countries(resident_counts, pens, mins)
     census = {"AA": 5_000, "BB": 20_000, "CC": 1_000}
     lo_pen, hi_pen = pens
     lo_res, hi_res = mins
-    loose = compute_country_stats(profiles, census, min_penetration=lo_pen, min_residents=lo_res)
-    tight = compute_country_stats(profiles, census, min_penetration=hi_pen, min_residents=hi_res)
+    loose = stats_by_code(compute_country_stats(profiles, census, min_penetration=lo_pen, min_residents=lo_res))
+    tight = stats_by_code(compute_country_stats(profiles, census, min_penetration=hi_pen, min_residents=hi_res))
     included_loose = {c for c, s in loose.items() if s.included}
     included_tight = {c for c, s in tight.items() if s.included}
     assert included_tight <= included_loose
