@@ -16,6 +16,10 @@ The stages' other temporaries are a block of rows or of whole users, so
 50 per user, at 77 MiB in `clean` (the 28.5 MiB table, its int32
 trajectory order and the sorted copy of one column, over the 30.7 MiB of
 the interpreter and numpy).
+Workspace.write_table writes every CSV artifact but the event files, from
+the columns ARTIFACTS declares: lists (the small tables) a row at a time
+by tables.write_rows, arrays and (vocabulary, codes) pairs (per user or
+day) a block at a time by tables.csv_blocks, cheaper from ~300 rows on.
 All randomness flows from the single `seed` config key, and no artifact
 embeds timestamps or machine state, so identical configs produce
 byte-identical outputs.
@@ -34,7 +38,7 @@ import json
 import os
 import re
 import sys
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -62,37 +66,40 @@ class StageOrderError(RuntimeError):
 
 class Artifact(NamedTuple):
     stage: str  # the command that writes it
-    header: Sequence[str] | dict[str, tables.Kind] = ()  # CSV header, with column kinds if read back; () if not CSV
+    header: dict[str, tables.Kind] | None = None  # its CSV columns, each with the kind of its cells; None if not CSV
 
 
-_DAILY_HEADER = ["code", "day", "count", "normalized"]
+_EVENTS = dict(zip(tables.EVENT_HEADER, (NAME, COUNT, NUMBER, NUMBER, TEXT, TEXT)))
+_DAILY = dict(code=NAME, day=COUNT, count=COUNT, normalized=NONNEGATIVE)
 _KM = dict(user_id=NAME, km=DISTANCE)
-_FLOW = dict(origin=NAME, destination=NAME, raw_weight=COUNT, est_weight=NONNEGATIVE)
+_RAW_FLOW = dict(origin=NAME, destination=NAME, raw_weight=COUNT)
+_FLOW = dict(_RAW_FLOW, est_weight=NONNEGATIVE)
 
 # Every file the commands write into paths.workdir. communities.csv appends
-# one column per partition level to its header.
+# one column per partition level to its header (Workspace.columns).
 ARTIFACTS: dict[str, Artifact] = {
-    "events_labeled.csv": Artifact("ingest", tables.EVENT_HEADER),
+    "events_labeled.csv": Artifact("ingest", _EVENTS),
     "ingest_report.json": Artifact("ingest"),
-    "events_clean.csv": Artifact("clean", tables.EVENT_HEADER),
-    "cleaning_report.csv": Artifact("clean", ["country", "source", "mass", "retained"]),
+    "events_clean.csv": Artifact("clean", _EVENTS),
+    "cleaning_report.csv": Artifact("clean", dict(country=NAME, source=TEXT, mass=COUNT, retained=BOOL)),
     "cleaning_stats.json": Artifact("clean"),
-    "profiles.csv": Artifact("profile", ["user_id", "residence", "total_events", "distinct_countries"]),
+    "profiles.csv": Artifact("profile", dict(
+        user_id=NAME, residence=NAME, total_events=COUNT, distinct_countries=COUNT)),
     # A census may give a population of 0 or below, and no population or GDP (an empty cell).
     "country_stats.csv": Artifact("profile", dict(
         code=NAME, residents=COUNT, population=INTEGER.or_empty(), penetration=NONNEGATIVE, included=BOOL,
         gdp_per_capita=NUMBER.or_empty(), reason=TEXT)),
     "mobility_profiles.csv": Artifact("metrics", dict(
         code=NAME, n_residents=COUNT, mobility_rate=NONNEGATIVE, mean_radius_km=NONNEGATIVE, countries_visited=COUNT)),
-    "daily_outbound.csv": Artifact("metrics", _DAILY_HEADER),
-    "daily_inbound.csv": Artifact("metrics", _DAILY_HEADER),
+    "daily_outbound.csv": Artifact("metrics", _DAILY),
+    "daily_inbound.csv": Artifact("metrics", _DAILY),
     "displacements.csv": Artifact("metrics", _KM),
     "gyration.csv": Artifact("metrics", _KM),
-    "edges_raw.csv": Artifact("network", ["origin", "destination", "raw_weight"]),
+    "edges_raw.csv": Artifact("network", _RAW_FLOW),
     "edges.csv": Artifact("network", _FLOW),
     "balances.csv": Artifact("network", dict(code=NAME, inflow=NONNEGATIVE, outflow=NONNEGATIVE, balance=NUMBER)),
     "top_flows.csv": Artifact("network", dict(rank=COUNT, **_FLOW)),
-    "communities.csv": Artifact("communities", ["country"]),
+    "communities.csv": Artifact("communities", dict(country=NAME)),
     "communities_report.json": Artifact("communities"),
     "gravity_fit.json": Artifact("fit-gravity"),
     "powerlaw_fit.json": Artifact("fit-powerlaw"),
@@ -126,22 +133,24 @@ class Workspace:
             raise StageOrderError(f"missing artifact {path}; run the {ARTIFACTS[name].stage!r} stage first")
         return path
 
+    def columns(self, name: str) -> dict[str, tables.Kind]:
+        """The declared columns of CSV artifact `name`; communities.csv's end in one per configured partition level."""
+        levels = self.config["communities"]["max_levels"] if name == "communities.csv" else 0
+        return {**ARTIFACTS[name].header, **{f"level{k}": COUNT for k in range(1, levels + 1)}}
+
     def read_rows(self, name: str) -> dict[str, list[Any]]:
-        return tables.read_rows(self.artifact(name), ARTIFACTS[name].header)
+        return tables.read_rows(self.artifact(name), self.columns(name))
 
-    def write_rows(self, name: str, rows: Any) -> None:
-        tables.write_rows(self.path(name), ARTIFACTS[name].header, rows)
-
-    def write_columns(self, name: str, columns: Sequence[tables.Column]) -> None:
-        """A row per row of the columns (tables.csv_blocks), in write_rows' bytes."""
-        tables.write_blocks(self.path(name), ARTIFACTS[name].header, tables.csv_blocks(columns))
-
-    def write_table(self, name: str, columns: dict[str, list[Any]]) -> None:
-        """A table given as read_rows returns it; ValueError unless its columns are the declared ones, in order."""
-        header = list(ARTIFACTS[name].header)
+    def write_table(self, name: str, columns: dict[str, list[Any]] | dict[str, tables.Column]) -> None:
+        """Write CSV artifact `name` from its columns, the declared ones in order; ValueError for any other names."""
+        header = list(self.columns(name))
         if list(columns) != header:
             raise ValueError(f"{name}: columns {list(columns)} are not the declared {header}")
-        self.write_rows(name, zip(*columns.values(), strict=True))
+        values = list(columns.values())
+        if all(isinstance(column, list) for column in values):
+            tables.write_rows(self.path(name), header, zip(*values, strict=True))
+        else:
+            tables.write_blocks(self.path(name), header, tables.csv_blocks(values))
 
     def load(self, name: str) -> Any:
         """A held value, or one derived from the artifacts; an event artifact reads as an EventTable."""
@@ -230,8 +239,10 @@ def stage_clean(ws: Workspace) -> None:
         raise ValueError(f"{labeled_path}: {len(ends) - 1} lines after the header, but {n_labeled} events")
     tables.write_events(ws.path("events_clean.csv"), events, tables.EventLines(labeled_path, ends, order))
     ws.held["events_clean.csv"] = events
-    ranked = ((country, source, mass) for country, ranking in stats.rankings.items() for source, mass in ranking)
-    ws.write_rows("cleaning_report.csv", ([c, s, mass, s in retained[c]] for c, s, mass in ranked))
+    ranked = [(country, source, mass) for country, ranking in stats.rankings.items() for source, mass in ranking]
+    ws.write_table("cleaning_report.csv", dict(
+        country=[c for c, _, _ in ranked], source=[s for _, s, _ in ranked], mass=[m for _, _, m in ranked],
+        retained=[s in retained[c] for c, s, _ in ranked]))
     tables.write_json(
         ws.path("cleaning_stats.json"),
         {
@@ -253,16 +264,13 @@ def stage_profile(ws: Workspace) -> None:
     gdp: dict[str, float] = {}
     if census_path:
         census, gdp = tables.read_census(census_path)
-    stats = residence_mod.compute_country_stats(
-        profiles,
-        census,
-        gdp,
-        min_penetration=ws.config["residence"]["min_penetration"],
-        min_residents=ws.config["residence"]["min_residents"],
-    )
+    settings = ws.config["residence"]
+    stats = residence_mod.compute_country_stats(profiles, census, gdp, settings["min_penetration"],
+                                                settings["min_residents"])
     has = np.flatnonzero(profiles.residence >= 0)  # the users with an event, in id order
-    ws.write_columns("profiles.csv", [(profiles.users, has), (profiles.countries, profiles.residence[has]),
-                                      profiles.total_events[has], profiles.distinct_countries[has]])
+    ws.write_table("profiles.csv", dict(
+        user_id=(profiles.users, has), residence=(profiles.countries, profiles.residence[has]),
+        total_events=profiles.total_events[has], distinct_countries=profiles.distinct_countries[has]))
     ws.write_table("country_stats.csv", stats)
 
 
@@ -276,37 +284,35 @@ def stage_metrics(ws: Workspace) -> None:
     rows, days = np.divmod(np.arange(outbound.size), outbound.shape[1])  # the country and day of each count
     for direction, counts in (("outbound", outbound), ("inbound", inbound)):
         normalized = 100.0 * counts / np.maximum(counts.max(axis=1, keepdims=True), 1)  # an all-zero row reads 0.0
-        ws.write_columns(f"daily_{direction}.csv", [(countries, rows), days, counts.ravel(), normalized.ravel()])
+        ws.write_table(f"daily_{direction}.csv",
+                       dict(code=(countries, rows), day=days, count=counts.ravel(), normalized=normalized.ravel()))
     users, km = metrics_mod.displacements(events)
-    ws.write_columns("displacements.csv", [(events.users, users), km])
+    ws.write_table("displacements.csv", dict(user_id=(events.users, users), km=km))
     has = np.flatnonzero(profiles.residence >= 0)  # the users with an event, in id order
-    ws.write_columns("gyration.csv", [(events.users, has), radii[has]])
+    ws.write_table("gyration.csv", dict(user_id=(events.users, has), km=radii[has]))
     ws.held.update({"displacements.csv": km, "gyration.csv": radii[has]})
 
 
-def _edge_rows(net: network_mod.FlowNetwork, rows: Any = slice(None)) -> Iterator[tuple[Any, ...]]:
-    """The rows of edges.csv for the network's edge rows `rows`, or of edges_raw.csv for a raw network."""
-    ends = (map(net.countries.__getitem__, column.tolist()) for column in net.edges[rows].T)
-    weights = (net.raw_weight,) if net.est_weight is None else (net.raw_weight, net.est_weight)
-    return zip(*ends, *(weight[rows].tolist() for weight in weights))
+def _edges(net: network_mod.FlowNetwork, rows: Any = slice(None)) -> dict[str, list[Any]]:
+    """The columns of edges.csv for the network's edge rows `rows`, or of edges_raw.csv for a raw network."""
+    origin, destination = (list(map(net.countries.__getitem__, column.tolist())) for column in net.edges[rows].T)
+    columns = dict(origin=origin, destination=destination, raw_weight=net.raw_weight[rows].tolist())
+    return columns if net.est_weight is None else dict(columns, est_weight=net.est_weight[rows].tolist())
 
 
 def stage_network(ws: Workspace) -> None:
     raw_net = network_mod.build_flow_network(ws.take("profiles"))
     stats = ws.read_rows("country_stats.csv")
-    ws.write_rows("edges_raw.csv", _edge_rows(raw_net))
-    net = network_mod.normalize_and_filter(
-        raw_net,
-        stats,
-        min_outgoing=ws.config["network"]["min_outgoing"],
-        min_penetration=ws.config["network"]["min_penetration"],
-    )
-    ws.write_rows("edges.csv", _edge_rows(net))
+    ws.write_table("edges_raw.csv", _edges(raw_net))
+    settings = ws.config["network"]
+    net = network_mod.normalize_and_filter(raw_net, stats, settings["min_outgoing"], settings["min_penetration"])
+    ws.write_table("edges.csv", _edges(net))
     inflow, outflow = network_mod.inflow_outflow_balance(net)
-    codes = map(net.countries.__getitem__, net.nodes.tolist())
-    ws.write_rows("balances.csv", zip(codes, inflow.tolist(), outflow.tolist(), (inflow - outflow).tolist()))
-    top = network_mod.top_k_flows(net, k=ws.config["network"]["top_k"])
-    ws.write_rows("top_flows.csv", ((rank, *row) for rank, row in enumerate(_edge_rows(net, top), start=1)))
+    codes = list(map(net.countries.__getitem__, net.nodes.tolist()))
+    ws.write_table("balances.csv", dict(
+        code=codes, inflow=inflow.tolist(), outflow=outflow.tolist(), balance=(inflow - outflow).tolist()))
+    top = network_mod.top_k_flows(net, k=settings["top_k"])
+    ws.write_table("top_flows.csv", dict(rank=list(range(1, len(top) + 1)), **_edges(net, top)))
 
 
 def _flow_edges(ws: Workspace) -> dict[str, dict[tuple[str, str], float]]:
@@ -321,19 +327,11 @@ def stage_communities(ws: Workspace) -> None:
     weights, nodes = _flow_edges(ws), ws.read_rows("balances.csv")["code"]
     if not nodes:
         raise ValueError("empty network: nothing to partition")
-    hierarchy = community_mod.hierarchical_partition(
-        weights[settings["weights"]],
-        max_levels=settings["max_levels"],
-        seed=ws.config["seed"],
-        restarts=settings["restarts"],
-        nodes=nodes,
-    )
-    levels = [f"level{k}" for k in range(1, settings["max_levels"] + 1)]
-    tables.write_rows(
-        ws.path("communities.csv"),
-        [*ARTIFACTS["communities.csv"].header, *levels],
-        ([code] + [level.assignment[code] for level in hierarchy.levels] for code in sorted(nodes)),
-    )
+    hierarchy = community_mod.hierarchical_partition(weights[settings["weights"]], max_levels=settings["max_levels"],
+                                                     seed=ws.config["seed"], restarts=settings["restarts"], nodes=nodes)
+    codes = sorted(nodes)
+    levels = {f"level{k}": [level.assignment[code] for code in codes] for k, level in enumerate(hierarchy.levels, 1)}
+    ws.write_table("communities.csv", {"country": codes, **levels})
     tables.write_json(
         ws.path("communities_report.json"),
         {
@@ -453,18 +451,10 @@ def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
         )
     boundaries_path = os.path.join(out_dir, "boundaries.geojson")
     tables.write_json(boundaries_path, {"type": "FeatureCollection", "features": features})
-    census_path = os.path.join(out_dir, "census.csv")
-    tables.write_rows(
-        census_path,
-        ["code", "population"],
-        ([c.code, c.population] for c in sorted(world.countries, key=lambda c: c.code)),
-    )
-    capitals_path = os.path.join(out_dir, "capitals.csv")
-    tables.write_rows(
-        capitals_path,
-        ["code", "lat", "lon"],
-        ([c.code, c.capital[0], c.capital[1]] for c in sorted(world.countries, key=lambda c: c.code)),
-    )
+    census_path, capitals_path = os.path.join(out_dir, "census.csv"), os.path.join(out_dir, "capitals.csv")
+    countries = sorted(world.countries, key=lambda c: c.code)
+    tables.write_rows(census_path, ["code", "population"], ([c.code, c.population] for c in countries))
+    tables.write_rows(capitals_path, ["code", "lat", "lon"], ([c.code, *c.capital] for c in countries))
     truth_doc = dataclasses.asdict(truth)
     truth_doc["bots"] = sorted(truth.bots)
     truth_doc["realized_edges"] = {f"{o}:{d}": n for (o, d), n in truth.realized_edges.items()}

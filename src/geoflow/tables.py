@@ -177,8 +177,10 @@ def read_json(path: str) -> dict[str, Any]:
 # CSV lines from columns
 # ---------------------------------------------------------------------------
 
-# A column of csv_blocks: an integer array, a float64 array, or a vocabulary with the int codes of its rows.
+# A column of csv_blocks: an integer, bool or float64 array, or a vocabulary with the int codes of its rows.
 Column = np.ndarray | tuple[Sequence[str], np.ndarray]
+
+_BOOL_TEXT = ("false", "true")  # fmt's text: a bool array is written as this vocabulary's column
 
 _MAX_NAME_BYTES = 64  # a longer name sends its block to the line-at-a-time path
 _U64 = np.uint64
@@ -201,7 +203,9 @@ _E10 = np.array([q - e for e, q in _RYU], dtype=np.int64)
 
 def csv_blocks(columns: Sequence[Column]) -> Iterator[bytes]:
     """The CSV lines of the columns' rows (cells joined by commas, each line ended by LF), ingest.BLOCK_ROWS
-    rows at a time: the bytes of f"{name},{integer},{float!r}\\n" per row, without a str call per cell."""
+    rows at a time: the bytes of f"{name},{integer},{float!r}\\n" per row, without a str call per cell. A bool
+    reads true or false, as fmt writes it."""
+    columns = [(_BOOL_TEXT, c.view(np.uint8)) if isinstance(c, np.ndarray) and c.dtype == bool else c for c in columns]
     size = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
     for start in range(0, size, ingest.BLOCK_ROWS):
         cut = slice(start, start + ingest.BLOCK_ROWS)

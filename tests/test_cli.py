@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -913,16 +914,60 @@ def test_country_stats_keep_gdp_per_capita(tmp_path):
     assert [c for c, s in stats.items() if s.gdp_per_capita is not None] == [rich]
 
 
-def test_write_table_rejects_columns_other_than_the_declared_ones(tmp_path):
-    ws = cli_mod.Workspace({"paths": {"workdir": str(tmp_path)}})
-    header = list(cli_mod.ARTIFACTS["mobility_profiles.csv"].header)
-    row = ["AA", 1, 0.5, 2.0, 1]
-    for names in (["country", *header[1:]], header[::-1], header[:-1], [*header, "extra"]):
-        with pytest.raises(ValueError, match="mobility_profiles.csv: columns"):
-            ws.write_table("mobility_profiles.csv", {name: [value] for name, value in zip(names, row + [0])})
-    assert not (tmp_path / "mobility_profiles.csv").exists()
-    ws.write_table("mobility_profiles.csv", {name: [value] for name, value in zip(header, row)})
-    assert (tmp_path / "mobility_profiles.csv").read_text() == ",".join(header) + "\nAA,1,0.5,2.0,1\n"
+CSV_ARTIFACTS = [name for name, artifact in cli_mod.ARTIFACTS.items() if artifact.header is not None]
+
+
+@pytest.mark.parametrize("name", CSV_ARTIFACTS)
+def test_write_table_rejects_columns_other_than_the_declared_ones(tmp_path, name):
+    ws = cli_mod.Workspace({"paths": {"workdir": str(tmp_path)}, "communities": {"max_levels": 2}})
+    columns = ws.columns(name)
+    header = list(columns)
+    # A value of each column's kind that reads back as itself, of its own type.
+    row = [next(v for v in ("AA", 1, 0.5, True) if repr(kind.values([tables.fmt(v)])) == repr([v]))
+           for kind in columns.values()]
+    for names in (["name", *header[1:]], header[::-1], header[:-1], [*header, "extra"]):
+        with pytest.raises(ValueError, match=f"{re.escape(name)}: columns"):
+            ws.write_table(name, {column: [value] for column, value in zip(names, row + [0])})
+    assert not (tmp_path / name).exists()
+    ws.write_table(name, {column: [value] for column, value in zip(header, row)})
+    assert (tmp_path / name).read_text() == ",".join(header) + "\n" + ",".join(map(tables.fmt, row)) + "\n"
+    assert ws.read_rows(name) == {column: [value] for column, value in zip(header, row)}
+
+
+def test_every_csv_artifact_of_a_run_reads_back_as_it_was_written(pipeline, tmp_path):
+    # Read back through its declared columns, and written again from them as lists, a row at a time, each
+    # artifact is the same bytes: csv_blocks and write_events' copy wrote what write_rows writes.
+    world, config = pipeline
+    shutil.copytree(world / "artifacts", tmp_path / "artifacts")
+    ws = cli_mod.Workspace(load_config(config, env={"GEOFLOW_PATHS_WORKDIR": str(tmp_path / "artifacts")}))
+    for name in CSV_ARTIFACTS:
+        written = (tmp_path / "artifacts" / name).read_bytes()
+        table = ws.read_rows(name)
+        assert {len(column) for column in table.values()} == {written.count(b"\n") - 1} != {0}, name
+        ws.write_table(name, table)
+        assert (tmp_path / "artifacts" / name).read_bytes() == written, name
+
+
+@pytest.mark.parametrize("events", ["header-only", "all-ocean"])
+def test_run_without_a_located_event_writes_header_only_tables_and_exits_6(tmp_path, capsys, events):
+    world = build_world(tmp_path, "world")
+    header, *lines = (world / "events.csv").read_text().splitlines(keepends=True)
+    if events == "header-only":
+        lines = []
+    else:  # every point at 80 degrees south, far from every country of the world
+        lines = [",".join([*fields[:2], "-80.0", *fields[3:]]) for fields in (line.split(",") for line in lines)]
+    (world / "events.csv").write_text(header + "".join(lines))
+    config = str(world / "config.json")
+    assert cli("run", "--config", config) == 6
+    assert capsys.readouterr().err == "geoflow: data error: empty network: nothing to partition\n"
+    ws = cli_mod.Workspace(load_config(config, env={}))
+    written = [name for name in CSV_ARTIFACTS if (world / "artifacts" / name).exists()]
+    assert written == CSV_ARTIFACTS[: CSV_ARTIFACTS.index("top_flows.csv") + 1]
+    for name in written:
+        assert (world / "artifacts" / name).read_text() == ",".join(ws.columns(name)) + "\n", name
+        assert ws.read_rows(name) == {column: [] for column in ws.columns(name)}, name
+    report = read_json(str(world / "artifacts" / "ingest_report.json"))
+    assert (report["n_labeled"], report["n_unlocatable_dropped"]) == (0, len(lines))
 
 
 def test_edgeless_network_gives_flat_levels(tmp_path):

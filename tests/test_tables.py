@@ -128,3 +128,27 @@ def test_csv_blocks_write_what_f_strings_write(monkeypatch, block, odd_name):
         (names, np.full(n, -1)),
     ]
     assert b"".join(tables.csv_blocks(columns)) == table_lines(columns)
+
+
+def test_csv_blocks_write_bools_as_fmt_does():
+    # On both paths: the matrix, and the line loop that a NaN sends the block to.
+    flags = np.array([True, False])
+    assert b"".join(tables.csv_blocks([flags, np.array([1.5, 2.0])])) == b"true,1.5\nfalse,2.0\n"
+    assert b"".join(tables.csv_blocks([flags, np.array([np.nan, 2.0])])) == b"true,nan\nfalse,2.0\n"
+
+
+cell_names = st.sampled_from(["", "a", "user_17", "x" * 64, "\u00e9", "nul\0name", "x" * 65])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.booleans(), in_range | st.floats(), st.integers(-(2**63), 2**63 - 1), cell_names),
+                min_size=1, max_size=40))
+def test_csv_blocks_write_what_write_rows_writes(rows):
+    """Every kind of column csv_blocks takes, in the bytes of tables.fmt a row at a time, as write_rows writes
+    them: a float out of the kernel's range (NaN, infinities, subnormals) sends the block to the line loop."""
+    flags, floats, integers, cells = (list(column) for column in zip(*rows))
+    vocabulary = sorted(set(cells))
+    columns = [np.array(flags), np.array(floats), np.array(integers, dtype=np.int64),
+               (vocabulary, np.array([vocabulary.index(cell) for cell in cells]))]
+    want = "".join(",".join(map(tables.fmt, row)) + "\n" for row in rows).encode()
+    assert b"".join(tables.csv_blocks(columns)) == want
