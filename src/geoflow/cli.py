@@ -16,10 +16,11 @@ The stages' other temporaries are a block of rows or of whole users, so
 50 per user, at 77 MiB in `clean` (the 28.5 MiB table, its int32
 trajectory order and the sorted copy of one column, over the 30.7 MiB of
 the interpreter and numpy).
-Workspace.write_table writes every CSV artifact but the event files, from
-the columns ARTIFACTS declares: lists (the small tables) a row at a time
-by tables.write_rows, arrays and (vocabulary, codes) pairs (per user or
-day) a block at a time by tables.csv_blocks, cheaper from ~300 rows on.
+Both the CSV and the JSON artifacts are written and read through what
+ARTIFACTS declares. Workspace.write_table writes every CSV artifact but the
+event files: lists (the small tables) a row at a time by tables.write_rows,
+arrays and (vocabulary, codes) pairs (per user or day) a block at a time
+by tables.csv_blocks, cheaper from ~300 rows on.
 All randomness flows from the single `seed` config key, and no artifact
 embeds timestamps or machine state, so identical configs produce
 byte-identical outputs.
@@ -36,7 +37,6 @@ import copy
 import dataclasses
 import json
 import os
-import re
 import sys
 from typing import Any, Callable, NamedTuple
 
@@ -51,7 +51,8 @@ from . import network as network_mod
 from . import residence as residence_mod
 from . import tables
 from .config import ConfigError, load_config
-from .tables import BOOL, COUNT, DISTANCE, INTEGER, NAME, NONNEGATIVE, NUMBER, TEXT
+from .tables import (BOOL, COUNT, DISTANCE, INTEGER, JSON_BOOL, JSON_COUNT, JSON_LIST, JSON_NUMBER, JSON_OBJECT,
+                     JSON_TEXT, NAME, NONNEGATIVE, NUMBER, TEXT)
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -67,6 +68,12 @@ class StageOrderError(RuntimeError):
 class Artifact(NamedTuple):
     stage: str  # the command that writes it
     header: dict[str, tables.Kind] | None = None  # its CSV columns, each with the kind of its cells; None if not CSV
+    keys: dict[str, Any] | None = None  # its JSON keys, each with the kind of its value (_checked); None if not JSON
+    legs: bool = False  # JSON: an object of legs, each holding the keys or, where its fit failed, {"error": text}
+
+    def json_keys(self, doc: dict[str, Any]) -> dict[str, Any]:
+        """The keys JSON document `doc` holds (_checked): the declared ones, or an object of them in each leg."""
+        return dict.fromkeys(doc, self.keys) if self.legs else self.keys
 
 
 _EVENTS = dict(zip(tables.EVENT_HEADER, (NAME, COUNT, NUMBER, NUMBER, TEXT, TEXT)))
@@ -79,10 +86,14 @@ _FLOW = dict(_RAW_FLOW, est_weight=NONNEGATIVE)
 # one column per partition level to its header (Workspace.columns).
 ARTIFACTS: dict[str, Artifact] = {
     "events_labeled.csv": Artifact("ingest", _EVENTS),
-    "ingest_report.json": Artifact("ingest"),
+    "ingest_report.json": Artifact("ingest", keys=dict(
+        n_lines=JSON_COUNT, n_events=JSON_COUNT, n_malformed=JSON_COUNT, header_skipped=JSON_BOOL,
+        n_unlocatable_dropped=JSON_COUNT, n_labeled=JSON_COUNT, errors_first_10=[JSON_LIST])),
     "events_clean.csv": Artifact("clean", _EVENTS),
     "cleaning_report.csv": Artifact("clean", dict(country=NAME, source=TEXT, mass=COUNT, retained=BOOL)),
-    "cleaning_stats.json": Artifact("clean"),
+    "cleaning_stats.json": Artifact("clean", keys=dict(
+        speed_removed=JSON_COUNT, users_before=JSON_COUNT, users_after=JSON_COUNT, events_before=JSON_COUNT,
+        events_after=JSON_COUNT, user_fraction=JSON_NUMBER, event_fraction=JSON_NUMBER)),
     "profiles.csv": Artifact("profile", dict(
         user_id=NAME, residence=NAME, total_events=COUNT, distinct_countries=COUNT)),
     # A census may give a population of 0 or below, and no population or GDP (an empty cell).
@@ -100,10 +111,15 @@ ARTIFACTS: dict[str, Artifact] = {
     "balances.csv": Artifact("network", dict(code=NAME, inflow=NONNEGATIVE, outflow=NONNEGATIVE, balance=NUMBER)),
     "top_flows.csv": Artifact("network", dict(rank=COUNT, **_FLOW)),
     "communities.csv": Artifact("communities", dict(country=NAME)),
-    "communities_report.json": Artifact("communities"),
-    "gravity_fit.json": Artifact("fit-gravity"),
-    "powerlaw_fit.json": Artifact("fit-powerlaw"),
-    "validate.json": Artifact("validate"),
+    "communities_report.json": Artifact("communities", keys=dict(
+        q_per_level=[JSON_NUMBER], communities_per_level=[JSON_COUNT], parents_per_level=[JSON_OBJECT])),
+    "gravity_fit.json": Artifact("fit-gravity", keys=dict(
+        logA=JSON_NUMBER, alpha=JSON_NUMBER, beta=JSON_NUMBER, gamma=JSON_NUMBER, r2=JSON_NUMBER, n_pairs=JSON_COUNT,
+        n_zero_excluded=JSON_COUNT, n_short_excluded=JSON_COUNT, n_missing_distance=JSON_COUNT), legs=True),
+    "powerlaw_fit.json": Artifact("fit-powerlaw", keys=dict(
+        exponent=JSON_NUMBER, xmin=JSON_NUMBER, n_tail=JSON_COUNT, stderr=JSON_NUMBER,
+        binned_check=dict(exponent=JSON_NUMBER, intercept=JSON_NUMBER, r2=JSON_NUMBER)), legs=True),
+    "validate.json": Artifact("validate", keys=dict(r2=JSON_NUMBER, matched_countries=JSON_COUNT), legs=True),
     "report.txt": Artifact("report"),
 }
 
@@ -152,6 +168,17 @@ class Workspace:
         else:
             tables.write_blocks(self.path(name), header, tables.csv_blocks(values))
 
+    def write_json(self, name: str, doc: dict[str, Any]) -> None:
+        """Write JSON artifact `name`; ValueError unless it holds what read_json checks, and each of its objects
+        the declared keys alone, in order."""
+        _checked(f"{name}: ", doc, ARTIFACTS[name].json_keys(doc), exact=True)
+        tables.write_json(self.path(name), doc)
+
+    def read_json(self, name: str) -> dict[str, Any]:
+        """JSON artifact `name`, each declared key checked (_checked)."""
+        doc = tables.read_json(self.artifact(name))
+        return _checked(f"{name}: ", doc, ARTIFACTS[name].json_keys(doc))
+
     def load(self, name: str) -> Any:
         """A held value, or one derived from the artifacts; an event artifact reads as an EventTable."""
         if name not in self.held:
@@ -163,6 +190,27 @@ class Workspace:
         value = self.load(name)
         del self.held[name]
         return value
+
+
+def _checked(where: str, doc: dict[str, Any], keys: dict[str, Any], exact: bool = False) -> dict[str, Any]:
+    """`doc`, if it holds each of `keys` as its kind declares: a tables.Kind; [kind], a list of values of that kind;
+    or a dict of keys, an object holding them or a leg's {"error": text}. With `exact`, it and each of its objects
+    hold the declared keys alone, in order. Otherwise ValueError naming `where` and the key."""
+    if exact and list(doc) != list(keys):
+        raise ValueError(f"{where}keys {list(doc)} are not the declared {list(keys)}")
+    for key, kind in keys.items():
+        if key not in doc:
+            raise ValueError(f"{where}{key} is missing")
+        value = doc[key]
+        shape = JSON_LIST if isinstance(kind, list) else JSON_OBJECT if isinstance(kind, dict) else kind
+        if shape.values([value]) is None:
+            raise ValueError(f"{where}{key} is {json.dumps(value)}, not {shape.what}")
+        if isinstance(kind, list):
+            items = {f"{key}[{i}]": item for i, item in enumerate(value)}
+            _checked(where, items, dict.fromkeys(items, kind[0]))
+        elif isinstance(kind, dict):
+            _checked(f"{where}{key}: ", value, {"error": JSON_TEXT} if "error" in value else kind, exact)
+    return doc
 
 
 def _trajectories(events: ingest_mod.EventTable) -> ingest_mod.EventTable:
@@ -205,7 +253,9 @@ def stage_ingest(ws: Workspace) -> None:
         index = ingest_mod.BoundaryIndex(ingest_mod.load_boundaries(boundaries_path))
     n_events = len(report.events)  # before labeling drops the unlocatable rows from the table
     labeled, dropped = ingest_mod.label_events(report.events, index)
-    summary = {
+    tables.write_events(ws.path("events_labeled.csv"), labeled)
+    ws.held["events_labeled.csv"] = labeled
+    ws.write_json("ingest_report.json", {
         "n_lines": report.n_lines,
         "n_events": n_events,
         "n_malformed": report.n_malformed,
@@ -213,10 +263,7 @@ def stage_ingest(ws: Workspace) -> None:
         "n_unlocatable_dropped": dropped,
         "n_labeled": len(labeled),
         "errors_first_10": [[lineno, reason] for lineno, reason in report.errors],
-    }
-    tables.write_events(ws.path("events_labeled.csv"), labeled)
-    ws.held["events_labeled.csv"] = labeled
-    tables.write_json(ws.path("ingest_report.json"), summary)
+    })
 
 
 def stage_clean(ws: Workspace) -> None:
@@ -243,18 +290,8 @@ def stage_clean(ws: Workspace) -> None:
     ws.write_table("cleaning_report.csv", dict(
         country=[c for c, _, _ in ranked], source=[s for _, s, _ in ranked], mass=[m for _, _, m in ranked],
         retained=[s in retained[c] for c, s, _ in ranked]))
-    tables.write_json(
-        ws.path("cleaning_stats.json"),
-        {
-            "speed_removed": speed_removed,
-            "users_before": stats.users_before,
-            "users_after": stats.users_after,
-            "events_before": stats.events_before,
-            "events_after": stats.events_after,
-            "user_fraction": stats.user_fraction,
-            "event_fraction": stats.event_fraction,
-        },
-    )
+    ws.write_json("cleaning_stats.json", {key: speed_removed if key == "speed_removed" else getattr(stats, key)
+                                          for key in ARTIFACTS["cleaning_stats.json"].keys})
 
 
 def stage_profile(ws: Workspace) -> None:
@@ -332,17 +369,21 @@ def stage_communities(ws: Workspace) -> None:
     codes = sorted(nodes)
     levels = {f"level{k}": [level.assignment[code] for code in codes] for k, level in enumerate(hierarchy.levels, 1)}
     ws.write_table("communities.csv", {"country": codes, **levels})
-    tables.write_json(
-        ws.path("communities_report.json"),
-        {
-            "q_per_level": [level.q for level in hierarchy.levels],
-            "communities_per_level": [level.n_communities for level in hierarchy.levels],
-            "parents_per_level": [
-                {str(child): parent for child, parent in sorted(parents.items())}
-                for parents in hierarchy.parents
-            ],
-        },
-    )
+    ws.write_json("communities_report.json", {
+        "q_per_level": [level.q for level in hierarchy.levels],
+        "communities_per_level": [level.n_communities for level in hierarchy.levels],
+        "parents_per_level": [{str(child): parent for child, parent in sorted(parents.items())}
+                              for parents in hierarchy.parents],
+    })
+
+
+def _leg(fit: Callable[[], dict[str, Any]]) -> dict[str, Any]:
+    """fit(), or {"error": why} if it raises ValueError. A leg can be unfittable on a small corpus (e.g. identical
+    resident counts make ln p collinear with the intercept): its report says why, and the run goes on."""
+    try:
+        return fit()
+    except ValueError as exc:
+        return {"error": str(exc)}
 
 
 def stage_fit_gravity(ws: Workspace) -> None:
@@ -354,44 +395,22 @@ def stage_fit_gravity(ws: Workspace) -> None:
     population, residents = (dict(zip(stats["code"], stats[column])) for column in ("population", "residents"))
     census_pops = {c: float(p) for c, p in population.items() if p and p > 0}
     platform_pops = {c: float(r) for c, r in residents.items() if r > 0}
-    report: dict[str, Any] = {}
-    for name, flows, pops in (
-        ("est_census", weights["est"], census_pops),
-        ("raw_platform", weights["raw"], platform_pops),
-    ):
-        # A leg can be unfittable on a small corpus (e.g. identical resident
-        # counts make ln p collinear with the intercept); record why and keep
-        # the other leg rather than aborting the run.
-        try:
-            fit = models_mod.fit_gravity(
-                flows, pops, distances, min_distance_km=ws.config["fit"]["min_distance_km"]
-            )
-        except ValueError as exc:
-            report[name] = {"error": str(exc)}
-            continue
-        report[name] = dataclasses.asdict(fit)
-    tables.write_json(ws.path("gravity_fit.json"), report)
-
-
-def _powerlaw_report(samples: np.ndarray, xmin: float) -> dict[str, Any]:
-    out = dataclasses.asdict(models_mod.fit_power_law(samples, xmin))
-    try:
-        b_beta, b_intercept, b_r2 = models_mod.binned_powerlaw_check(samples[samples >= xmin])
-        out["binned_check"] = {"exponent": b_beta, "intercept": b_intercept, "r2": b_r2}
-    except ValueError as exc:
-        out["binned_check"] = {"error": str(exc)}
-    return out
+    legs = {"est_census": (weights["est"], census_pops), "raw_platform": (weights["raw"], platform_pops)}
+    min_km = ws.config["fit"]["min_distance_km"]
+    ws.write_json("gravity_fit.json", {name: _leg(lambda: dataclasses.asdict(models_mod.fit_gravity(
+        flows, pops, distances, min_distance_km=min_km))) for name, (flows, pops) in legs.items()})
 
 
 def stage_fit_powerlaw(ws: Workspace) -> None:
+    xmin, binned = ws.config["fit"]["powerlaw_xmin_km"], ARTIFACTS["powerlaw_fit.json"].keys["binned_check"]
     report: dict[str, Any] = {}
     for name in ("displacements", "gyration"):
-        samples = ws.take(f"{name}.csv")
-        try:
-            report[name] = _powerlaw_report(samples, ws.config["fit"]["powerlaw_xmin_km"])
-        except ValueError as exc:
-            report[name] = {"error": str(exc)}
-    tables.write_json(ws.path("powerlaw_fit.json"), report)
+        km = ws.take(f"{name}.csv")  # outside the leg: a table that cannot be read is no leg's error
+        report[name] = _leg(lambda: dataclasses.asdict(models_mod.fit_power_law(km, xmin)))
+        if "error" not in report[name]:  # the binned check of the tail, or why it failed
+            report[name]["binned_check"] = _leg(
+                lambda: dict(zip(binned, models_mod.binned_powerlaw_check(km[km >= xmin]))))
+    ws.write_json("powerlaw_fit.json", report)
 
 
 def cmd_validate(ws: Workspace) -> None:
@@ -399,15 +418,9 @@ def cmd_validate(ws: Workspace) -> None:
     balances = ws.read_rows("balances.csv")
     inflows = dict(zip(balances["code"], balances["inflow"]))
     rows = tables.code_rows(reference_path)  # read once; a table that cannot be read is no one leg's error
-    report: dict[str, Any] = {}
-    for name, column in (("arrivals", 1), ("receipts", 2)):
-        try:
-            reference = tables.reference_column(reference_path, rows, column)
-            r2, matched = models_mod.validate_external(inflows, reference)
-            report[name] = {"r2": r2, "matched_countries": matched}
-        except ValueError as exc:
-            report[name] = {"error": str(exc)}
-    tables.write_json(ws.path("validate.json"), report)
+    legs, keys = {"arrivals": 1, "receipts": 2}, ARTIFACTS["validate.json"].keys  # each leg's reference column
+    ws.write_json("validate.json", {name: _leg(lambda: dict(zip(keys, models_mod.validate_external(
+        inflows, tables.reference_column(reference_path, rows, column))))) for name, column in legs.items()})
 
 
 def cmd_synth(config: dict[str, Any], out_dir: str) -> None:
@@ -491,52 +504,18 @@ _CONSERVATION = [
 ]
 
 
-def _check_conservation(docs: dict[str, dict[str, Any]]) -> None:
-    """Raise ValueError naming the first identity of _CONSERVATION that the counts of `docs` (by file) break."""
-    for total, name, parts in _CONSERVATION:
-        whole = _checked("ingest_report.json", docs["ingest_report.json"], total, "d")
-        values = [_checked(name, docs[name], part, "d") for part in parts]
-        if whole != sum(values):
-            raise ValueError(f"{total} = {' + '.join(parts)} does not hold: {whole} != {sum(values)}")
-
-
-# The JSON types that `report` takes for each spec, and their name; "d" also takes a flag, as header_skipped is.
-_SPECS = {".6g": ((int, float), "a number"), "": ((int,), "a count"), "d": ((int, bool), "a count"),
-          "list": ((list,), "a list"), "object": ((dict,), "an object")}
-
-
-def _checked(name: str, doc: dict[str, Any], key: str, spec: str) -> Any:
-    """doc[key], a value of the types _SPECS gives for `spec`. A missing key, or a value of any other JSON type,
-    raises ValueError naming the file and the key."""
-    if key not in doc:
-        raise ValueError(f"{name}: {key} is missing")
-    types, what = _SPECS[spec]
-    if type(doc[key]) not in types:
-        raise ValueError(f"{name}: {key} is {json.dumps(doc[key])}, not {what}")
-    return doc[key]
-
-
-def _format(name: str, template: str, doc: dict[str, Any]) -> str:
-    """template.format_map(doc), the value of each of its fields checked first (_checked)."""
-    fields = re.findall(r"{(\w+):?([^}]*)}", template)
-    return template.format_map({key: _checked(name, doc, key, spec) for key, spec in fields})
-
-
-def _levels(name: str, doc: dict[str, Any], key: str, spec: str) -> str:
-    """doc[key], a list of one value per partition level, each checked and formatted with spec, joined by spaces."""
-    levels = {f"{key}[{i}]": value for i, value in enumerate(_checked(name, doc, key, "list"))}
-    return " ".join(format(_checked(name, levels, level, spec), spec) for level in levels)
-
-
 def cmd_report(ws: Workspace) -> str:
     lines = ["PIPELINE REPORT", ""]
     add = lines.append
-    docs = {name: tables.read_json(ws.artifact(name)) for name in ("ingest_report.json", "cleaning_stats.json")}
-    _check_conservation(docs)
-    add(_format("ingest_report.json", "[ingest_report.json] lines={n_lines} events={n_events} "
-                "malformed={n_malformed} unlocatable={n_unlocatable_dropped}", docs["ingest_report.json"]))
-    add(_format("cleaning_stats.json", "[cleaning_stats.json] speed_removed={speed_removed} user_survival="
-                "{user_fraction:.6g} event_survival={event_fraction:.6g}", docs["cleaning_stats.json"]))
+    docs = {name: ws.read_json(name) for name in ("ingest_report.json", "cleaning_stats.json")}
+    for total, name, parts in _CONSERVATION:  # exit 6 on the first identity that does not hold
+        whole, values = docs["ingest_report.json"][total], [docs[name][part] for part in parts]
+        if whole != sum(values):
+            raise ValueError(f"{total} = {' + '.join(parts)} does not hold: {whole} != {sum(values)}")
+    add("[ingest_report.json] lines={n_lines} events={n_events} malformed={n_malformed} "
+        "unlocatable={n_unlocatable_dropped}".format_map(docs["ingest_report.json"]))
+    add("[cleaning_stats.json] speed_removed={speed_removed} user_survival={user_fraction:.6g} "
+        "event_survival={event_fraction:.6g}".format_map(docs["cleaning_stats.json"]))
     included = ws.read_rows("country_stats.csv")["included"]
     add(f"[country_stats.csv] countries={len(included)} included={sum(included)}")
     rates = ws.read_rows("mobility_profiles.csv")["mobility_rate"]
@@ -546,8 +525,8 @@ def cmd_report(ws: Workspace) -> str:
     top = ws.read_rows("top_flows.csv")
     if top["rank"]:
         add(f"[top_flows.csv] top flow {top['origin'][0]}->{top['destination'][0]} est={top['est_weight'][0]:.6g}")
-    communities = tables.read_json(ws.artifact("communities_report.json"))
-    qs, ns = (_levels("communities_report.json", communities, key, spec)
+    communities = ws.read_json("communities_report.json")
+    qs, ns = (" ".join(format(value, spec) for value in communities[key])
               for key, spec in (("q_per_level", ".6g"), ("communities_per_level", "")))
     add(f"[communities_report.json] q_per_level=[{qs}] communities_per_level=[{ns}]")
     # Fit and validation reports hold one entry per leg, each a result or an error.
@@ -558,11 +537,8 @@ def cmd_report(ws: Workspace) -> str:
     if os.path.exists(os.path.join(ws.config["paths"]["workdir"], "validate.json")):
         entries.append(("validate.json", "r2={r2:.6g} matched={matched_countries}"))
     for name, template in entries:
-        report = tables.read_json(ws.artifact(name))
-        for key in sorted(report):
-            entry = _checked(name, report, key, "object")
-            detail = f"error={entry['error']}" if "error" in entry else _format(f"{name}: {key}", template, entry)
-            add(f"[{name}:{key}] {detail}")
+        for leg, entry in sorted(ws.read_json(name).items()):
+            add(f"[{name}:{leg}] " + ("error={error}" if "error" in entry else template).format_map(entry))
     text = "\n".join(lines) + "\n"
     with tables.replacing(ws.path("report.txt")) as fh:
         fh.write(text)

@@ -192,13 +192,17 @@ def validate_external(
 
     Only countries present in both tables enter; others are simply not
     matched. A constant reference carries no explainable variance and
-    scores 0 by convention.
+    scores 0 by convention. A value above sqrt(max float / n) / 4 raises
+    ValueError: the r2 sums n squares of deviations of up to 2 |y|.
     """
     matched = sorted(set(estimates) & set(reference))
     if len(matched) < 3:
         raise ValueError(f"need >= 3 matched countries, got {len(matched)}")
     xs = np.array([estimates[c] for c in matched], dtype=float)
     ys = np.array([reference[c] for c in matched], dtype=float)
+    top, limit = float(np.abs(ys).max()), math.sqrt(np.finfo(float).max / len(ys)) / 4
+    if top > limit:
+        raise ValueError(f"reference value {top:.6g} would overflow the r2 (limit {limit:.6g} for {len(ys)} countries)")
     design = np.column_stack([np.ones(len(xs)), xs])
     if np.linalg.matrix_rank(design) < 2:
         # constant estimates: only the mean is fittable

@@ -100,11 +100,11 @@ def _numbered_lines(path: str) -> tuple[list[int], list[list[str]]]:
 
 
 class Kind(NamedTuple):
-    """What the cells of a column hold, as `what` names it in read_rows' errors: `read` converts one cell, raising
-    ValueError or KeyError if it cannot, and `valid` tells whether all the values of a column are in range."""
+    """What the cells of a column or the values of a JSON key hold, as `what` names it in errors: `read` converts
+    one, raising ValueError or KeyError if it cannot, and `valid` tells whether all the values are in range."""
 
     what: str
-    read: Callable[[str], Any]
+    read: Callable[[Any], Any]
     valid: Callable[[list[Any]], Any] = lambda values: True
 
     def values(self, cells: list[str]) -> list[Any] | None:
@@ -112,7 +112,7 @@ class Kind(NamedTuple):
         try:
             values = list(map(self.read, cells))
             return values if self.valid(values) else None
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, OverflowError):  # OverflowError: a JSON int too large for a float
             return None
 
     def or_empty(self) -> Kind:
@@ -134,6 +134,21 @@ COUNT = Kind("a count", int, lambda values: min(values, default=0) >= 0)
 NUMBER = _floats("a finite number", -sys.float_info.max, sys.float_info.max)
 NONNEGATIVE = _floats("a nonnegative finite number", 0.0, sys.float_info.max)
 DISTANCE = _floats(f"a distance from 0 to {MAX_DISTANCE_KM!r}", 0.0, MAX_DISTANCE_KM)
+
+
+def _json(what: str, *types: type, valid: Callable[[list[Any]], Any] = lambda values: True) -> Kind:
+    """JSON values of exactly one of `types` (a bool is no int): `read` raises KeyError for a value of any other.
+    The JSON kinds mean what the CSV kinds do: a count is a nonnegative int, and a number a finite int or float."""
+    return Kind(what, lambda value: dict.fromkeys(types, value)[type(value)], valid)
+
+
+JSON_COUNT = _json("a count", int, valid=COUNT.valid)
+# math.isfinite, not numpy: a stage's JSON write touches no numpy code page before the stage's peak.
+JSON_NUMBER = _json("a number", int, float, valid=lambda values: all(map(math.isfinite, values)))
+JSON_BOOL = _json("true or false", bool)
+JSON_TEXT = _json("text", str)
+JSON_LIST = _json("a list", list)
+JSON_OBJECT = _json("an object", dict)
 
 
 def read_rows(path: str, columns: Mapping[str, Kind]) -> dict[str, list[Any]]:

@@ -211,7 +211,7 @@ def test_report_file_matches_stdout(pipeline, capsys):
 @pytest.mark.parametrize("name, key, delta", [
     ("ingest_report.json", "n_lines", 1),
     ("ingest_report.json", "n_unlocatable_dropped", 1),
-    ("cleaning_stats.json", "speed_removed", -1),
+    ("cleaning_stats.json", "speed_removed", 1),
 ])
 def test_report_exits_six_on_counts_that_do_not_balance(pipeline, tmp_path, capsys, name, key, delta):
     world, config = pipeline
@@ -308,6 +308,144 @@ def test_report_names_the_file_of_a_missing_key(pipeline, tmp_path, capsys, name
     (workdir / name).write_text(edit((workdir / name).read_text()))
     assert cli("report", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
     assert capsys.readouterr().err == f"geoflow: data error: {name}: {named}\n"
+
+
+JSON_ARTIFACTS = [name for name, artifact in cli_mod.ARTIFACTS.items() if artifact.keys is not None]
+
+
+def _key_paths(keys, path=()):
+    """(path, kind) of each declared JSON key, and then of the keys of each object it declares."""
+    for key, kind in keys.items():
+        yield (*path, key), kind
+        if isinstance(kind, dict):
+            yield from _key_paths(kind, (*path, key))
+
+
+DECLARED_KEYS = [(name, path, kind)
+                 for name in JSON_ARTIFACTS for path, kind in _key_paths(cli_mod.ARTIFACTS[name].keys)]
+
+
+def _reference(balances, path, scale=1.0):
+    """A reference table from balances.csv: arrivals 2 * inflow, receipts (0.5 * inflow + 10) * scale."""
+    rows = [row.split(",") for row in balances.read_text().splitlines()[1:]]
+    path.write_text("code,arrivals,receipts\n" + "".join(
+        f"{code},{2.0 * float(inflow)!r},{scale * (0.5 * float(inflow) + 10.0)!r}\n" for code, inflow, *_ in rows))
+    return path
+
+
+@pytest.fixture(scope="module")
+def validated(pipeline, tmp_path_factory):
+    """A copy of the pipeline's artifacts with validate.json, against a reference scaled from its inflows."""
+    world, config = pipeline
+    workdir = tmp_path_factory.mktemp("validated") / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir),
+           "GEOFLOW_PATHS_REFERENCE": str(_reference(workdir / "balances.csv", workdir.parent / "reference.csv"))}
+    assert cli("validate", "--config", config, env=env) == 0
+    return workdir, config
+
+
+@pytest.mark.parametrize("name, path, kind", DECLARED_KEYS, ids=[f"{n}-{'.'.join(p)}" for n, p, _ in DECLARED_KEYS])
+def test_report_exits_six_on_a_declared_json_value_of_another_type(validated, tmp_path, capsys, name, path, kind):
+    source, config = validated
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(source, workdir)
+    doc = read_json(str(source / name))
+
+    def parent(entry):
+        """The object that holds the key in a leg (or the document), or None if it or an object on the way is an
+        error."""
+        for key in path[:-1]:
+            entry = None if "error" in entry else entry[key]
+        return None if "error" in entry else entry
+
+    legs = [leg for leg in (list(doc) if cli_mod.ARTIFACTS[name].legs else [None]) if parent(doc[leg] if leg else doc)]
+    assert legs, "no result to edit"
+    what = "a list" if isinstance(kind, list) else "an object" if isinstance(kind, dict) else kind.what
+    # (value, the key and value the error names, the kind it names)
+    edits = [(value, f"{path[-1]} is {json.dumps(value)}", what)
+             for value in (None, {} if isinstance(kind, list) else [])]
+    if isinstance(kind, list):
+        edits.append(([None], f"{path[-1]}[0] is null", kind[0].what))
+    for leg in legs:
+        for value, named, what in edits:
+            edited = json.loads(json.dumps(doc))
+            parent(edited[leg] if leg else edited)[path[-1]] = value
+            (workdir / name).write_text(json.dumps(edited))
+            assert cli("report", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
+            where = ": ".join([name, *([leg] if leg else []), *path[:-1], named])
+            assert capsys.readouterr().err == f"geoflow: data error: {where}, not {what}\n"
+
+
+def _raw(key, text, leg=None, **also):
+    """An edit of a JSON artifact's text that writes `text`, as it is, for `key` (in object `leg` if given), and
+    adds `also`'s deltas to other keys of the same object."""
+    def edit(doc_text):
+        doc = json.loads(doc_text)
+        entry = doc[leg] if leg else doc
+        entry[key] = "@@"
+        for other, delta in also.items():
+            entry[other] += delta
+        return json.dumps(doc).replace('"@@"', text)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "name, edit, named",
+    [
+        ("ingest_report.json", _raw("n_malformed", "-5", n_lines=-5), "n_malformed is -5, not a count"),
+        ("cleaning_stats.json", _raw("speed_removed", "-1"), "speed_removed is -1, not a count"),
+        ("gravity_fit.json", _raw("n_pairs", "-1", "est_census"), "est_census: n_pairs is -1, not a count"),
+        ("communities_report.json", _raw("communities_per_level", "[2, -3]"),
+         "communities_per_level[1] is -3, not a count"),
+        ("ingest_report.json", _raw("n_malformed", "true", n_lines=1), "n_malformed is true, not a count"),
+    ],
+    ids=["malformed-balanced", "speed-removed", "leg-count", "level-count", "bool-balanced"],
+)
+def test_report_exits_six_on_a_count_that_is_negative_or_a_bool(pipeline, tmp_path, capsys, name, edit, named):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    (workdir / name).write_text(edit((workdir / name).read_text()))
+    assert cli("report", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
+    assert capsys.readouterr().err == f"geoflow: data error: {name}: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "name, edit, named",
+    [
+        ("gravity_fit.json", _raw("alpha", "NaN", "est_census"), "est_census: alpha is NaN"),
+        ("gravity_fit.json", _raw("r2", "Infinity", "est_census"), "est_census: r2 is Infinity"),
+        ("communities_report.json", _raw("q_per_level", "[-Infinity]"), "q_per_level[0] is -Infinity"),
+        ("cleaning_stats.json", _raw("user_fraction", "1e400"), "user_fraction is Infinity"),
+        ("powerlaw_fit.json", _raw("stderr", "-1e400", "gyration"), "gyration: stderr is -Infinity"),
+        ("gravity_fit.json", _raw("alpha", "1" + "0" * 400, "est_census"), f"est_census: alpha is 1{'0' * 400}"),
+    ],
+    ids=["nan", "infinity", "minus-infinity-level", "1e400", "minus-1e400", "int-of-401-digits"],
+)
+def test_report_exits_six_on_a_number_that_is_not_finite(pipeline, tmp_path, capsys, name, edit, named):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    (workdir / name).write_text(edit((workdir / name).read_text()))
+    assert cli("report", "--config", config, env={"GEOFLOW_PATHS_WORKDIR": str(workdir)}) == 6
+    assert capsys.readouterr().err == f"geoflow: data error: {name}: {named}, not a number\n"
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+def test_validate_records_a_reference_too_large_for_the_r2_as_its_legs_error(pipeline, tmp_path, capsys):
+    world, config = pipeline
+    workdir = tmp_path / "artifacts"
+    shutil.copytree(world / "artifacts", workdir)
+    reference = _reference(workdir / "balances.csv", tmp_path / "reference.csv", scale=1e200)
+    env = {"GEOFLOW_PATHS_WORKDIR": str(workdir), "GEOFLOW_PATHS_REFERENCE": str(reference)}
+    assert cli("validate", "--config", config, env=env) == 0
+    report = read_json(str(workdir / "validate.json"))
+    assert report["arrivals"]["r2"] == pytest.approx(1.0, abs=1e-9)
+    assert list(report["receipts"]) == ["error"] and "would overflow the r2" in report["receipts"]["error"]
+    assert cli("report", "--config", config, env=env) == 0
+    out, err = capsys.readouterr()
+    assert f"[validate.json:receipts] error={report['receipts']['error']}\n" in out and err == ""
 
 
 def test_validate_against_scaled_reference(pipeline):
@@ -932,6 +1070,41 @@ def test_write_table_rejects_columns_other_than_the_declared_ones(tmp_path, name
     ws.write_table(name, {column: [value] for column, value in zip(header, row)})
     assert (tmp_path / name).read_text() == ",".join(header) + "\n" + ",".join(map(tables.fmt, row)) + "\n"
     assert ws.read_rows(name) == {column: [value] for column, value in zip(header, row)}
+
+
+def _a_value(kind):
+    """A value of a declared JSON kind: for an object, one of each of its keys; for a list, an empty one."""
+    if isinstance(kind, dict):
+        return {key: _a_value(item) for key, item in kind.items()}
+    return [] if isinstance(kind, list) else next(v for v in (1, True, "text", {}) if kind.values([v]) is not None)
+
+
+@pytest.mark.parametrize("name", JSON_ARTIFACTS)
+def test_write_json_rejects_keys_other_than_the_declared_ones(tmp_path, name):
+    ws = cli_mod.Workspace({"paths": {"workdir": str(tmp_path)}})
+    artifact = cli_mod.ARTIFACTS[name]
+    entry = _a_value(artifact.keys)
+    keys = list(entry)
+    wrong = [{key: entry.get(key, 0) for key in names}
+             for names in (["name", *keys[1:]], keys[::-1], keys[:-1], [*keys, "extra"])]
+    # An object that the keys declare holds its own keys, in order, or only an error.
+    for key, kind in artifact.keys.items():
+        if isinstance(kind, dict):
+            wrong += [dict(entry, **{key: dict(reversed(entry[key].items()))}),
+                      dict(entry, **{key: {"error": "why", **entry[key]}})]
+    if artifact.legs:
+        wrong += [{"error": "why", **entry}]
+    for doc in wrong:
+        with pytest.raises(ValueError, match=f"{re.escape(name)}: .*keys .* are not the declared"):
+            ws.write_json(name, {"leg": doc} if artifact.legs else doc)
+    # The writer checks the values as the reader does.
+    doc = dict(entry, **{keys[0]: None})
+    with pytest.raises(ValueError, match=f"{re.escape(name)}: .*{keys[0]} is null, not "):
+        ws.write_json(name, {"leg": doc} if artifact.legs else doc)
+    assert not (tmp_path / name).exists()
+    doc = {"leg": entry, "failed": {"error": "why"}} if artifact.legs else entry
+    ws.write_json(name, doc)
+    assert read_json(str(tmp_path / name)) == ws.read_json(name) == doc
 
 
 def test_every_csv_artifact_of_a_run_reads_back_as_it_was_written(pipeline, tmp_path):

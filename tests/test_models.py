@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -273,6 +274,20 @@ def test_validate_external_constant_reference_scores_zero():
     reference = {"AA": 5.0, "BB": 5.0, "CC": 5.0}
     r2, _ = validate_external(estimates, reference)
     assert r2 == 0.0
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+@pytest.mark.parametrize("scale", [1e150, 1e153, 1.6e153, 1.7e153, 1e154, 1e200, 1e300, 1.7e308])
+def test_validate_external_gives_a_finite_r2_or_says_the_reference_is_too_large(scale):
+    estimates = {"AA": 1.0, "BB": 100.0, "CC": 10000.0, "DD": 3.0}
+    reference = {"AA": scale, "BB": -0.5 * scale, "CC": 0.25 * scale, "DD": 0.0}
+    limit = math.sqrt(sys.float_info.max / 4) / 4  # about 1.67e153 for four countries
+    if scale <= limit:
+        r2, matched = validate_external(estimates, reference)
+        assert 0.0 <= r2 <= 1.0 and matched == 4
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"reference value {scale:.6g} would overflow the r2")):
+            validate_external(estimates, reference)
 
 
 # ---------------------------------------------------------------- binned checks
