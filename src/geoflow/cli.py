@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import json
 import os
 import sys
 from typing import Any, Callable, NamedTuple
@@ -51,8 +50,8 @@ from . import network as network_mod
 from . import residence as residence_mod
 from . import tables
 from .config import ConfigError, load_config
-from .tables import (BOOL, COUNT, DISTANCE, INTEGER, JSON_BOOL, JSON_COUNT, JSON_LIST, JSON_NUMBER, JSON_OBJECT,
-                     JSON_TEXT, NAME, NONNEGATIVE, NUMBER, TEXT)
+from .tables import (BOOL, COUNT, DISTANCE, INTEGER, JSON_BOOL, JSON_COUNT, JSON_LIST, JSON_NUMBER, JSON_OBJECT, NAME,
+                     NONNEGATIVE, NUMBER, TEXT)
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
@@ -68,11 +67,11 @@ class StageOrderError(RuntimeError):
 class Artifact(NamedTuple):
     stage: str  # the command that writes it
     header: dict[str, tables.Kind] | None = None  # its CSV columns, each with the kind of its cells; None if not CSV
-    keys: dict[str, Any] | None = None  # its JSON keys, each with the kind of its value (_checked); None if not JSON
+    keys: dict[str, Any] | None = None  # its JSON keys, each with its kind (tables.checked); None if not JSON
     legs: bool = False  # JSON: an object of legs, each holding the keys or, where its fit failed, {"error": text}
 
     def json_keys(self, doc: dict[str, Any]) -> dict[str, Any]:
-        """The keys JSON document `doc` holds (_checked): the declared ones, or an object of them in each leg."""
+        """The keys JSON document `doc` holds (tables.checked): the declared ones, or an object of them in each leg."""
         return dict.fromkeys(doc, self.keys) if self.legs else self.keys
 
 
@@ -171,13 +170,13 @@ class Workspace:
     def write_json(self, name: str, doc: dict[str, Any]) -> None:
         """Write JSON artifact `name`; ValueError unless it holds what read_json checks, and each of its objects
         the declared keys alone, in order."""
-        _checked(f"{name}: ", doc, ARTIFACTS[name].json_keys(doc), exact=True)
+        tables.checked(f"{name}: ", doc, ARTIFACTS[name].json_keys(doc), exact=True)
         tables.write_json(self.path(name), doc)
 
     def read_json(self, name: str) -> dict[str, Any]:
-        """JSON artifact `name`, each declared key checked (_checked)."""
+        """JSON artifact `name`, each declared key checked (tables.checked)."""
         doc = tables.read_json(self.artifact(name))
-        return _checked(f"{name}: ", doc, ARTIFACTS[name].json_keys(doc))
+        return tables.checked(f"{name}: ", doc, ARTIFACTS[name].json_keys(doc))
 
     def load(self, name: str) -> Any:
         """A held value, or one derived from the artifacts; an event artifact reads as an EventTable."""
@@ -190,27 +189,6 @@ class Workspace:
         value = self.load(name)
         del self.held[name]
         return value
-
-
-def _checked(where: str, doc: dict[str, Any], keys: dict[str, Any], exact: bool = False) -> dict[str, Any]:
-    """`doc`, if it holds each of `keys` as its kind declares: a tables.Kind; [kind], a list of values of that kind;
-    or a dict of keys, an object holding them or a leg's {"error": text}. With `exact`, it and each of its objects
-    hold the declared keys alone, in order. Otherwise ValueError naming `where` and the key."""
-    if exact and list(doc) != list(keys):
-        raise ValueError(f"{where}keys {list(doc)} are not the declared {list(keys)}")
-    for key, kind in keys.items():
-        if key not in doc:
-            raise ValueError(f"{where}{key} is missing")
-        value = doc[key]
-        shape = JSON_LIST if isinstance(kind, list) else JSON_OBJECT if isinstance(kind, dict) else kind
-        if shape.values([value]) is None:
-            raise ValueError(f"{where}{key} is {json.dumps(value)}, not {shape.what}")
-        if isinstance(kind, list):
-            items = {f"{key}[{i}]": item for i, item in enumerate(value)}
-            _checked(where, items, dict.fromkeys(items, kind[0]))
-        elif isinstance(kind, dict):
-            _checked(f"{where}{key}: ", value, {"error": JSON_TEXT} if "error" in value else kind, exact)
-    return doc
 
 
 def _trajectories(events: ingest_mod.EventTable) -> ingest_mod.EventTable:

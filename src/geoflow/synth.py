@@ -96,7 +96,8 @@ def expected_flows(world: SynthWorld) -> dict[tuple[str, str], float]:
 
     Intra-block pairs are multiplied by block_boost. The diagonal is
     absent; capitals closer than 1 km make the distance term meaningless
-    and are rejected.
+    and are rejected, as is a flow, or a sum of the flows out of a
+    country, past the float range.
     """
     by_code = world.by_code()
     distances = capital_distances({c.code: c.capital for c in world.countries})
@@ -109,10 +110,19 @@ def expected_flows(world: SynthWorld) -> dict[tuple[str, str], float]:
             if r < 1.0:
                 raise ValueError(f"capitals of {i} and {j} nearly coincide ({r:.3f} km)")
             ci, cj = by_code[i], by_code[j]
-            f = world.A * ci.population**world.alpha * cj.population**world.beta / r**world.gamma
+            try:
+                f = world.A * ci.population**world.alpha * cj.population**world.beta / r**world.gamma
+            except (OverflowError, ZeroDivisionError):  # a power past the float range, or r**gamma rounded to 0
+                f = math.inf
             if ci.block == cj.block:
                 f *= world.block_boost
+            if not math.isfinite(f):
+                raise ValueError(f"the planted flow {i}->{j} is not a finite number")
             flows[(i, j)] = f
+        try:
+            math.fsum(flows[(i, j)] for j in by_code if j != i)  # raises OverflowError past the float range
+        except OverflowError:
+            raise ValueError(f"the planted flows out of {i} sum past the float range") from None
     return flows
 
 

@@ -151,6 +151,29 @@ JSON_LIST = _json("a list", list)
 JSON_OBJECT = _json("an object", dict)
 
 
+def checked(where: str, doc: dict[str, Any], keys: dict[str, Any], exact: bool = False) -> dict[str, Any]:
+    """A copy of `doc` with each of `keys` read as its kind declares: a Kind; [kind], a list of values of that kind;
+    or a dict of keys, an object holding them or a leg's {"error": text}. With `exact`, it and each of its objects
+    hold the declared keys alone, in order. Otherwise ValueError: `<where><key> is <json>, not <kind>`."""
+    if exact and list(doc) != list(keys):
+        raise ValueError(f"{where}keys {list(doc)} are not the declared {list(keys)}")
+    out = dict(doc)
+    for key, kind in keys.items():
+        if key not in doc:
+            raise ValueError(f"{where}{key} is missing")
+        shape = JSON_LIST if isinstance(kind, list) else JSON_OBJECT if isinstance(kind, dict) else kind
+        value, read = doc[key], shape.values([doc[key]])
+        if read is None:
+            raise ValueError(f"{where}{key} is {json.dumps(value)}, not {shape.what}")
+        out[key] = read[0]
+        if isinstance(kind, list):
+            items = {f"{key}[{i}]": item for i, item in enumerate(value)}
+            out[key] = list(checked(where, items, dict.fromkeys(items, kind[0])).values())
+        elif isinstance(kind, dict):
+            out[key] = checked(f"{where}{key}: ", value, {"error": JSON_TEXT} if "error" in value else kind, exact)
+    return out
+
+
 def read_rows(path: str, columns: Mapping[str, Kind]) -> dict[str, list[Any]]:
     """The values of each column of a table with header `columns`, read whole as its Kind declares. A row of another
     field count, or a cell not of its column's kind, raises ValueError naming the file, line and column."""

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import random
 import re
@@ -17,6 +18,7 @@ import pytest
 
 import geoflow
 from geoflow import cli as cli_mod
+from geoflow import config as config_mod
 from geoflow import community, ingest, metrics, residence, tables
 from geoflow.cli import main
 from geoflow.config import load_config
@@ -97,11 +99,23 @@ def build_world(base, name):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
+    """One `run` of a small world, shared by the module: a test that writes artifacts works on a copy of them."""
     base = tmp_path_factory.mktemp("cli")
     world = build_world(base, "world")
     config = str(world / "config.json")
     assert cli("run", "--config", config) == 0
-    return world, config
+    yield world, config
+    assert sorted(os.listdir(world / "artifacts")) == sorted(RUN_ARTIFACTS)
+
+
+def copied(pipeline, tmp_path):
+    """A copy of the pipeline's world, whose config.json names the copy's artifacts as its work directory."""
+    world, _ = pipeline
+    shutil.copytree(world, tmp_path / "world")
+    settings = json.loads((tmp_path / "world" / "config.json").read_text())
+    settings["paths"]["workdir"] = str(tmp_path / "world" / "artifacts")
+    (tmp_path / "world" / "config.json").write_text(json.dumps(settings))
+    return tmp_path / "world", str(tmp_path / "world" / "config.json")
 
 
 # ---------------------------------------------------------------- happy path
@@ -186,8 +200,8 @@ def test_ingest_report_counts_the_unlocatable_events(tmp_path):
     assert report["n_labeled"] == len(lines) - 1
 
 
-def test_report_summarizes_artifacts(pipeline, capsys):
-    _, config = pipeline
+def test_report_summarizes_artifacts(pipeline, tmp_path, capsys):
+    _, config = copied(pipeline, tmp_path)
     assert cli("report", "--config", config) == 0
     out = capsys.readouterr().out
     for marker in (
@@ -201,8 +215,8 @@ def test_report_summarizes_artifacts(pipeline, capsys):
         assert marker in out, marker
 
 
-def test_report_file_matches_stdout(pipeline, capsys):
-    world, config = pipeline
+def test_report_file_matches_stdout(pipeline, tmp_path, capsys):
+    world, config = copied(pipeline, tmp_path)
     assert cli("report", "--config", config) == 0
     out = capsys.readouterr().out
     assert (world / "artifacts" / "report.txt").read_text(encoding="utf-8") == out
@@ -448,8 +462,8 @@ def test_validate_records_a_reference_too_large_for_the_r2_as_its_legs_error(pip
     assert f"[validate.json:receipts] error={report['receipts']['error']}\n" in out and err == ""
 
 
-def test_validate_against_scaled_reference(pipeline):
-    world, config = pipeline
+def test_validate_against_scaled_reference(pipeline, tmp_path):
+    world, config = copied(pipeline, tmp_path)
     rows = (world / "artifacts" / "balances.csv").read_text().splitlines()[1:]
     lines = ["code,arrivals,receipts"]
     for row in rows:
@@ -1456,3 +1470,188 @@ def test_geoflow_starts_one_blas_thread_unless_told_otherwise():
     assert thread_count("geoflow.cli") == 1
     # A user's own setting wins: as many threads as numpy alone starts under it (two with OpenBLAS on two or more cores).
     assert thread_count("geoflow.cli", OPENBLAS_NUM_THREADS="2") == thread_count("numpy", OPENBLAS_NUM_THREADS="2")
+
+
+# ---------------------------------------------------------------- declared config settings
+
+
+TEXT_SETTINGS = {name for name, (default, _) in config_mod.SETTINGS.items() if isinstance(default, str)}
+TINY = 5e-324  # the least positive float
+# For each setting with a range, values just outside it, and values on its edges, which load.
+OUTSIDE = {
+    "seed": [-1],
+    "year": [1969, 10000],
+    "clean.max_speed_kmh": [0, -0.0, math.inf, math.nan],
+    "clean.coverage": [0.0, math.nextafter(1.0, 2.0)],
+    "clean.weight_mode": ["bytes", "Users"],
+    "residence.min_penetration": [-TINY, math.inf],
+    "residence.min_residents": [-1],
+    "metrics.gyration_over": ["none"],
+    "network.min_outgoing": [-1],
+    "network.min_penetration": [-TINY],
+    "network.top_k": [0],
+    "communities.max_levels": [0],
+    "communities.restarts": [0],
+    "communities.weights": ["EST"],
+    "fit.powerlaw_xmin_km": [0.0],
+    "fit.min_distance_km": [-TINY, -math.inf],
+    "synth.n_countries": [0, 677],
+    "synth.users_per_country": [0],
+    "synth.events_per_user": [0],
+    "synth.trip_rate": [-TINY, math.nextafter(1.0, 2.0)],
+    "synth.bot_fraction": [-TINY, 1.0],
+    "synth.n_blocks": [0, 13],
+    "synth.block_boost": [math.nextafter(1.0, 0.0), math.nan],
+    "synth.gravity": [[math.nan, 1, 1, 1], [1, 1, 1, -math.inf], [1, 1, 1], [1, 1, 1, 1, 1]],
+}
+INSIDE = {
+    "seed": [0],
+    "year": [1970, 9999],
+    "clean.max_speed_kmh": [TINY, 1e308],
+    "clean.coverage": [TINY, 1],
+    "clean.weight_mode": ["events", "users"],
+    "residence.min_penetration": [0],
+    "residence.min_residents": [0],
+    "metrics.gyration_over": ["mobile"],
+    "network.min_outgoing": [0],
+    "network.min_penetration": [0.0],
+    "network.top_k": [1],
+    "communities.max_levels": [1],
+    "communities.restarts": [1],
+    "communities.weights": ["raw"],
+    "fit.powerlaw_xmin_km": [TINY],
+    "fit.min_distance_km": [0],
+    "synth.n_countries": [1, 676],
+    "synth.users_per_country": [1],
+    "synth.events_per_user": [1],
+    "synth.trip_rate": [0, 1],
+    "synth.bot_fraction": [0, math.nextafter(1.0, 0.0)],
+    "synth.n_blocks": [1, 12],
+    "synth.block_boost": [1],
+    "synth.gravity": [[-1e308, 0, -5, 1e308]],
+}
+
+
+def config_file(path, name, value):
+    """A config file setting `name` (dotted) to `value`, written as Python's json writes it (NaN and Infinity too)."""
+    section, _, key = name.rpartition(".")
+    path.write_text(json.dumps({section: {key: value}} if section else {key: value}))
+    return str(path)
+
+
+def synth_with_file(tmp_path, name, value):
+    """The exit code of `geoflow synth --out <tmp_path>/w` with a config file setting `name` to `value`."""
+    return cli("synth", "--config", config_file(tmp_path / "c.json", name, value), "--out", str(tmp_path / "w"))
+
+
+def env_text(value):
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def env_name(name):
+    return "GEOFLOW_" + name.replace(".", "_").upper()
+
+
+def setting(config, name):
+    section, _, key = name.rpartition(".")
+    return (config[section] if section else config)[key]
+
+
+def assert_config_error(capsys, name):
+    err = capsys.readouterr().err
+    assert err.startswith("geoflow: config error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert name in err and "Traceback" not in err
+
+
+def test_every_setting_with_a_range_has_its_edge_cases():
+    paths = {name for name in config_mod.SETTINGS if name.startswith("paths.")}
+    assert set(OUTSIDE) == set(INSIDE) == set(config_mod.SETTINGS) - paths
+
+
+@pytest.mark.parametrize("name", sorted(config_mod.SETTINGS))
+def test_a_file_value_of_the_wrong_json_type_exits_three_naming_its_key(tmp_path, capsys, name):
+    wrong = [True, None, {}] + ([1] if name in TEXT_SETTINGS else ["1", [1]])
+    for value in wrong:
+        assert synth_with_file(tmp_path, name, value) == 3
+        assert_config_error(capsys, name)
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("name", sorted(set(config_mod.SETTINGS) - TEXT_SETTINGS))
+def test_an_env_value_of_the_wrong_json_type_exits_three_naming_its_key(tmp_path, capsys, name):
+    for raw in ("true", "null", "{}", '"1"', "x"):
+        assert cli("synth", "--out", str(tmp_path / "w"), env={env_name(name): raw}) == 3
+        assert_config_error(capsys, name)
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE))
+def test_a_value_just_outside_a_settings_range_exits_three_naming_its_key(tmp_path, capsys, name):
+    for value in OUTSIDE[name]:
+        assert synth_with_file(tmp_path, name, value) == 3
+        assert_config_error(capsys, name)
+        assert cli("synth", "--out", str(tmp_path / "w"), env={env_name(name): env_text(value)}) == 3
+        assert_config_error(capsys, name)
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("name", sorted(INSIDE))
+def test_a_file_value_out_of_range_that_an_env_value_overrides_loads(tmp_path, name):
+    path = config_file(tmp_path / "c.json", name, OUTSIDE[name][0])
+    for value in INSIDE[name]:
+        config = config_mod.load_config(path, env={env_name(name): env_text(value)})
+        assert setting(config, name) == value
+        assert type(setting(config, name)) is type(setting(config_mod.DEFAULTS, name))  # a number key holds a float
+        assert setting(config_mod.load_config(config_file(tmp_path / "c.json", name, value), env={}), name) == value
+
+
+@pytest.mark.parametrize("file, env, message", [
+    ({"clean": {"coverage": 1.5}}, {}, "clean.coverage is 1.5, not a number in (0, 1]"),
+    ({"seed": True}, {}, "seed is true, not an integer in [0, inf)"),
+    ({}, {"GEOFLOW_CLEAN_MAX_SPEED_KMH": "Infinity"}, "clean.max_speed_kmh is Infinity, not a number in (0, inf)"),
+    ({}, {"GEOFLOW_SYNTH_GRAVITY": "[NaN, 1, 1, 1]"}, "synth.gravity is [NaN, 1.0, 1.0, 1.0], not a list of 4 numbers"),
+    ({"clean": {"weight_mode": "bytes"}}, {}, 'clean.weight_mode is "bytes", not "users" or "events"'),
+    ({"paths": {"workdir": 7}}, {}, "paths.workdir is 7, not text"),
+    ({"clean": "fast"}, {}, 'clean is "fast", not an object'),
+    ({"synth": {"n_countries": 3}}, {"GEOFLOW_SYNTH_N_BLOCKS": "4"}, "synth.n_blocks is 4, not an integer in [1, 3]"),
+])
+def test_config_errors_take_the_form_of_the_json_artifacts_errors(tmp_path, capsys, file, env, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(file))
+    assert cli("ingest", "--config", str(path), env=env) == 3
+    assert capsys.readouterr().err == f"geoflow: config error: {message}\n"
+
+
+def test_loaded_configs_share_no_list_with_the_defaults():
+    config_mod.load_config(env={})["synth"]["gravity"].append(0.0)
+    assert config_mod.DEFAULTS["synth"]["gravity"] == [1.0, 1.0, 1.0, 1.0]
+    assert config_mod.load_config(env={})["synth"]["gravity"] == [1.0, 1.0, 1.0, 1.0]
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("gravity", ["[1, 1, 1, 1]", "[2.0, 0.9, 0.7, 1.1]", "[1, 0, 0, 0]"])
+def test_synth_writes_strict_json(tmp_path, gravity):
+    out = tmp_path / "world"
+    env = {"GEOFLOW_SYNTH_GRAVITY": gravity, "GEOFLOW_CLEAN_MAX_SPEED_KMH": "1e308",
+           "GEOFLOW_SYNTH_USERS_PER_COUNTRY": "20", "GEOFLOW_SYNTH_EVENTS_PER_USER": "5"}
+    assert cli("synth", "--out", str(out), env=env) == 0
+    for name in ("config.json", "truth.json", "boundaries.geojson"):
+        json.loads((out / name).read_text(), parse_constant=refuse_constant)
+    truth = json.loads((out / "truth.json").read_text())
+    assert any(truth["planted_mobility"].values())
+
+
+@pytest.mark.parametrize("gravity, named", [
+    ("[1, 100, 1, 1]", "the planted flow AA->AB is not a finite number"),  # p**100 overflows
+    ("[1, 1, 1, -100]", "the planted flow AA->AB is not a finite number"),  # r**-100 rounds to 0
+    ("[1e308, 1, 1, 1]", "the planted flow AA->AB is not a finite number"),  # A * p rounds to inf
+    ("[1e308, 0, 0, 0]", "the planted flows out of AA sum past the float range"),  # each 1e308, 11 of them
+])
+def test_synth_gravity_whose_planted_flows_overflow_exits_six(tmp_path, capsys, gravity, named):
+    out = tmp_path / "world"
+    assert cli("synth", "--out", str(out), env={"GEOFLOW_SYNTH_GRAVITY": gravity}) == 6
+    assert capsys.readouterr().err == f"geoflow: data error: {named}\n"
+    assert not out.exists() or list(out.iterdir()) == []

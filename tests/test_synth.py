@@ -3,6 +3,7 @@
 import calendar
 import math
 import os
+import sys
 import tempfile
 from datetime import datetime, timezone
 from unittest import mock
@@ -76,6 +77,27 @@ def test_coincident_capitals_rejected():
     )
     with pytest.raises(ValueError, match="coincide"):
         expected_flows(world)
+
+
+@pytest.mark.parametrize("gravity, pattern", [
+    (dict(alpha=100.0), "flow AA->AB is not a finite number"),  # OverflowError from p**100
+    (dict(gamma=-100.0), "flow AA->AB is not a finite number"),  # ZeroDivisionError: r**-100 rounds to 0
+    (dict(A=1e308, alpha=1.0, beta=1.0, gamma=1.0), "flow AA->AB is not a finite number"),  # A * p is inf
+    (dict(A=1e308, alpha=0.0, beta=0.0, gamma=0.0), "flows out of AA sum past the float range"),  # 3 * 1e308
+    (dict(A=1e308, alpha=0.0, beta=0.0, gamma=0.0, n_blocks=1, block_boost=2.0), "flow AA->AB is not a finite"),
+])
+def test_planted_flows_past_the_float_range_are_rejected(gravity, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        expected_flows(small_world(**gravity))
+    with pytest.raises(ValueError, match=pattern):
+        event_blocks(small_world(**gravity), users_per_country=2, events_per_user=5, trip_rate=0.5)
+
+
+def test_planted_flows_summing_near_the_largest_float_are_kept():
+    world = small_world(A=sys.float_info.max / 4, alpha=0.0, beta=0.0, gamma=0.0)
+    flows = expected_flows(world)
+    assert set(flows.values()) == {sys.float_info.max / 4}
+    assert math.isfinite(math.fsum(flows[("AA", j)] for j in ("AB", "AC", "AD")))
 
 
 def test_world_validation():
